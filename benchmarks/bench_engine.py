@@ -10,9 +10,9 @@ many hyperperiods):
   the remaining cycles are tiled from the converged cycle's columnar
   trace;
 * ``batched`` — many scenarios through
-  :func:`repro.campaign.runner.run_scenario_batch`, which drives every
-  engine with the fast path and hands all current profiles to the
-  vectorized battery kernels in one pass.
+  ``ScenarioBatch(...).run(fast=True)``, which advances them lock-step
+  on the vector engine with the fast path and hands all current
+  profiles to the vectorized battery kernels in one pass.
 
 Every timed pair is verified equivalent first (counts and misses
 exactly equal, charge/energy to relative 1e-9) — a speedup over a
@@ -42,9 +42,14 @@ from repro.campaign import (
     build_scheme,
     resolve_estimator,
     resolve_processor,
-    run_scenario_batch,
     run_spec,
 )
+from repro.campaign.runner import (
+    _build_scenario_sim,
+    _scenario_battery,
+    _scenario_metrics,
+)
+from repro.sim.batch import BatchItem, ScenarioBatch
 from repro.sim.engine import Simulator
 from repro.workloads.generator import UniformActuals, paper_task_set
 
@@ -121,6 +126,23 @@ def bench_fast_forward(scheme, n_graphs, seed, hyperperiods):
     }
 
 
+def _fast_batch_metrics(specs):
+    """Scenario metrics of ``specs`` run as one fast-forward batch."""
+    items = [
+        BatchItem(
+            *_build_scenario_sim(spec),
+            battery=_scenario_battery(spec),
+            rebin=spec.rebin,
+        )
+        for spec in specs
+    ]
+    outcomes = ScenarioBatch(items).run(fast=True)
+    return [
+        _scenario_metrics(spec, out.result, out.profile, out.battery_run)
+        for spec, out in zip(specs, outcomes)
+    ]
+
+
 def bench_batched(n_graphs, hyperperiods, n_seeds):
     """Batched fast campaign vs the per-spec naive loop."""
     _, hyper = _build_sim(SCHEMES[0], n_graphs, 0)
@@ -139,17 +161,15 @@ def bench_batched(n_graphs, hyperperiods, n_seeds):
         for seed in range(n_seeds)
     ]
     naive, t_naive = _timed(lambda: [run_spec(s) for s in specs])
-    batched, t_batch = _timed(
-        lambda: run_scenario_batch(list(enumerate(specs)), fast_sim=True)
-    )
-    for ref, (_, got) in zip(naive, batched):
-        assert set(ref.metrics) == set(got.metrics)
+    batched, t_batch = _timed(lambda: _fast_batch_metrics(specs))
+    for ref, got in zip(naive, batched):
+        assert set(ref.metrics) == set(got)
         for key, val in ref.metrics.items():
             tol = 0.0 if key in (
                 "misses", "released_jobs", "completed_jobs",
                 "completed_nodes",
             ) else 1e-9 * max(1.0, abs(val))
-            assert abs(got.metrics[key] - val) <= tol, (
+            assert abs(got[key] - val) <= tol, (
                 f"{ref.spec.scheme}/seed{ref.spec.seed}: {key} diverged"
             )
     return {

@@ -1,12 +1,11 @@
-"""Struct-of-arrays vector engine vs the batched scalar path.
+"""Struct-of-arrays vector engine vs a per-scenario scalar loop.
 
 Times a 256-scenario EDF/ccEDF campaign (paper task sets, fixed
 worst-case-fraction actuals so the workload is job-invariant) through
 two engines that produce bit-identical results:
 
-* ``scalar`` — every scenario through ``Simulator.run(fast=True)``,
-  the per-scenario path :class:`repro.sim.batch.ScenarioBatch` uses by
-  default;
+* ``scalar`` — every scenario through its own
+  ``Simulator.run(fast=True)``, the scalar reference engine;
 * ``vector`` — the same scenarios through
   :func:`repro.sim.vector.run_vectorized`, which advances all
   array-expressible scenarios lock-step in struct-of-arrays form.
@@ -17,11 +16,12 @@ applies to), a *mixed* Table 2 campaign — all five scheme rows, EDF
 through BAS-2, with the paper's stochastic 20-100% actuals — through
 the same pure simulation phase (the ``--min-mixed-speedup`` floor),
 and the end-to-end :class:`~repro.sim.batch.ScenarioBatch` pipeline
-(which adds the common per-scenario profile reduction, diluting the
-ratio).  Every timed pair is verified equivalent first — counts and
-misses exactly, charge/energy to relative 1e-9 — and each vector row
-must have vectorized every scenario (zero fallbacks), otherwise the
-benchmark would partly time the scalar engine against itself.
+against the scalar loop plus the same per-scenario profile reduction
+(which the two share, diluting the ratio).  Every timed pair is
+verified equivalent first — counts and misses exactly, charge/energy
+to relative 1e-9 — and each vector row must have vectorized every
+scenario (zero fallbacks), otherwise the benchmark would partly time
+the scalar engine against itself.
 Results are written machine-readable to ``BENCH_vector.json`` at the
 repo root.
 
@@ -132,22 +132,29 @@ def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
     }
 
 
+def _scalar_loop(scenarios):
+    """Each scenario alone: ``Simulator.run(fast=True)`` plus the
+    profile reduction a batch performs."""
+    out = []
+    for sim, h in scenarios:
+        res = sim.run(h, fast=True)
+        res.profile()
+        out.append(res)
+    return out
+
+
 def bench_batch(n_scenarios, n_graphs, hyperperiods, seed):
-    """End-to-end ScenarioBatch: engine='vector' vs engine='scalar'."""
+    """End-to-end ScenarioBatch vs a per-scenario Simulator.run loop."""
     scal = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed)
     vect = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed)
-    sout, t_scalar = _timed(
-        ScenarioBatch(
-            [BatchItem(sim, h) for sim, h in scal], engine="scalar"
-        ).run
-    )
+    sres, t_scalar = _timed(lambda: _scalar_loop(scal))
     vout, t_vector = _timed(
-        ScenarioBatch(
-            [BatchItem(sim, h) for sim, h in vect], engine="vector"
-        ).run
+        lambda: ScenarioBatch(
+            [BatchItem(sim, h) for sim, h in vect]
+        ).run(fast=True)
     )
-    for k, (v, s) in enumerate(zip(vout, sout)):
-        _assert_equivalent(v.result, s.result, f"scenario {k}")
+    for k, (v, s) in enumerate(zip(vout, sres)):
+        _assert_equivalent(v.result, s, f"scenario {k}")
     return {
         "scenarios": n_scenarios,
         "hyperperiods": hyperperiods,

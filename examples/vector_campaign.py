@@ -3,12 +3,13 @@
 
 A campaign of many small simulations is the repo's hot loop: Table 2
 runs hundreds of scenarios per scheme.  This example times the same
-five-scheme sweep through the two `ScenarioBatch` engines —
+five-scheme sweep two ways —
 
-* ``engine="scalar"``: every scenario through its own
+* scalar: every scenario through its own
   ``Simulator.run(fast=True)`` event loop;
-* ``engine="vector"``: all scenarios advanced lock-step as
-  struct-of-arrays numpy state (`repro.sim.vector.VectorEngine`) —
+* vector: one ``ScenarioBatch(...).run(fast=True)``, which advances
+  all scenarios lock-step as struct-of-arrays numpy state
+  (`repro.sim.vector.VectorEngine`) —
 
 then proves the point of the design: the outcomes are *bit-identical*,
 the vector engine is just faster.  The whole Table 2 grid is eligible
@@ -72,11 +73,14 @@ def main() -> None:
           "(zero fallbacks)\n")
 
     t0 = time.perf_counter()
-    scalar = ScenarioBatch(build_items(), engine="scalar").run()
+    scalar = [
+        item.simulator.run(item.horizon, fast=True)
+        for item in build_items()
+    ]
     t_scalar = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vector = ScenarioBatch(build_items(), engine="vector").run()
+    vector = ScenarioBatch(build_items()).run(fast=True)
     t_vector = time.perf_counter() - t0
 
     print(f"scalar engine: {t_scalar:7.3f} s")
@@ -85,11 +89,11 @@ def main() -> None:
 
     # Identical means identical: every trace column, byte for byte.
     for s, v in zip(scalar, vector):
-        ts, tv = s.result.trace, v.result.trace
+        ts, tv = s.trace, v.result.trace
         assert len(ts) == len(tv)
         for col in ("starts", "durations", "speeds", "currents"):
             assert np.array_equal(getattr(ts, col), getattr(tv, col))
-        assert s.result.misses == v.result.misses
+        assert s.misses == v.result.misses
     print(f"checked: all {N_SCENARIOS} scenario traces bit-identical\n")
 
     # The fallback contract: anything the engine cannot express in
@@ -116,9 +120,8 @@ def main() -> None:
     reason = unsupported_reason(odd_sim(), horizon)
     print(f"call-order-dependent provider falls back: {reason!r}")
     mixed = ScenarioBatch(
-        build_items()[:2] + [BatchItem(odd_sim(), horizon)],
-        engine="vector",
-    ).run()
+        build_items()[:2] + [BatchItem(odd_sim(), horizon)]
+    ).run(fast=True)
     solo = odd_sim().run(horizon, fast=True)
     assert mixed[2].result.completed_jobs == solo.completed_jobs
     assert mixed[2].result.charge == solo.charge

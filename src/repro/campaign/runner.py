@@ -18,12 +18,22 @@ execution, across any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -112,7 +122,7 @@ def _build_scenario_sim(spec: ScenarioSpec) -> Tuple[Simulator, float]:
     return sim, horizon
 
 
-def _simulate(spec: ScenarioSpec, *, fast: bool = False) -> SimulationResult:
+def _simulate(spec: ScenarioSpec) -> SimulationResult:
     if spec.scheme == NEAR_OPTIMAL:
         processor = resolve_processor(spec.processor)
         task_set = paper_task_set(
@@ -133,7 +143,7 @@ def _simulate(spec: ScenarioSpec, *, fast: bool = False) -> SimulationResult:
         )
         return near_optimal_run(task_set, processor, horizon, actuals=actuals)
     sim, horizon = _build_scenario_sim(spec)
-    return sim.run(horizon, fast=fast)
+    return sim.run(horizon)
 
 
 def _scenario_battery(spec: ScenarioSpec):
@@ -167,10 +177,8 @@ def _scenario_metrics(
     return metrics
 
 
-def _run_periodic(
-    spec: ScenarioSpec, *, fast_sim: bool = False
-) -> ScenarioResult:
-    res = _simulate(spec, fast=fast_sim)
+def _run_periodic(spec: ScenarioSpec) -> ScenarioResult:
+    res = _simulate(spec)
     profile = res.profile()
     cell = _scenario_battery(spec)
     battery_run = None
@@ -184,26 +192,20 @@ def _run_periodic(
 def run_scenario_batch(
     items: Sequence[Tuple[int, ScenarioSpec]],
     *,
-    fast_sim: bool = True,
-    sim_vector: bool = False,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[Tuple[int, ScenarioResult]]:
     """Execute several scenario specs through one :class:`ScenarioBatch`.
 
-    Metric-identical to running each spec through
-    :func:`run_spec` with the same ``fast_sim`` setting — the batch
-    only changes *how* the work is driven (engine fast paths plus a
-    single columnar battery hand-off), never what a scenario computes.
-    ``sim_vector`` additionally routes the batch through the
-    struct-of-arrays vector engine
-    (:class:`~repro.sim.vector.VectorEngine`), which advances every
-    array-expressible scenario lock-step and falls back per scenario
-    to the scalar engine otherwise — still result-identical.
+    Bit-identical to running each spec through :func:`run_spec`: the
+    batch advances every array-expressible scenario lock-step on the
+    vector engine (:class:`~repro.sim.vector.VectorEngine`), falls
+    back per scenario to :meth:`Simulator.run` otherwise, and hands
+    the traces to the battery kernels in one pass — it only changes
+    *how* the work is driven, never what a scenario computes.
 
-    ``stats``, when given a dict, receives execution telemetry from
-    the batch (currently ``numeric_demotions``: scenarios the vector
-    engine demoted to the scalar path after detecting a non-finite
-    hot-path output).
+    ``stats``, when given a dict, receives the batch's
+    :attr:`ScenarioBatch.last_stats` (``numeric_demotions`` and
+    ``vector_fallbacks``).
     """
     batch = ScenarioBatch(
         [
@@ -213,10 +215,9 @@ def run_scenario_batch(
                 rebin=spec.rebin,
             )
             for _, spec in items
-        ],
-        engine="vector" if sim_vector else "scalar",
+        ]
     )
-    outcomes = batch.run(fast=fast_sim)
+    outcomes = batch.run()
     if stats is not None:
         stats.update(batch.last_stats)
     return [
@@ -327,17 +328,16 @@ def _run_constant(spec: ConstantLoadSpec) -> ScenarioResult:
     )
 
 
-def run_spec(spec: Spec, *, fast_sim: bool = False) -> ScenarioResult:
+def run_spec(spec: Spec) -> ScenarioResult:
     """Execute one spec in the calling process.
 
-    ``fast_sim`` enables the engine's steady-state fast-forward for
-    periodic scenarios (count/label-exact, charge equivalent to float
-    dust; it falls back to the naive event loop whenever it cannot be
-    exact).  The default stays off so results are bit-identical to
-    previous engine generations wherever those were well-defined.
+    The scalar reference: periodic scenarios run through
+    :meth:`Simulator.run` on the naive event loop, and every other
+    execution path (vector batches, pools, distributed fleets) must
+    reproduce its result bit for bit.
     """
     if isinstance(spec, ScenarioSpec):
-        return _run_periodic(spec, fast_sim=fast_sim)
+        return _run_periodic(spec)
     if isinstance(spec, OneShotSpec):
         return _run_oneshot(spec)
     if isinstance(spec, SurvivalSpec):
@@ -347,56 +347,76 @@ def run_spec(spec: Spec, *, fast_sim: bool = False) -> ScenarioResult:
     raise SchedulingError(f"unknown spec type {type(spec).__name__}")
 
 
-def _worker(item: Tuple) -> Tuple[int, ScenarioResult]:
-    index, spec = item[0], item[1]
-    fast_sim = bool(item[2]) if len(item) > 2 else False
-    if fast_sim:
-        return index, run_spec(spec, fast_sim=True)
-    # Default path calls positionally so wrappers of ``run_spec``
-    # (tests, instrumentation) keep working unchanged.
-    return index, run_spec(spec)
+#: Fewest scenarios per worker for a vector batch.  Lock-step lanes
+#: share the vector engine's fixed per-event cost, which a narrow
+#: batch cannot pay back: against the scalar loop on the same specs a
+#: W-lane batch took 1.34x the CPU time at W=10, 1.01x at W=16 and
+#: 0.91x at W=20 on Table 2 specs, and 0.95x at W=20 on Figure 6
+#: specs (``benchmarks/bench_lanes.py``).  A smaller share runs
+#: scalar, one spec per unit.
+MIN_LANES = 20
+
+#: Most specs in one unit.  Every trace of a vector batch stays alive
+#: until the batch's battery pass, and a unit's results reach the cache
+#: only when the whole unit is done, so a paper-scale campaign on few
+#: workers is cut into several units rather than one.
+MAX_UNIT = 256
 
 
-def _batch_worker(payload: Tuple):
-    # Two-tuple payloads (pre-vector generations) still work: the
-    # vector flag simply defaults off.  Four-element payloads ask for
-    # telemetry and get ``(pairs, stats)`` back; shorter ones keep the
-    # historical plain-pairs return shape.
-    items, fast_sim = payload[0], payload[1]
-    sim_vector = bool(payload[2]) if len(payload) > 2 else False
-    want_stats = len(payload) > 3 and bool(payload[3])
-    stats: Optional[Dict[str, int]] = {} if want_stats else None
-    pairs = run_scenario_batch(
-        list(items), fast_sim=fast_sim, sim_vector=sim_vector, stats=stats
-    )
-    if want_stats:
-        return pairs, stats
-    return pairs
+class _Unit(NamedTuple):
+    """One pool task: ``(index, spec)`` pairs.
 
-
-def _guarded_worker(
-    item: Tuple,
-) -> Tuple[int, Optional[ScenarioResult], Optional[FailureInfo]]:
-    """Execute one spec under fault containment.
-
-    Used instead of :func:`_worker` whenever retry budgets, timeouts,
-    quarantine, or an armed fault plan are in play: exceptions come
-    back as structured :class:`FailureInfo` values (so the parent can
-    charge budgets and quarantine) instead of poisoning the pool, and
-    the spec runs inside the :func:`spec_deadline` watchdog.  A retry
-    carries its backoff delay with it, so waits from different specs
-    overlap instead of serializing in the parent.
+    A unit of several specs is a vector batch of periodic scenarios;
+    every other spec is a unit of its own.  ``contain`` marks a
+    one-spec unit of a fault-contained run: its failure comes back as
+    a :class:`FailureInfo` instead of raising, it runs under the
+    ``timeout`` watchdog, and a retry sleeps out its backoff ``delay``
+    first, so waits from different specs overlap instead of
+    serializing in the parent.
     """
-    index, spec, fast_sim, timeout, delay = item
-    if delay > 0:
-        time.sleep(delay)
+
+    items: Tuple[Tuple[int, Spec], ...]
+    contain: bool = False
+    timeout: Optional[float] = None
+    delay: float = 0.0
+
+
+#: What a unit returns: ``(index, result, failure)`` per spec, exactly
+#: one of ``result``/``failure`` set, plus the unit's numeric demotions.
+_UnitOutcome = Tuple[
+    List[Tuple[int, Optional[ScenarioResult], Optional[FailureInfo]]], int
+]
+
+
+def _vectorizable(spec: Spec) -> bool:
+    return isinstance(spec, ScenarioSpec) and spec.scheme != NEAR_OPTIMAL
+
+
+def _run_unit(unit: _Unit) -> _UnitOutcome:
+    """The one pool worker: a multi-spec unit runs as one vector
+    batch through :func:`run_scenario_batch`, a one-spec unit through
+    :func:`run_spec`."""
+    if not unit.contain:
+        return _execute_unit(unit.items)
+    ((index, _spec),) = unit.items
+    if unit.delay > 0:
+        time.sleep(unit.delay)
     try:
-        with spec_deadline(timeout, what=f"spec {index}"):
+        with spec_deadline(unit.timeout, what=f"spec {index}"):
             faults.fire("spec.execute", index)
-            result = run_spec(spec, fast_sim=fast_sim)
-        return index, result, None
+            return _execute_unit(unit.items)
     except Exception as exc:  # noqa: BLE001 - containment boundary
-        return index, None, FailureInfo.from_exception(exc)
+        return [(index, None, FailureInfo.from_exception(exc))], 0
+
+
+def _execute_unit(items: Tuple[Tuple[int, Spec], ...]) -> _UnitOutcome:
+    if len(items) == 1:
+        ((index, spec),) = items
+        return [(index, run_spec(spec), None)], 0
+    stats: Dict[str, int] = {}
+    batched = run_scenario_batch(items, stats=stats)
+    outcomes = [(index, result, None) for index, result in batched]
+    return outcomes, int(stats.get("numeric_demotions", 0))
 
 
 def _pool_init(snapshot, fault_plan_json: Optional[str]) -> None:
@@ -487,6 +507,18 @@ OnResult = Callable[[int, ScenarioResult], None]
 class CampaignRunner(GrowableRunnerMixin):
     """Executes spec lists, optionally in parallel and cached.
 
+    One execution pipeline: :meth:`run` cuts the pending (uncached)
+    specs into units and maps them over one pool.  Periodic scenarios
+    other than the near-optimal reference run lock-step on the vector
+    engine through :func:`run_scenario_batch` (falling back per
+    scenario to the scalar engine), one batch per worker of at most
+    :data:`MAX_UNIT` scenarios, when each worker's share reaches
+    :data:`MIN_LANES`.  Every other spec is a unit of its own, run
+    through :func:`run_spec` and scheduled dynamically.  Either way
+    the results are bit-identical to ``[run_spec(s) for s in specs]``.
+    A unit's results reach the cache and ``on_result`` when the whole
+    unit is done.
+
     Parameters
     ----------
     n_workers:
@@ -496,9 +528,6 @@ class CampaignRunner(GrowableRunnerMixin):
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely and
         fresh results are stored back.
-    chunksize:
-        Scenarios per pool task (larger amortizes IPC for very short
-        scenarios).
     start_method:
         Explicit ``multiprocessing`` start method (``"fork"``,
         ``"spawn"``, ``"forkserver"``); ``None`` keeps the platform
@@ -507,32 +536,6 @@ class CampaignRunner(GrowableRunnerMixin):
         every start method — the pool initializer replays the plugin
         snapshot in each worker — while live-object ad-hoc entries
         still need ``fork`` to be inherited.
-    fast_sim:
-        Enables the engine's steady-state fast-forward for periodic
-        scenarios (see :meth:`repro.sim.engine.Simulator.run`).  Off
-        by default: results are then bit-identical to the naive event
-        loop; on, counts and labels stay exact while charge/energy may
-        differ at float-dust level for horizons beyond three
-        hyperperiods.  Runs with either setting are individually
-        deterministic (sequential == parallel, any worker count).
-    sim_batch:
-        Scenario specs per :class:`~repro.sim.batch.ScenarioBatch`
-        (1 disables batching).  Batching groups periodic scenarios so
-        each work unit advances many engines and hands their columnar
-        traces to the battery kernels in one pass — metric-identical
-        to unbatched execution with the same ``fast_sim`` setting.
-    sim_vector:
-        Routes each scenario batch through the struct-of-arrays
-        vector engine (:class:`~repro.sim.vector.VectorEngine`),
-        advancing all array-expressible scenarios of a batch in
-        lock-step numpy passes and falling back per scenario to the
-        scalar engine otherwise — result-identical either way.  Every
-        Table 2 scheme (EDF through BAS-2, stochastic actuals
-        included) is array-expressible, so paper campaigns vectorize
-        with zero fallbacks.  The
-        vector engine only pays off on wide batches, so when
-        ``sim_batch`` is left at its default of 1 this flag raises it
-        to 256; pass an explicit ``sim_batch`` to control the width.
     max_retries:
         Failed specs are re-executed up to this many times before the
         ``on_error`` policy applies.  Retries back off with
@@ -553,11 +556,10 @@ class CampaignRunner(GrowableRunnerMixin):
         First-retry backoff in seconds (doubles per attempt, capped).
 
     Fault containment (any of the above knobs non-default, or a
-    :mod:`repro.faults` plan armed) executes specs as guarded
-    singles: failures come back structured instead of poisoning the
-    pool.  Scenario batching/vectorization is bypassed in that mode —
-    per-spec failure attribution needs per-spec execution — which
-    changes throughput, never results.
+    :mod:`repro.faults` plan armed) cuts one spec per unit, so
+    failures come back structured and attributed to their spec
+    instead of poisoning the pool; retry rounds reuse the run's pool.
+    That changes throughput, never results.
     """
 
     def __init__(
@@ -565,11 +567,7 @@ class CampaignRunner(GrowableRunnerMixin):
         n_workers: int = 1,
         *,
         cache: Optional[ResultCache] = None,
-        chunksize: int = 1,
         start_method: Optional[str] = None,
-        fast_sim: bool = False,
-        sim_batch: int = 1,
-        sim_vector: bool = False,
         max_retries: int = 0,
         spec_timeout: Optional[float] = None,
         on_error: str = "raise",
@@ -577,10 +575,6 @@ class CampaignRunner(GrowableRunnerMixin):
     ) -> None:
         if n_workers < 1:
             raise SchedulingError(f"n_workers must be >= 1, got {n_workers}")
-        if chunksize < 1:
-            raise SchedulingError(f"chunksize must be >= 1, got {chunksize}")
-        if sim_batch < 1:
-            raise SchedulingError(f"sim_batch must be >= 1, got {sim_batch}")
         if max_retries < 0:
             raise SchedulingError(
                 f"max_retries must be >= 0, got {max_retries}"
@@ -599,13 +593,7 @@ class CampaignRunner(GrowableRunnerMixin):
                 )
         self.n_workers = int(n_workers)
         self.cache = cache
-        self.chunksize = int(chunksize)
         self.start_method = start_method
-        self.fast_sim = bool(fast_sim)
-        self.sim_vector = bool(sim_vector)
-        if sim_vector and sim_batch == 1:
-            sim_batch = 256
-        self.sim_batch = int(sim_batch)
         self.max_retries = int(max_retries)
         self.spec_timeout = (
             float(spec_timeout) if spec_timeout is not None else None
@@ -634,7 +622,7 @@ class CampaignRunner(GrowableRunnerMixin):
 
         ``on_result`` and ``aggregators`` are fed each ``(index,
         result)`` as it becomes available (cache hits first, then
-        worker completions in arrival order) — aggregates are still
+        units in completion order) — aggregates are still
         deterministic because :class:`StreamingAggregator` summarizes
         in index order.
         """
@@ -672,46 +660,7 @@ class CampaignRunner(GrowableRunnerMixin):
                 self.cache.put(result)
             emit(index, result)
 
-        report: Optional[FailureReport] = None
-        demoted = 0
-        if pending and self._contained():
-            report = self._run_contained(specs, pending, absorb)
-        elif pending:
-            batched: List[int] = []
-            if self.sim_batch > 1:
-                batched = [
-                    i
-                    for i in pending
-                    if isinstance(specs[i], ScenarioSpec)
-                    and specs[i].scheme != NEAR_OPTIMAL
-                ]
-            batched_set = set(batched)
-            singles = [
-                (i, specs[i], self.fast_sim)
-                for i in pending
-                if i not in batched_set
-            ]
-            if singles:
-                for index, result in self._execute(singles, _worker):
-                    absorb(index, result)
-            if batched:
-                payloads = [
-                    (
-                        tuple(
-                            (i, specs[i])
-                            for i in batched[k:k + self.sim_batch]
-                        ),
-                        self.fast_sim,
-                        self.sim_vector,
-                        True,
-                    )
-                    for k in range(0, len(batched), self.sim_batch)
-                ]
-                for group, stats in self._execute(payloads, _batch_worker):
-                    demoted += int(stats.get("numeric_demotions", 0))
-                    for index, result in group:
-                        absorb(index, result)
-
+        report, demoted = self._execute(specs, pending, absorb)
         return CampaignResult(
             results=[r for r in results if r is not None],
             # repro: noqa[DET002] -- telemetry field only
@@ -719,79 +668,105 @@ class CampaignRunner(GrowableRunnerMixin):
             n_workers=self.n_workers,
             cache_hits=cache_hits,
             executed=len(pending),
-            retried=report.retries if report is not None else 0,
-            quarantined=(
-                len(report.quarantined) if report is not None else 0
-            ),
+            retried=report.retries,
+            quarantined=len(report.quarantined),
             demoted=demoted,
             failures=report if report else None,
         )
 
-    def _run_contained(
+    def _units(self, specs: Sequence[Spec], pending: List[int]) -> List[_Unit]:
+        """Cut ``pending`` into units, vector batches first.
+
+        Vectorizable scenarios form vector batches when each worker's
+        share reaches :data:`MIN_LANES`: ``max(n_workers, ceil(n /
+        MAX_UNIT))`` batches, batch ``j`` taking every such scenario
+        ``j, j + n_batches, ...`` so cost-ordered sweeps split evenly.
+        Every other spec, and every spec of a contained run, is a unit
+        of its own and is scheduled dynamically.
+        """
+        contain = self._contained()
+        vector = [i for i in pending if _vectorizable(specs[i])]
+        if contain or -(-len(vector) // self.n_workers) < MIN_LANES:
+            vector = []
+        n_batches = max(self.n_workers, -(-len(vector) // MAX_UNIT))
+        batches = [
+            _Unit(tuple((i, specs[i]) for i in vector[j::n_batches]))
+            for j in range(min(n_batches, len(vector)))
+        ]
+        batched = set(vector)
+        return batches + [
+            _Unit(((i, specs[i]),), contain, self.spec_timeout)
+            for i in pending
+            if i not in batched
+        ]
+
+    def _execute(
         self,
         specs: Sequence[Spec],
         pending: List[int],
         absorb: Callable[[int, ScenarioResult], None],
-    ) -> FailureReport:
-        """Guarded execution: retries, backoff, quarantine, timeouts.
+    ) -> Tuple[FailureReport, int]:
+        """Run ``pending`` in rounds; returns the failure report and
+        the numeric-demotion count.
 
-        Round-based: every spec still owed an attempt runs (in
-        parallel) with its backoff delay attached, failures are
-        charged against budgets, and the survivors of each round seed
-        the next.  Deterministic for a given (spec list, seed set,
-        failure pattern): retry order is index order and every
-        backoff is a pure function of (spec seed, attempt).
+        Only contained runs have failures to charge: every failure
+        counts against its spec's retry budget, specs with budget
+        left come back as the next round (in index order, each
+        carrying its backoff delay, a pure function of (spec seed,
+        attempt)), and an exhausted budget quarantines or raises per
+        ``on_error``.  Default units raise straight through instead.
         """
         report = FailureReport()
+        demoted = 0
         attempts: Dict[int, int] = {}
-        queue: List[Tuple[int, float]] = [(i, 0.0) for i in pending]
-        while queue:
-            items = [
-                (i, specs[i], self.fast_sim, self.spec_timeout, delay)
-                for i, delay in queue
-            ]
-            queue = []
-            retry: List[Tuple[int, float]] = []
-            for index, result, failure in self._execute(
-                items, _guarded_worker
-            ):
-                if failure is None:
-                    absorb(index, result)
-                    continue
-                attempts[index] = attempts.get(index, 0) + 1
-                if failure.exc_type == "SpecTimeout":
-                    report.timeouts += 1
-                if attempts[index] <= self.max_retries:
-                    report.retries += 1
-                    delay = backoff_delay(
-                        int(getattr(specs[index], "seed", 0) or 0),
-                        attempts[index],
-                        base=self.backoff_base,
-                    )
-                    retry.append((index, delay))
-                elif self.on_error == "quarantine":
-                    report.quarantined.append(
-                        QuarantinedSpec(
-                            index=index,
-                            spec_hash=(
-                                content_hash(specs[index])
-                                if is_cacheable(specs[index])
-                                else ""
-                            ),
-                            attempts=attempts[index],
-                            failure=failure,
-                        )
-                    )
-                else:
-                    raise failure.to_exception()
-            queue = sorted(retry)
-        return report
+        units = self._units(specs, pending)
+        with self._pool(len(units)) as imap:
+            while units:
+                retry: List[Tuple[int, float]] = []
+                for outcomes, demotions in imap(units):
+                    demoted += demotions
+                    for index, result, failure in outcomes:
+                        if failure is None:
+                            absorb(index, result)
+                            continue
+                        attempts[index] = attempts.get(index, 0) + 1
+                        if failure.exc_type == "SpecTimeout":
+                            report.timeouts += 1
+                        if attempts[index] <= self.max_retries:
+                            report.retries += 1
+                            delay = backoff_delay(
+                                int(getattr(specs[index], "seed", 0) or 0),
+                                attempts[index],
+                                base=self.backoff_base,
+                            )
+                            retry.append((index, delay))
+                        elif self.on_error == "quarantine":
+                            report.quarantined.append(
+                                QuarantinedSpec(
+                                    index=index,
+                                    spec_hash=(
+                                        content_hash(specs[index])
+                                        if is_cacheable(specs[index])
+                                        else ""
+                                    ),
+                                    attempts=attempts[index],
+                                    failure=failure,
+                                )
+                            )
+                        else:
+                            raise failure.to_exception()
+                units = [
+                    _Unit(((i, specs[i]),), True, self.spec_timeout, delay)
+                    for i, delay in sorted(retry)
+                ]
+        return report, demoted
 
-    # ------------------------------------------------------------------
-    def _execute(self, items: List[Tuple], worker: Callable = _worker):
-        if self.n_workers == 1 or len(items) == 1:
-            for item in items:
-                yield worker(item)
+    @contextlib.contextmanager
+    def _pool(self, n_units: int) -> Iterator[Callable]:
+        """An ``imap(units)`` over this run's one pool (or in-process
+        when there is one worker or one unit)."""
+        if self.n_workers == 1 or n_units <= 1:
+            yield lambda units: map(_run_unit, units)
             return
         if self.start_method is not None:
             ctx = multiprocessing.get_context(self.start_method)
@@ -804,15 +779,12 @@ class CampaignRunner(GrowableRunnerMixin):
             methods = multiprocessing.get_all_start_methods()
             use_fork = sys.platform.startswith("linux") and "fork" in methods
             ctx = multiprocessing.get_context("fork" if use_fork else None)
-        workers = min(self.n_workers, len(items))
         # Replaying the declarative-plugin snapshot in every worker
         # makes custom registered entries visible under spawn (and
         # forkserver), not just fork inheritance.
         with ctx.Pool(
-            processes=workers,
+            processes=min(self.n_workers, n_units),
             initializer=_pool_init,
             initargs=(plugin_snapshot(), faults.plan_snapshot()),
         ) as pool:
-            yield from pool.imap_unordered(
-                worker, items, chunksize=self.chunksize
-            )
+            yield lambda units: pool.imap_unordered(_run_unit, units)

@@ -398,11 +398,19 @@ def spawn_worker_process(
 
 @dataclass
 class ProcessChaos:
-    """SIGKILL random fleet members at seeded times, then replace them.
+    """SIGKILL random fleet members at seeded progress points, then
+    replace them.
 
     The externally-applied complement to a :class:`FaultPlan`: a kill
     that the victim cannot observe, report, or clean up after.  Keeps
-    the fleet size constant by respawning each victim.  Use as a
+    the fleet size constant by respawning each victim.
+
+    Kills are keyed to campaign progress, not to wall-clock time: the
+    caller reports how many results it has accepted through
+    :meth:`observe`, on its own thread, and the k-th kill fires once
+    that count reaches the k-th of ``n_kills`` sorted thresholds drawn
+    from ``kill_after`` (inclusive bounds).  Which worker dies when is
+    then a pure function of the seed, on any machine speed.  Use as a
     context manager (``stop`` is idempotent).
     """
 
@@ -410,39 +418,37 @@ class ProcessChaos:
     worker_args: List[str]
     n_workers: int = 2
     n_kills: int = 2
-    delay_range: Tuple[float, float] = (0.4, 1.4)
+    kill_after: Tuple[int, int] = (1, 5)
     killed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        self._lock = threading.Lock()
         self.procs = [
             spawn_worker_process(self.worker_args)
             for _ in range(self.n_workers)
         ]
-        lo, hi = self.delay_range
-        self.kill_delays = self.rng.uniform(lo, hi, size=self.n_kills)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
+        lo, hi = self.kill_after
+        self.thresholds = sorted(
+            int(k) for k in self.rng.integers(lo, hi + 1, size=self.n_kills)
+        )
 
-    def _run(self) -> None:
-        for delay in self.kill_delays:
-            if self._stop.wait(float(delay)):
-                return
-            with self._lock:
-                victim = int(self.rng.integers(len(self.procs)))
-                self.procs[victim].kill()  # SIGKILL, mid-whatever
-                self.procs[victim] = spawn_worker_process(self.worker_args)
-                self.killed += 1
+    def observe(self, n_accepted: int) -> None:
+        """Report ``n_accepted`` results accepted so far; fires every
+        pending kill whose threshold that count reaches."""
+        while (
+            self.killed < self.n_kills
+            and n_accepted >= self.thresholds[self.killed]
+        ):
+            victim = int(self.rng.integers(len(self.procs)))
+            self.procs[victim].kill()  # SIGKILL, mid-whatever
+            self.procs[victim].wait(timeout=10.0)
+            self.procs[victim] = spawn_worker_process(self.worker_args)
+            self.killed += 1
 
     def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=10.0)
-        with self._lock:
-            for proc in self.procs:
-                proc.kill()
-            for proc in self.procs:
-                proc.wait(timeout=10.0)
+        for proc in self.procs:
+            proc.kill()
+        for proc in self.procs:
+            proc.wait(timeout=10.0)
 
     def __enter__(self) -> "ProcessChaos":
         return self

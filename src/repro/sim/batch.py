@@ -5,10 +5,10 @@ which is "simulate a schedule, reduce its trace to a current profile,
 tile that profile through a battery model".  :class:`ScenarioBatch`
 drives that pipeline for many scenarios at once:
 
-* every scenario's engine run gets the steady-state fast path
-  (:meth:`repro.sim.engine.Simulator.run` with ``fast=True``), so the
-  per-event Python loop only executes until the dispatch cycle
-  converges;
+* the scenarios advance lock-step on the struct-of-arrays
+  :class:`~repro.sim.vector.VectorEngine`, which falls back one
+  scenario at a time to :meth:`repro.sim.engine.Simulator.run` for
+  anything it cannot express;
 * the resulting columnar :class:`~repro.sim.trace.ExecutionTrace`
   profiles are reduced and handed to the vectorized battery kernels in
   a single call
@@ -16,13 +16,16 @@ drives that pipeline for many scenarios at once:
   battery side a few large vector ops per scenario instead of a
   per-segment scalar walk.
 
-The batch is *semantics-preserving*: each scenario's outcome is
-exactly what running it alone would produce (the engine fast path
-guarantees count/label equivalence and ulp-level charge equivalence;
-the battery hand-off is bit-identical to the per-scenario call).  The
-campaign layer (:class:`repro.campaign.runner.CampaignRunner` with
-``sim_batch > 1``) builds batches from scenario specs; this module
-stays campaign-agnostic so studies can drive it directly.
+The batch is *semantics-preserving*: by default each scenario's
+outcome is bit-identical to running it alone (the vector engine
+replays the scalar engine's arithmetic; the battery hand-off is
+bit-identical to the per-scenario call).  ``run(fast=True)`` opts into
+the engine's steady-state fast-forward, which keeps counts and labels
+exact but charge and energy only float-dust-equal.  The campaign layer
+(:class:`repro.campaign.runner.CampaignRunner`, through
+:func:`repro.campaign.runner.run_scenario_batch`) batches the periodic
+scenarios of each work unit; this module stays campaign-agnostic so
+studies can drive it directly.
 """
 
 from __future__ import annotations
@@ -78,32 +81,18 @@ class ScenarioBatch:
         The scenarios; at least one is required (the battery hand-off
         needs a non-empty batch — for a pure simulation sweep that may
         be empty, call :func:`repro.sim.vector.run_vectorized`).
-    engine:
-        ``"scalar"`` (default) runs each scenario through
-        :meth:`Simulator.run`; ``"vector"`` routes the batch through
-        the struct-of-arrays :class:`~repro.sim.vector.VectorEngine`,
-        which advances all array-expressible scenarios lock-step —
-        the full Table 2 grid, stochastic hash-keyed actuals
-        included — and falls back per scenario to the scalar engine
-        for anything it cannot express (phases, call-order-dependent
-        providers, subclassed components) — results are identical
-        either way.
+
+    The vector engine advances every array-expressible scenario — the
+    full Table 2 grid, stochastic hash-keyed actuals included — and
+    falls back per scenario to the scalar engine for anything it
+    cannot express (phases, call-order-dependent providers,
+    subclassed components); results are identical either way.
     """
 
-    def __init__(
-        self,
-        items: Sequence[BatchItem],
-        *,
-        engine: str = "scalar",
-    ) -> None:
+    def __init__(self, items: Sequence[BatchItem]) -> None:
         self.items: List[BatchItem] = list(items)
         if not self.items:
             raise SchedulingError("a scenario batch needs >= 1 item")
-        if engine not in ("scalar", "vector"):
-            raise SchedulingError(
-                f"engine must be 'scalar' or 'vector', got {engine!r}"
-            )
-        self.engine = engine
         #: Telemetry from the most recent :meth:`run`:
         #: ``numeric_demotions`` counts scenarios (or battery loads)
         #: whose fast-path output contained NaN/inf and was recomputed
@@ -115,34 +104,29 @@ class ScenarioBatch:
     def run(
         self,
         *,
-        fast: bool = True,
+        fast: bool = False,
         max_time: float = 1e7,
         battery_fast: bool = True,
     ) -> List[BatchOutcome]:
         """Run every scenario; outcomes come back in item order.
 
-        ``fast`` enables the engine's steady-state fast-forward (safe:
-        it degrades to the naive event loop whenever it cannot be
-        exact); ``max_time`` and ``battery_fast`` are forwarded to the
-        battery evaluation and match
-        :func:`~repro.analysis.lifetime.evaluate_lifetime` defaults.
+        ``fast`` opts into the engine's steady-state fast-forward
+        (counts and labels exact, charge and energy float-dust-equal;
+        see :meth:`Simulator.run`).  ``max_time`` and
+        ``battery_fast`` are forwarded to the battery evaluation and
+        match :func:`~repro.analysis.lifetime.evaluate_lifetime`
+        defaults.
         """
         stats: Dict[str, int] = {
             "numeric_demotions": 0,
             "vector_fallbacks": 0,
         }
-        if self.engine == "vector":
-            vec = VectorEngine(
-                [(item.simulator, item.horizon) for item in self.items]
-            )
-            results = vec.run(fast=fast)
-            stats["numeric_demotions"] += vec.numeric_demotions
-            stats["vector_fallbacks"] = vec.n_fallback
-        else:
-            results = [
-                item.simulator.run(item.horizon, fast=fast)
-                for item in self.items
-            ]
+        vec = VectorEngine(
+            [(item.simulator, item.horizon) for item in self.items]
+        )
+        results = vec.run(fast=fast)
+        stats["numeric_demotions"] += vec.numeric_demotions
+        stats["vector_fallbacks"] = vec.n_fallback
         profiles = [res.profile() for res in results]
         loads = []
         load_pos: List[int] = []

@@ -419,7 +419,7 @@ class Simulator:
 
         For many independent scenarios, consider the lock-step
         struct-of-arrays engine (:func:`repro.sim.vector.
-        run_vectorized` / ``ScenarioBatch(engine="vector")``), which
+        run_vectorized` / :class:`~repro.sim.batch.ScenarioBatch`), which
         produces bit-identical results per scenario.
         """
         if not (horizon > 0):

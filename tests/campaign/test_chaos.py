@@ -1,8 +1,9 @@
 """Chaos/fault-injection harness for the distributed backend.
 
 A seeded chaos controller (:class:`repro.faults.ProcessChaos`)
-SIGKILLs real worker subprocesses at random points mid-campaign while
-the broker is restarted mid-collection (simulated crash +
+SIGKILLs real worker subprocesses at seeded progress points
+mid-campaign (after the k-th accepted result, on any machine speed)
+while the broker is restarted mid-collection (simulated crash +
 ``resume=True``), over both transports.  Whatever the fault schedule,
 the assembled results must be bit-identical to the sequential local
 runner's, and the resume ledger must prevent re-execution of
@@ -70,13 +71,17 @@ def sequential_metrics(seed):
     return _SEQUENTIAL[seed]
 
 
-def collect(broker, n):
-    """Take ``n`` outcomes from a broker, then stop (mid-collection)."""
+def collect(broker, chaos, accepted, n=None):
+    """Take outcomes from a broker: all of them, or stop after ``n``
+    (mid-collection).  ``accepted`` holds every index accepted so far
+    across broker sessions; its size is the campaign progress that
+    schedules the chaos kills."""
     got = {}
-    stream = broker.outcomes()
-    for index, result in stream:
+    for index, result in broker.outcomes():
         got[index] = result
-        if len(got) >= n:
+        accepted.add(index)
+        chaos.observe(len(accepted))
+        if n is not None and len(got) >= n:
             break
     return got
 
@@ -110,7 +115,8 @@ class TestChaosDirectory:
                 chunk_size=2,
             )
             first.submit(list(enumerate(specs)))
-            got = collect(first, CRASH_AFTER)
+            accepted = set()
+            got = collect(first, chaos, accepted, CRASH_AFTER)
             first.abort()  # "crash": no shutdown marker, no cleanup
 
             second = DirectoryBroker(
@@ -125,13 +131,13 @@ class TestChaosDirectory:
             # accepted; only the complement is republished.
             assert second.replayed == len(got)
             assert second.remaining == len(specs) - len(got)
-            rest = dict(second.outcomes())
+            rest = collect(second, chaos, accepted)
             assert sorted(rest) == list(range(len(specs)))
             assert {i: rest[i] for i in got} == got  # replay == first
             second.close()
         finally:
             chaos.stop()
-        assert chaos.killed == len(chaos.kill_delays)
+        assert chaos.killed == chaos.n_kills
         assert [
             rest[i].metrics for i in range(len(specs))
         ] == sequential_metrics(seed)
@@ -165,7 +171,8 @@ class TestChaosTCP:
         )
         try:
             first.submit(list(enumerate(specs)))
-            got = collect(first, CRASH_AFTER)
+            accepted = set()
+            got = collect(first, chaos, accepted, CRASH_AFTER)
             # "Crash": sever the listening socket and every worker
             # connection; graceful workers reconnect within grace.
             first.abort()
@@ -183,14 +190,14 @@ class TestChaosTCP:
                 second.submit(list(enumerate(specs)), resume=True)
                 assert second.replayed == len(got)
                 assert second.remaining == len(specs) - len(got)
-                rest = dict(second.outcomes())
+                rest = collect(second, chaos, accepted)
             finally:
                 second.close()
             assert sorted(rest) == list(range(len(specs)))
             assert {i: rest[i] for i in got} == got
         finally:
             chaos.stop()
-        assert chaos.killed == len(chaos.kill_delays)
+        assert chaos.killed == chaos.n_kills
         assert [
             rest[i].metrics for i in range(len(specs))
         ] == sequential_metrics(seed)

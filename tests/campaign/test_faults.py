@@ -708,12 +708,15 @@ class TestAcceptanceDemo:
         )
         try:
             broker.submit(list(enumerate(specs)))
-            collected = dict(broker.outcomes())
+            collected = {}
+            for index, result in broker.outcomes():
+                collected[index] = result
+                chaos.observe(len(collected))
             report = broker.failure_report
         finally:
             broker.close()
             chaos.stop()
-        assert chaos.killed == len(chaos.kill_delays)
+        assert chaos.killed == chaos.n_kills
         assert report.quarantined_indices == (1, 4, 6)
         kinds = {
             q.index: q.failure.exc_type for q in report.quarantined

@@ -23,15 +23,22 @@ def template(seed, index):
 
 @pytest.fixture
 def executed_specs(monkeypatch):
-    """Every spec actually executed (not served from cache)."""
+    """Every spec actually executed (not served from cache), counted
+    at both entry points: lone specs and vector batches."""
     calls = []
-    real = runner_mod.run_spec
+    real_spec = runner_mod.run_spec
+    real_batch = runner_mod.run_scenario_batch
 
-    def counting(spec):
+    def counting_spec(spec):
         calls.append(spec)
-        return real(spec)
+        return real_spec(spec)
 
-    monkeypatch.setattr(runner_mod, "run_spec", counting)
+    def counting_batch(items, **kwargs):
+        calls.extend(spec for _, spec in items)
+        return real_batch(items, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_spec", counting_spec)
+    monkeypatch.setattr(runner_mod, "run_scenario_batch", counting_batch)
     return calls
 
 

@@ -271,10 +271,6 @@ class TestRunnerValidation:
         with pytest.raises(SchedulingError):
             CampaignRunner(0)
 
-    def test_bad_chunksize(self):
-        with pytest.raises(SchedulingError):
-            CampaignRunner(1, chunksize=0)
-
     def test_streaming_callback_sees_every_result(self):
         specs = [
             ScenarioSpec(scheme="EDF", n_graphs=2, seed=s) for s in (1, 2, 3)

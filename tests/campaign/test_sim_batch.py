@@ -1,15 +1,30 @@
-"""Campaign-level batching and fast-sim: metric identity guarantees."""
+"""Campaign-level batching and the one execution pipeline: metric
+identity guarantees.
+
+Every campaign path — vector batches inside a unit, one-spec units,
+contained (retrying) units, pools of any size — must reproduce
+``[run_spec(s) for s in specs]`` bit for bit.  The engine's opt-in
+fast-forward (``Simulator.run(fast=True)``,
+``ScenarioBatch.run(fast=True)``) is the one documented exception:
+counts are exact, charge and energy equal to float dust.
+"""
 
 import pytest
 
+from repro.analysis.lifetime import evaluate_lifetime
+from repro.api.plans import fig6_plan, table2_plan
 from repro.campaign import (
     CampaignRunner,
+    ResultCache,
     ScenarioSpec,
     run_scenario_batch,
     run_spec,
 )
+from repro.campaign import runner
+from repro.campaign.registry import NEAR_OPTIMAL
+from repro.campaign.runner import _build_scenario_sim, _scenario_battery
 from repro.campaign.spec import OneShotSpec
-from repro.errors import SchedulingError
+from repro.sim.batch import BatchItem, ScenarioBatch
 
 SPECS = [
     ScenarioSpec(scheme="BAS-1", n_graphs=2, seed=3),
@@ -27,47 +42,90 @@ def assert_metrics_equal(a, b, *, exact=True):
             assert b.metrics[key] == pytest.approx(val, rel=1e-9), key
 
 
+def batch_items(specs):
+    """Fresh batch items for ``specs``, as the campaign builds them."""
+    return [
+        BatchItem(
+            *_build_scenario_sim(spec),
+            battery=_scenario_battery(spec),
+            rebin=spec.rebin,
+        )
+        for spec in specs
+    ]
+
+
+def fast_singles(specs):
+    """Each spec alone through ``Simulator.run(fast=True)``."""
+    out = []
+    for spec in specs:
+        sim, horizon = _build_scenario_sim(spec)
+        out.append(sim.run(horizon, fast=True))
+    return out
+
+
 class TestRunScenarioBatch:
     def test_naive_batch_bitwise_equals_run_spec(self):
-        got = run_scenario_batch(list(enumerate(SPECS)), fast_sim=False)
+        got = run_scenario_batch(list(enumerate(SPECS)))
         for (index, result), spec in zip(got, SPECS):
             assert_metrics_equal(result, run_spec(spec))
 
     def test_fast_batch_equals_fast_run_spec(self):
-        got = run_scenario_batch(list(enumerate(SPECS)), fast_sim=True)
-        for (index, result), spec in zip(got, SPECS):
-            assert_metrics_equal(result, run_spec(spec, fast_sim=True))
+        """ScenarioBatch.run(fast=True) == Simulator.run(fast=True),
+        scenario by scenario."""
+        outcomes = ScenarioBatch(batch_items(SPECS)).run(fast=True)
+        for out, single in zip(outcomes, fast_singles(SPECS)):
+            assert out.result.released_jobs == single.released_jobs
+            assert out.result.completed_nodes == single.completed_nodes
+            assert out.result.tiled_cycles == single.tiled_cycles
+            assert out.result.charge == single.charge
+            assert out.result.energy == single.energy
 
     def test_fast_sim_metrics_match_naive_to_dust(self):
-        """fast_sim changes nothing the paper's tables would notice."""
-        for spec in SPECS:
-            fast = run_spec(spec, fast_sim=True)
-            naive = run_spec(spec)
-            assert_metrics_equal(fast, naive, exact=False)
-            for key in ("misses", "released_jobs", "completed_jobs"):
-                assert fast.metrics[key] == naive.metrics[key]
+        """Fast-forward changes nothing the paper's tables would
+        notice, on the engine and on the batch."""
+        for spec, fast in zip(SPECS, fast_singles(SPECS)):
+            sim, horizon = _build_scenario_sim(spec)
+            naive = sim.run(horizon)
+            for key in ("released_jobs", "completed_jobs", "completed_nodes"):
+                assert getattr(fast, key) == getattr(naive, key)
+            assert len(fast.misses) == len(naive.misses)
+            assert fast.charge == pytest.approx(naive.charge, rel=1e-9)
+            assert fast.energy == pytest.approx(naive.energy, rel=1e-9)
+        fast_out = ScenarioBatch(batch_items(SPECS)).run(fast=True)
+        exact_out = ScenarioBatch(batch_items(SPECS)).run()
+        for f, e in zip(fast_out, exact_out):
+            assert f.result.released_jobs == e.result.released_jobs
+            assert f.result.charge == pytest.approx(e.result.charge, rel=1e-9)
+            if e.battery_run is not None:
+                assert f.battery_run.lifetime == pytest.approx(
+                    e.battery_run.lifetime, rel=1e-9
+                )
 
 
 class TestRunnerBatching:
     def test_sim_batch_matches_unbatched(self):
-        batched = CampaignRunner(sim_batch=2).run(SPECS)
-        plain = CampaignRunner().run(SPECS)
-        assert len(batched.results) == len(plain.results)
-        for a, b in zip(batched.results, plain.results):
-            assert a.spec == b.spec  # spec order preserved
-            assert_metrics_equal(a, b)
+        batched = CampaignRunner().run(SPECS)
+        assert len(batched.results) == len(SPECS)
+        for a, spec in zip(batched.results, SPECS):
+            assert a.spec == spec  # spec order preserved
+            assert_metrics_equal(a, run_spec(spec))
 
     def test_fast_sim_batched_matches_fast_singles(self):
-        batched = CampaignRunner(fast_sim=True, sim_batch=3).run(SPECS)
-        singles = CampaignRunner(fast_sim=True).run(SPECS)
-        for a, b in zip(batched.results, singles.results):
-            assert_metrics_equal(a, b)
+        """The batch's battery hand-off of fast-forwarded traces equals
+        per-scenario evaluate_lifetime on the same traces."""
+        outcomes = ScenarioBatch(batch_items(SPECS)).run(fast=True)
+        for spec, out, single in zip(SPECS, outcomes, fast_singles(SPECS)):
+            cell = _scenario_battery(spec)
+            if cell is None:
+                assert out.battery_run is None
+                continue
+            run = evaluate_lifetime(single, cell, rebin=spec.rebin).run
+            assert out.battery_run.lifetime == run.lifetime
+            assert out.battery_run.delivered_mah == run.delivered_mah
 
     def test_parallel_batched_matches_sequential(self):
-        seq = CampaignRunner(fast_sim=True, sim_batch=2).run(SPECS)
-        par = CampaignRunner(
-            n_workers=2, fast_sim=True, sim_batch=2
-        ).run(SPECS)
+        seq = CampaignRunner(1).run(SPECS)
+        par = CampaignRunner(n_workers=2).run(SPECS)
         for a, b in zip(seq.results, par.results):
             assert a.spec == b.spec
             assert_metrics_equal(a, b)
@@ -77,10 +135,156 @@ class TestRunnerBatching:
             ScenarioSpec(scheme="ccEDF", n_graphs=2, seed=3),
             OneShotSpec(n_tasks=4, seed=1, n_random=1),
         ]
-        result = CampaignRunner(sim_batch=4).run(specs)
+        result = CampaignRunner().run(specs)
         assert len(result.results) == 2
         assert "pubs" in result.results[1].metrics
 
-    def test_bad_sim_batch_rejected(self):
-        with pytest.raises(SchedulingError):
-            CampaignRunner(sim_batch=0)
+
+# ----------------------------------------------------------------------
+# One pipeline on the paper artifacts' own specs
+# ----------------------------------------------------------------------
+def plan_specs(name):
+    if name == "table2":
+        plan = table2_plan(n_sets=2)
+    else:
+        plan = fig6_plan(graph_counts=(2, 3), sets_per_point=1)
+    return plan.sweep.expand_with_meta()[0]
+
+
+_REFERENCE = {}
+
+
+def reference(name):
+    """``[run_spec(s) for s in specs]``, computed once per plan."""
+    if name not in _REFERENCE:
+        _REFERENCE[name] = [run_spec(s) for s in plan_specs(name)]
+    return _REFERENCE[name]
+
+
+@pytest.fixture
+def narrow_batches(monkeypatch):
+    """Vector batches from two lanes on, so small plans take the
+    batch path."""
+    monkeypatch.setattr(runner, "MIN_LANES", 2)
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("lanes", ["default", "narrow"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("plan", ["table2", "fig6"])
+    def test_default_runner_equals_run_spec(
+        self, plan, workers, lanes, monkeypatch
+    ):
+        if lanes == "narrow":
+            monkeypatch.setattr(runner, "MIN_LANES", 2)
+        campaign = CampaignRunner(workers).run(plan_specs(plan))
+        assert campaign.results == reference(plan)
+        assert campaign.executed == len(campaign.results)
+        assert campaign.demoted == 0
+
+    def test_table2_scenarios_never_fall_back(self):
+        stats = {}
+        specs = plan_specs("table2")
+        assert {s.scheme for s in specs} == {
+            "EDF", "ccEDF", "laEDF", "BAS-1", "BAS-2"
+        }
+        run_scenario_batch(list(enumerate(specs)), stats=stats)
+        assert stats["vector_fallbacks"] == 0
+        assert stats["numeric_demotions"] == 0
+
+    @pytest.mark.usefixtures("narrow_batches")
+    def test_one_spec_runs_equal_default_run(self):
+        specs = plan_specs("table2")
+        alone = [CampaignRunner(1).run([s]).results[0] for s in specs]
+        assert alone == reference("table2")
+
+    @pytest.mark.usefixtures("narrow_batches")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_contained_clean_run_equals_default_run(self, workers):
+        campaign = CampaignRunner(workers, max_retries=1).run(
+            plan_specs("table2")
+        )
+        assert campaign.results == reference("table2")
+        assert campaign.retried == 0 and campaign.failures is None
+
+
+# ----------------------------------------------------------------------
+# How pending specs are cut into units
+# ----------------------------------------------------------------------
+MIXED = [
+    ScenarioSpec(scheme="EDF", n_graphs=2, seed=1),
+    OneShotSpec(n_tasks=4, seed=1, n_random=1),
+    ScenarioSpec(scheme="ccEDF", n_graphs=2, seed=2),
+    ScenarioSpec(scheme=NEAR_OPTIMAL, n_graphs=2, seed=3),
+    ScenarioSpec(scheme="laEDF", n_graphs=2, seed=4),
+    ScenarioSpec(scheme="BAS-1", n_graphs=2, seed=5),
+    ScenarioSpec(scheme="BAS-2", n_graphs=2, seed=6),
+]
+VECTOR = [0, 2, 4, 5, 6]
+
+
+def unit_indices(units):
+    return [[i for i, _ in u.items] for u in units]
+
+
+class TestUnits:
+    def test_shares_below_min_lanes_run_one_spec_per_unit(self):
+        units = CampaignRunner(2)._units(MIXED, list(range(len(MIXED))))
+        assert unit_indices(units) == [[i] for i in range(len(MIXED))]
+        assert not any(u.contain for u in units)
+
+    @pytest.mark.usefixtures("narrow_batches")
+    def test_vector_batches_are_strided_and_first(self):
+        units = CampaignRunner(2)._units(MIXED, list(range(len(MIXED))))
+        assert unit_indices(units) == [[0, 4, 6], [2, 5], [1], [3]]
+        units = CampaignRunner(1)._units(MIXED, list(range(len(MIXED))))
+        assert unit_indices(units) == [VECTOR, [1], [3]]
+
+    @pytest.mark.usefixtures("narrow_batches")
+    def test_max_unit_caps_batch_width(self, monkeypatch):
+        monkeypatch.setattr(runner, "MAX_UNIT", 2)
+        units = CampaignRunner(1)._units(MIXED, VECTOR)
+        assert unit_indices(units) == [[0, 5], [2, 6], [4]]
+
+    @pytest.mark.usefixtures("narrow_batches")
+    def test_contained_runs_cut_one_spec_per_unit(self):
+        units = CampaignRunner(2, max_retries=1)._units(
+            MIXED, list(range(len(MIXED)))
+        )
+        assert unit_indices(units) == [[i] for i in range(len(MIXED))]
+        assert all(u.contain for u in units)
+
+    @pytest.mark.usefixtures("narrow_batches")
+    def test_interrupted_run_caches_finished_units_only(
+        self, tmp_path, monkeypatch
+    ):
+        """A unit's results reach the cache when the unit completes:
+        an interrupt keeps every finished unit, whole, and nothing of
+        the unit it hit."""
+        monkeypatch.setattr(runner, "MAX_UNIT", 2)
+        real_batch, real_spec = runner.run_scenario_batch, runner.run_spec
+
+        def second_batch_dies(items, **kwargs):
+            if items[0][0] == VECTOR[1]:
+                raise KeyboardInterrupt
+            return real_batch(items, **kwargs)
+
+        monkeypatch.setattr(runner, "run_scenario_batch", second_batch_dies)
+        cache = ResultCache(tmp_path / "a")
+        with pytest.raises(KeyboardInterrupt):
+            CampaignRunner(1, cache=cache).run(MIXED)
+        cached = [i for i, s in enumerate(MIXED) if cache.get(s) is not None]
+        assert cached == [0, 5]
+
+        def near_optimal_dies(spec):
+            if getattr(spec, "scheme", None) == NEAR_OPTIMAL:
+                raise KeyboardInterrupt
+            return real_spec(spec)
+
+        monkeypatch.setattr(runner, "run_scenario_batch", real_batch)
+        monkeypatch.setattr(runner, "run_spec", near_optimal_dies)
+        cache = ResultCache(tmp_path / "b")
+        with pytest.raises(KeyboardInterrupt):
+            CampaignRunner(1, cache=cache).run(MIXED)
+        cached = [i for i, s in enumerate(MIXED) if cache.get(s) is not None]
+        assert cached == [0, 1, 2, 4, 5, 6]

@@ -13,9 +13,9 @@ misses, same release instants.  These tests pin that contract:
 * everything else (subclassed components, phases, call-order-dependent
   actuals providers, custom estimators) falls back per scenario to
   the scalar engine — opportunistically, inside a mixed batch;
-* the batch/campaign wiring (``ScenarioBatch(engine="vector")``,
-  ``run_scenario_batch(sim_vector=True)``) changes how work is driven,
-  never what it produces.
+* the batch/campaign wiring (``ScenarioBatch``, ``run_scenario_batch``
+  and the default ``CampaignRunner``, all on the vector engine)
+  changes how work is driven, never what it produces.
 """
 
 import numpy as np
@@ -558,15 +558,19 @@ class TestShapeAndWiring:
             ScenarioBatch([])
 
     def test_unknown_engine_rejected(self, proc):
+        """There is one batch engine, so an engine keyword is an
+        error, not silently ignored."""
         item = BatchItem(
             build(proc, harmonic_set(), NoDVS(), LTF()), 40.0
         )
-        with pytest.raises(SchedulingError):
+        with pytest.raises(TypeError):
             ScenarioBatch([item], engine="turbo")
 
     def test_batch_engines_agree(self, proc):
-        """ScenarioBatch(engine='vector') == engine='scalar' end to
-        end, including the battery hand-off."""
+        """ScenarioBatch (vector engine) == a per-scenario
+        Simulator.run loop end to end, including the battery
+        hand-off."""
+        from repro.analysis.lifetime import evaluate_lifetime
         from repro.battery.kibam import KiBaM
 
         def items():
@@ -581,20 +585,22 @@ class TestShapeAndWiring:
                 ),
             ]
 
-        scalar = ScenarioBatch(items(), engine="scalar").run()
-        vector = ScenarioBatch(items(), engine="vector").run()
-        for s, v in zip(scalar, vector):
-            assert_bitwise(v.result, s.result)
+        vector = ScenarioBatch(items()).run()
+        for item, v in zip(items(), vector):
+            s = item.simulator.run(item.horizon)
+            assert_bitwise(v.result, s)
+            profile = s.profile()
             np.testing.assert_array_equal(
-                v.profile.durations, s.profile.durations
+                v.profile.durations, profile.durations
             )
             np.testing.assert_array_equal(
-                v.profile.currents, s.profile.currents
+                v.profile.currents, profile.currents
             )
-            if s.battery_run is None:
+            if item.battery is None:
                 assert v.battery_run is None
             else:
-                assert v.battery_run.lifetime == s.battery_run.lifetime
+                run = evaluate_lifetime(s, item.battery).run
+                assert v.battery_run.lifetime == run.lifetime
 
     def test_vector_trace_supports_further_tiling(self, proc):
         """A trace handed off from the vector engine is a first-class
@@ -640,43 +646,23 @@ class TestCampaignWiring:
         ]
 
     def test_run_scenario_batch_vector_identical(self):
-        from repro.campaign.runner import run_scenario_batch
+        from repro.campaign.runner import run_scenario_batch, run_spec
 
-        items = list(enumerate(self._specs()))
-        scalar = run_scenario_batch(items, fast_sim=True)
-        vector = run_scenario_batch(items, fast_sim=True, sim_vector=True)
-        assert [i for i, _ in scalar] == [i for i, _ in vector]
-        for (_, s), (_, v) in zip(scalar, vector):
+        specs = self._specs()
+        stats = {}
+        vector = run_scenario_batch(list(enumerate(specs)), stats=stats)
+        assert stats["vector_fallbacks"] == 0
+        assert [i for i, _ in vector] == list(range(len(specs)))
+        for spec, (_, v) in zip(specs, vector):
+            s = run_spec(spec)
             assert set(s.metrics) == set(v.metrics)
             for key, val in s.metrics.items():
                 assert v.metrics[key] == val, key  # bitwise
 
-    def test_batch_worker_accepts_legacy_payload(self):
-        from repro.campaign.runner import _batch_worker
-
-        items = list(enumerate(self._specs()[:2]))
-        legacy = _batch_worker((tuple(items), True))
-        current = _batch_worker((tuple(items), True, False))
-        for (_, a), (_, b) in zip(legacy, current):
-            assert a.metrics == b.metrics
-
-    def test_runner_vector_defaults_to_large_sim_batch(self):
-        from repro.campaign.runner import CampaignRunner
-
-        auto = CampaignRunner(sim_vector=True)
-        assert auto.sim_vector and auto.sim_batch == 256
-        pinned = CampaignRunner(sim_vector=True, sim_batch=8)
-        assert pinned.sim_batch == 8
-        off = CampaignRunner()
-        assert not off.sim_vector and off.sim_batch == 1
-
     def test_runner_end_to_end_identity(self):
-        from repro.campaign.runner import CampaignRunner
+        from repro.campaign.runner import CampaignRunner, run_spec
 
         specs = self._specs()
-        scalar = CampaignRunner(fast_sim=True).run(specs)
-        vector = CampaignRunner(
-            fast_sim=True, sim_vector=True, sim_batch=4
-        ).run(specs)
-        for s, v in zip(scalar.results, vector.results):
-            assert s.metrics == v.metrics
+        vector = CampaignRunner().run(specs)
+        for spec, v in zip(specs, vector.results):
+            assert run_spec(spec).metrics == v.metrics
