@@ -12,17 +12,18 @@
 """
 
 from conftest import publish
-from repro.analysis.experiments import (
-    ablation_dvs,
-    ablation_estimator,
-    ablation_feasibility,
-    ablation_freqset,
-)
+from repro.api import Study, plans
+
+
+def _ablation(builder, **kwargs):
+    return Study(builder(**kwargs)).run().adapted()
 
 
 def test_ablation_estimator(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_estimator(n_sets=3, n_graphs=4, seed=0),
+        lambda: _ablation(
+            plans.ablation_estimator_plan, n_sets=3, n_graphs=4, seed=0
+        ),
         rounds=1,
         iterations=1,
     )
@@ -37,7 +38,9 @@ def test_ablation_estimator(benchmark, results_dir):
 
 def test_ablation_freqset(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_freqset(n_sets=3, n_graphs=4, seed=0),
+        lambda: _ablation(
+            plans.ablation_freqset_plan, n_sets=3, n_graphs=4, seed=0
+        ),
         rounds=1,
         iterations=1,
     )
@@ -49,7 +52,9 @@ def test_ablation_freqset(benchmark, results_dir):
 
 def test_ablation_dvs(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_dvs(n_sets=3, n_graphs=4, seed=0),
+        lambda: _ablation(
+            plans.ablation_dvs_plan, n_sets=3, n_graphs=4, seed=0
+        ),
         rounds=1,
         iterations=1,
     )
@@ -62,7 +67,9 @@ def test_ablation_dvs(benchmark, results_dir):
 
 def test_ablation_feasibility(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_feasibility(n_sets=6, n_graphs=4, seed=0),
+        lambda: _ablation(
+            plans.ablation_feasibility_plan, n_sets=6, n_graphs=4, seed=0
+        ),
         rounds=1,
         iterations=1,
     )

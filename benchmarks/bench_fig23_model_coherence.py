@@ -10,11 +10,15 @@ no recovery — cannot distinguish permutations at all.
 """
 
 from conftest import publish
-from repro.analysis.experiments import model_coherence
+from repro.api import Study, plans
 
 
 def test_model_coherence(benchmark, results_dir):
-    result = benchmark.pedantic(model_coherence, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: Study(plans.model_coherence_plan()).run().adapted(),
+        rounds=1,
+        iterations=1,
+    )
     publish(results_dir, "fig23_model_coherence", result.format())
 
     for model in ("KiBaM", "diffusion", "stochastic"):

@@ -7,7 +7,7 @@ actual computations as the paper's figure.
 """
 
 from conftest import publish
-from repro.analysis.experiments import fig4
+from repro.api.plans import fig4
 
 
 def test_fig4(benchmark, results_dir):

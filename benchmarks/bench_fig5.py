@@ -8,7 +8,7 @@ check at t = 0) and still meet every deadline.
 """
 
 from conftest import publish
-from repro.analysis.experiments import fig5
+from repro.api.plans import fig5
 
 
 def test_fig5(benchmark, results_dir):

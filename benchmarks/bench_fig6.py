@@ -10,24 +10,27 @@ optimal").
 Run at U = 0.85 rather than the paper's 0.70: with ideal two-level
 frequency mixing, every ordering scheme is pinned to the 0.5 GHz
 hardware floor at 0.70 utilization and the normalized energies all
-collapse to 1.0 (EXPERIMENTS.md); 0.85 keeps the reference frequency
-above the floor so ordering differences are measurable.
+collapse to 1.0 (the fidelity-ledger item in ROADMAP.md); 0.85 keeps
+the reference frequency above the floor so ordering differences are
+measurable.
 """
 
 import numpy as np
 
 from conftest import publish
-from repro.analysis.experiments import fig6
+from repro.api import Study, plans
 
 
 def test_fig6(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: fig6(
-            graph_counts=(2, 3, 4, 5, 6),
-            sets_per_point=3,
-            seed=0,
-            utilization=0.85,
-        ),
+        lambda: Study(
+            plans.fig6_plan(
+                graph_counts=(2, 3, 4, 5, 6),
+                sets_per_point=3,
+                seed=0,
+                utilization=0.85,
+            )
+        ).run().adapted(),
         rounds=1,
         iterations=1,
     )

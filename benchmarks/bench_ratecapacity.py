@@ -9,14 +9,18 @@ extrapolations.
 """
 
 from conftest import publish
-from repro.analysis.experiments import rate_capacity
+from repro.api import Study, plans
 
 
 def test_rate_capacity(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: rate_capacity(
-            currents=(0.1, 0.2, 0.45, 0.7, 1.0, 1.25, 2.0, 2.8, 4.0, 8.0)
-        ),
+        lambda: Study(
+            plans.rate_capacity_plan(
+                currents=(
+                    0.1, 0.2, 0.45, 0.7, 1.0, 1.25, 2.0, 2.8, 4.0, 8.0
+                )
+            )
+        ).run().adapted(),
         rounds=1,
         iterations=1,
     )

@@ -4,25 +4,27 @@ Paper values (normalized w.r.t. optimal, 5-15 tasks):
 Random 1.32-1.66, LTF 1.21-1.53, pUBS 1.05-1.32.  Shape to reproduce:
 pUBS < {LTF, Random} and closest to 1.0 at every size.  Our adaptive
 speed rule re-plans after every completion, which compresses absolute
-ratios (EXPERIMENTS.md discusses the divergence); the winner and the
-ranking are what this bench asserts.
+ratios (the fidelity-ledger item in ROADMAP.md tracks the divergence);
+the winner and the ranking are what this bench asserts.
 """
 
 import numpy as np
 
 from conftest import publish
-from repro.analysis.experiments import table1
+from repro.api import Study, plans
 
 
 def test_table1(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: table1(
-            sizes=tuple(range(5, 16)),
-            graphs_per_size=3,
-            seed=0,
-            n_random=3,
-            max_extensions=100_000,
-        ),
+        lambda: Study(
+            plans.table1_plan(
+                sizes=tuple(range(5, 16)),
+                graphs_per_size=3,
+                seed=0,
+                n_random=3,
+                max_extensions=100_000,
+            )
+        ).run().adapted(),
         rounds=1,
         iterations=1,
     )

@@ -11,16 +11,19 @@ Paper values at 70 % utilization (AAA NiMH, 2000 mAh max):
 Shape to reproduce: strictly increasing lifetime down the table; EDF
 delivers the least charge; BAS-2 the most.  (Our faithful laEDF with
 optimal frequency mixing is stronger than the paper's baseline, so the
-BAS-over-laEDF margin compresses — see EXPERIMENTS.md.)
+BAS-over-laEDF margin compresses — see the fidelity-ledger item in
+ROADMAP.md.)
 """
 
 from conftest import publish
-from repro.analysis.experiments import table2
+from repro.api import Study, plans
 
 
 def test_table2(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: table2(n_sets=8, n_graphs=5, seed=0),
+        lambda: Study(
+            plans.table2_plan(n_sets=8, n_graphs=5, seed=0)
+        ).run().adapted(),
         rounds=1,
         iterations=1,
     )

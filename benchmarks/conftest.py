@@ -4,8 +4,8 @@ Every benchmark regenerates one table or figure of the paper, writes
 the formatted output to ``benchmarks/results/<name>.txt`` and prints
 it, so `pytest benchmarks/ --benchmark-only -s` reproduces the paper's
 evaluation section end to end.  Scales are chosen to finish in tens of
-seconds each; the drivers accept paper-scale arguments (see
-EXPERIMENTS.md) when you want the full averaging.
+seconds each; the plan builders in :mod:`repro.api.plans` accept
+paper-scale arguments when you want the full averaging.
 """
 
 from __future__ import annotations

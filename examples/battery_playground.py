@@ -22,7 +22,7 @@ Run:  python examples/battery_playground.py
 import numpy as np
 
 from repro import CurrentProfile, paper_cell_kibam
-from repro.analysis.experiments import model_coherence
+from repro.api import Study, plans
 from repro.battery import sweep_rate_capacity
 
 
@@ -56,7 +56,7 @@ def recovery_demo() -> None:
 
 def guideline_demo() -> None:
     print("3. guideline 1 — non-increasing order sustains the most load")
-    result = model_coherence()
+    result = Study(plans.model_coherence_plan()).run().adapted()
     header = "   " + "profile".ljust(12) + "".join(
         m.rjust(12) for m in result.margins
     )

@@ -18,10 +18,10 @@ from repro import (
     HistoryEstimator,
     SchedulingPolicy,
     Simulator,
-    fig5,
     paper_processor,
     paper_task_set,
 )
+from repro.api.plans import fig5
 from repro.workloads import UniformActuals
 
 

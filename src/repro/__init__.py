@@ -26,17 +26,7 @@ Quickstart::
         print(scheme.name, f"{life.lifetime_minutes:.1f} min")
 """
 
-from .analysis import (
-    evaluate_lifetime,
-    fig4,
-    fig5,
-    fig6,
-    model_coherence,
-    rate_capacity,
-    run_scheme,
-    table1,
-    table2,
-)
+from .analysis import evaluate_lifetime
 from .battery import (
     DiffusionBattery,
     KiBaM,
@@ -72,6 +62,7 @@ from .core import (
     make_scheme,
     paper_schemes,
     run_one_shot,
+    run_scheme,
 )
 from .dvs import CcEDF, LaEDF, NoDVS, StaticUtilization
 from .multiproc import MultiprocResult, partition_task_set, run_partitioned
@@ -137,6 +128,7 @@ __all__ = [
     "paper_schemes",
     "feasibility_check",
     "run_one_shot",
+    "run_scheme",
     # sim
     "Simulator",
     "SimulationResult",
@@ -168,15 +160,7 @@ __all__ = [
     "run_spec",
     "spawn_seeds",
     # analysis
-    "run_scheme",
     "evaluate_lifetime",
-    "table1",
-    "table2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "rate_capacity",
-    "model_coherence",
     # errors
     "ReproError",
     "TaskGraphError",

@@ -16,7 +16,8 @@ Usage::
     python -m repro all            # everything, default scales
 
 Each subcommand prints the same rows/series the paper reports; scales
-default to quick settings (see EXPERIMENTS.md for paper-scale flags).
+default to quick settings (paper-scale runs are tracked under the
+fidelity-ledger item in ROADMAP.md).
 Sweep-shaped subcommands accept ``--workers N`` to spread their
 scenarios over a multiprocessing pool — results are bit-identical to
 sequential runs.  ``campaign --backend dist`` runs the same sweep as
@@ -33,7 +34,6 @@ import json
 import sys
 
 from . import faults
-from .analysis import experiments as ex
 from .analysis.tables import format_table
 from .api import plans as study_plans
 from .campaign import (
@@ -93,13 +93,8 @@ def _driver_runner(args, cache=None):
 
 
 def _run_plan_cmd(args, builder, **kwargs) -> str:
-    """Run a builtin study plan for a classic subcommand.
-
-    The plan's renderer reproduces the historical driver output
-    byte-for-byte; routing the CLI straight through the plan avoids
-    the deprecated shims (and their warnings, which CLI users could
-    do nothing about).
-    """
+    """Run a builtin study plan for a classic subcommand and render
+    the paper's rows."""
     runner = _driver_runner(args)
     try:
         result = builder(**kwargs).run(
@@ -122,11 +117,11 @@ def _cmd_table2(args) -> str:
 
 
 def _cmd_fig4(args) -> str:
-    return ex.fig4().format()
+    return study_plans.fig4().format()
 
 
 def _cmd_fig5(args) -> str:
-    return ex.fig5().format()
+    return study_plans.fig5().format()
 
 
 def _cmd_fig6(args) -> str:
@@ -478,8 +473,8 @@ def _cmd_study_run(args) -> str:
     ``PLAN`` is a builtin plan name (see ``study plans``; scale
     overrides via repeatable ``--arg name=value``) or a path to a
     JSON plan file (``study export`` writes one).  ``--format
-    report`` prints the plan's rendered tables (builtin plans
-    reproduce the legacy driver output byte-for-byte), ``csv`` the
+    report`` prints the plan's rendered tables (builtin plans print
+    the same bytes as their classic subcommand), ``csv`` the
     full typed result frame, ``json`` frame + execution telemetry.
     """
     from .api import Study
@@ -527,7 +522,7 @@ def _cmd_study_axes(args) -> str:
     from dataclasses import fields as dc_fields
 
     load_entry_points()
-    lines = ["Registered axes (repro.api.registry):"]
+    lines = ["Registered axes (repro.campaign.registry):"]
     for kind, names in known_names().items():
         lines.append(f"  {kind}: {', '.join(names)}")
     lines.append("")
@@ -557,7 +552,7 @@ def _cmd_study_export(args) -> str:
     """Write a builtin plan (with overrides) as a JSON plan file.
 
     The file round-trips through ``study run plan.json``: same sweep,
-    same seeds, same spec hashes — the legacy-output renderer is code
+    same seeds, same spec hashes — the paper-table renderer is code
     and is not serialized, so a file-run prints the generic frame
     summary (or use ``--format csv``).
     """

@@ -1,27 +1,5 @@
-"""Analysis layer: battery-lifetime evaluation and experiment drivers."""
+"""Analysis layer: battery-lifetime evaluation and table formatting."""
 
-from .experiments import (
-    AblationResult,
-    Fig4Result,
-    Fig5Result,
-    Fig6Result,
-    ModelCoherenceResult,
-    RateCapacityResult,
-    Table1Result,
-    Table2Result,
-    ablation_dvs,
-    ablation_estimator,
-    ablation_feasibility,
-    ablation_freqset,
-    fig4,
-    fig5,
-    fig6,
-    model_coherence,
-    rate_capacity,
-    run_scheme,
-    table1,
-    table2,
-)
 from .lifetime import LifetimeReport, evaluate_lifetime
 from .tables import format_series, format_table
 
@@ -30,24 +8,4 @@ __all__ = [
     "LifetimeReport",
     "format_table",
     "format_series",
-    "run_scheme",
-    "table1",
-    "Table1Result",
-    "fig6",
-    "Fig6Result",
-    "table2",
-    "Table2Result",
-    "fig4",
-    "Fig4Result",
-    "fig5",
-    "Fig5Result",
-    "rate_capacity",
-    "RateCapacityResult",
-    "model_coherence",
-    "ModelCoherenceResult",
-    "ablation_estimator",
-    "ablation_freqset",
-    "ablation_dvs",
-    "ablation_feasibility",
-    "AblationResult",
 ]

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment outputs.
 
 Every benchmark prints its table/figure through this one formatter so
-outputs look uniform and diff cleanly against EXPERIMENTS.md.
+outputs look uniform and diff cleanly run against run.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ orthogonal pieces:
     with one container that is bit-identical to the hand-rolled
     aggregations it superseded.
 
-**The registry** (:mod:`repro.api.registry`)
+**The registry** (:mod:`repro.campaign.registry`)
     Axis values are names resolved through the plugin registry.
     ``@register_scheme("myBAS")`` (and ``register_battery`` /
     ``register_processor`` / ``register_estimator``) records entries
@@ -59,8 +59,7 @@ plan.json``, ``python -m repro study axes``.  Plans serialize with
 ``StudyPlan.to_json``/``save`` and reload with :func:`load_plan`.
 """
 
-from .frame import GroupedFrame, PivotTable, ResultFrame
-from .registry import (
+from ..campaign.registry import (
     NEAR_OPTIMAL,
     known_names,
     known_schemes,
@@ -71,8 +70,11 @@ from .registry import (
     register_scheme,
     unregister,
 )
+from .frame import GroupedFrame, PivotTable, ResultFrame
 from .results import (
     AblationResult,
+    Fig4Result,
+    Fig5Result,
     Fig6Result,
     ModelCoherenceResult,
     RateCapacityResult,
@@ -87,6 +89,8 @@ __all__ = [
     "AblationResult",
     "Axis",
     "Condition",
+    "Fig4Result",
+    "Fig5Result",
     "Fig6Result",
     "GroupedFrame",
     "ModelCoherenceResult",

@@ -1,16 +1,20 @@
 """The paper's tables, figures, and ablations as declarative plans.
 
 Each builder returns a :class:`~repro.api.study.StudyPlan` whose
-sweep expands to *exactly* the spec list (same specs, same order) the
-legacy driver in :mod:`repro.analysis.experiments` built by hand — so
-results, cache hits, and formatted output are byte-identical between
-the two paths — plus an ``adapt`` hook producing the historical
-result dataclass and a ``render`` hook printing the paper's rows.
+sweep expands to the paper artifact's spec list, plus an ``adapt``
+hook producing its typed result (:mod:`repro.api.results`) and a
+``render`` hook printing the paper's rows.  Run one with
+``Study(plans.table2_plan(n_sets=100), workers=8).run()``; the
+result's ``adapted()`` is the :class:`~repro.api.results.Table2Result`.
 
-Scale parameters mirror the legacy drivers (quick defaults; pass the
-paper's full scale when you have the minutes).  Builders accept
-registry *names* only — callers holding live factory objects register
-them first (see :mod:`repro.api.registry`).
+Scale parameters default to quick settings (pass the paper's full
+scale when you have the minutes).  Builders accept registry *names*
+only — callers holding live factory objects register them first (see
+:mod:`repro.campaign.registry`).
+
+:func:`fig4` and :func:`fig5` are single worked examples (two fixed
+schedules each), not sweeps, so they run directly: there is nothing
+for a campaign to parallelize or cache.
 """
 
 from __future__ import annotations
@@ -18,9 +22,19 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..campaign.registry import NEAR_OPTIMAL
+from ..core.methodology import SchedulingPolicy
+from ..core.oneshot import run_one_shot
+from ..core.priority import LTF, STF, PriorityFunction
+from ..core.ready_list import ALL_RELEASED, MOST_IMMINENT
+from ..dvs import CcEDF
 from ..errors import SchedulingError
+from ..processor.platform import Processor, paper_processor
+from ..sim.engine import Simulator
+from ..workloads.presets import fig4_cases, fig4_pair, fig5_actuals, fig5_set
 from .results import (
     AblationResult,
+    Fig4Result,
+    Fig5Result,
     Fig6Result,
     ModelCoherenceResult,
     RateCapacityResult,
@@ -37,6 +51,8 @@ __all__ = [
     "build_plan",
     "table1_plan",
     "table2_plan",
+    "fig4",
+    "fig5",
     "fig6_plan",
     "model_coherence_plan",
     "rate_capacity_plan",
@@ -81,8 +97,8 @@ def table1_plan(
 
     One spawn-seeded :class:`~repro.campaign.spec.OneShotSpec` per
     (size, replicate) — sizes outermost, so enlarging
-    ``graphs_per_size`` re-seeds like the legacy driver, while adding
-    sizes appends whole blocks.
+    ``graphs_per_size`` re-seeds every size, while adding sizes
+    appends whole blocks.
     """
     lo, hi = actual_range
     sweep = (
@@ -136,17 +152,12 @@ def table2_plan(
     estimator: str = "history",
     schemes: Sequence[str] = PAPER_SCHEME_NAMES,
     processor: str = "paper",
-    display: Optional[Mapping[str, str]] = None,
 ) -> StudyPlan:
     """Table 2: five schemes' charge delivered and battery lifetime.
 
     Replicates are the outer axis with ``seed + rep`` seeding (shared
-    by every scheme in a set, and copied to ``battery_seed``), exactly
-    like the legacy driver.  ``display`` optionally maps registry
-    names to row labels (used by the shim for caller-supplied
-    schemes).
+    by every scheme in a set, and copied to ``battery_seed``).
     """
-    names = {s: (display or {}).get(s, s) for s in schemes}
     sweep = (
         Sweep(
             "scenario",
@@ -170,9 +181,7 @@ def table2_plan(
     def adapt(res: StudyResult) -> Table2Result:
         means = res.frame.group_by("scheme").mean()
         return Table2Result(
-            scheme_names=tuple(
-                names[s] for s in means.column("scheme")
-            ),
+            scheme_names=tuple(str(s) for s in means.column("scheme")),
             delivered_mah=tuple(
                 float(v) for v in means.column("delivered_mah")
             ),
@@ -190,6 +199,92 @@ def table2_plan(
         metrics=("delivered_mah", "lifetime_min"),
         adapt=adapt,
         render=lambda res: adapt(res).format(),
+    )
+
+
+# ----------------------------------------------------------------------
+# Figure 4 — LTF vs STF motivational example
+# ----------------------------------------------------------------------
+def fig4(*, processor: Optional[Processor] = None) -> Fig4Result:
+    """Reproduce Figure 4: STF wins case 1, LTF wins case 2."""
+    proc = processor if processor is not None else paper_processor()
+    graph = fig4_pair()
+    deadline = 10.0
+    energies: Dict[str, Dict[str, float]] = {}
+    traces: Dict[str, Dict[str, str]] = {}
+    for case, actual in fig4_cases().items():
+        energies[case] = {}
+        traces[case] = {}
+        for name, prio in (("LTF", LTF()), ("STF", STF())):
+            res = run_one_shot(graph, deadline, proc, prio, actual)
+            energies[case][name] = res.energy
+            traces[case][name] = res.trace.render_ascii(until=deadline)
+    return Fig4Result(energies=energies, traces=traces)
+
+
+# ----------------------------------------------------------------------
+# Figure 5 — canonical EDF vs pUBS + feasibility-check trace
+# ----------------------------------------------------------------------
+class _FixedGraphPriority(PriorityFunction):
+    """Prefers tasks of graphs in a fixed order (the paper's assumed
+    'taskgraph3 > taskgraph2 > taskgraph1' pUBS outcome)."""
+
+    name = "fixed"
+
+    def __init__(self, graph_order: Sequence[str]) -> None:
+        self._rank = {g: i for i, g in enumerate(graph_order)}
+
+    def order(self, candidates, oracle):
+        return sorted(
+            candidates,
+            key=lambda c: (
+                self._rank.get(c.graph_name, len(self._rank)),
+                c.node,
+            ),
+        )
+
+
+class _EDFPriority(PriorityFunction):
+    """Canonical EDF: earliest absolute deadline first, stable within."""
+
+    name = "EDF"
+
+    def order(self, candidates, oracle):
+        return sorted(
+            candidates, key=lambda c: (c.deadline, c.graph_name, c.node)
+        )
+
+
+def fig5(*, processor: Optional[Processor] = None) -> Fig5Result:
+    """Reproduce the Figure 5 trace example (horizon = 100 = D3).
+
+    Both runs use ccEDF (U = 0.5 and every task takes its worst case,
+    so fref is pinned at 0.5 fmax exactly as the paper states); the
+    BAS run prefers T3 > T2 > T1 per the paper's assumed pUBS values
+    and relies on the feasibility check to stay deadline-safe.
+    """
+    proc = processor if processor is not None else paper_processor()
+    task_set = fig5_set()
+
+    def run(priority: PriorityFunction, ready_list):
+        sim = Simulator(
+            task_set,
+            proc,
+            CcEDF(),
+            SchedulingPolicy(priority, ready_list),
+            actuals=fig5_actuals,
+        )
+        return sim.run(100.0)
+
+    edf_res = run(_EDFPriority(), MOST_IMMINENT)
+    bas_res = run(_FixedGraphPriority(["T3", "T2", "T1"]), ALL_RELEASED)
+    return Fig5Result(
+        edf_trace=edf_res.trace.render_ascii(until=100.0),
+        bas_trace=bas_res.trace.render_ascii(until=100.0),
+        edf_order=edf_res.trace.node_order(),
+        bas_order=bas_res.trace.node_order(),
+        edf_misses=len(edf_res.misses),
+        bas_misses=len(bas_res.misses),
     )
 
 
@@ -212,7 +307,7 @@ def fig6_plan(
     The near-optimal reference rides in the scheme axis; a
     ``normalize`` post-op divides each row's energy by its
     (count, replicate) group's reference, then the reference rows are
-    excluded — declaratively reproducing the legacy pairing loop.
+    excluded.
     """
     sweep = (
         Sweep(
@@ -380,9 +475,7 @@ def rate_capacity_plan(
         max_c, avail_c = extrapolated_capacities(paper_cell_kibam())
         return RateCapacityResult(
             # Labelled in sweep (ascending) order — the order the
-            # delivered columns are in.  (The legacy driver printed
-            # caller-order labels against sorted-order values,
-            # misaligning rows for unsorted input.)
+            # delivered columns are in.
             currents=tuple(swept),
             delivered_mah=delivered,
             max_capacity_mah=max_c / 3.6,

@@ -2,9 +2,9 @@
 
 These are the stable, presentation-ready outcome types the builtin
 :mod:`repro.api.plans` adapt their
-:class:`~repro.api.frame.ResultFrame` into — and the return types of
-the legacy driver shims in :mod:`repro.analysis.experiments`, where
-they historically lived.  Each carries raw numbers plus a
+:class:`~repro.api.frame.ResultFrame` into, plus the results of the
+two worked examples (:func:`~repro.api.plans.fig4`,
+:func:`~repro.api.plans.fig5`).  Each carries raw numbers plus a
 ``format()`` method printing the same rows/series the paper reports.
 """
 
@@ -19,6 +19,8 @@ from ..analysis.tables import format_series, format_table
 
 __all__ = [
     "Table1Result",
+    "Fig4Result",
+    "Fig5Result",
     "Fig6Result",
     "Table2Result",
     "RateCapacityResult",
@@ -49,6 +51,52 @@ class Table1Result:
                 "Table 1 — energy normalized w.r.t. optimal "
                 f"(avg of {self.graphs_per_size} DAGs per size)"
             ),
+        )
+
+
+@dataclass(frozen=True)
+class Fig4Result:
+    """Energy of LTF vs STF on the two-task example, both cases."""
+
+    energies: Dict[str, Dict[str, float]]  # case -> heuristic -> energy
+    traces: Dict[str, Dict[str, str]]  # case -> heuristic -> ascii trace
+
+    def winner(self, case: str) -> str:
+        e = self.energies[case]
+        return min(e, key=e.get)
+
+    def format(self) -> str:
+        rows = []
+        for case in sorted(self.energies):
+            e = self.energies[case]
+            rows.append([case, e["LTF"], e["STF"], self.winner(case)])
+        return format_table(
+            ["case", "E(LTF)", "E(STF)", "winner"],
+            rows,
+            title="Figure 4 — execution order affects slack recovery",
+            precision=4,
+        )
+
+
+@dataclass(frozen=True)
+class Fig5Result:
+    edf_trace: str
+    bas_trace: str
+    edf_order: Tuple[str, ...]
+    bas_order: Tuple[str, ...]
+    edf_misses: int
+    bas_misses: int
+
+    def format(self) -> str:
+        return (
+            "Figure 5(a) — canonical EDF ordering (fref = 0.5 fmax):\n"
+            f"{self.edf_trace}\n"
+            f"completion order: {', '.join(self.edf_order)}\n\n"
+            "Figure 5(b) — pUBS-preferred ordering with feasibility "
+            "check:\n"
+            f"{self.bas_trace}\n"
+            f"completion order: {', '.join(self.bas_order)}\n\n"
+            f"deadline misses: EDF={self.edf_misses}, BAS={self.bas_misses}"
         )
 
 

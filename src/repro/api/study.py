@@ -12,9 +12,9 @@ returns a :class:`StudyResult` holding the typed
 Plans serialize: :meth:`StudyPlan.to_json` / :func:`load_plan` power
 ``python -m repro study run plan.json``.  The builtin paper plans in
 :mod:`repro.api.plans` additionally carry code-only ``render`` /
-``adapt`` hooks reproducing the legacy drivers' exact output (those
-hooks are dropped by serialization; a JSON plan renders its summary
-frame generically).
+``adapt`` hooks printing the paper's rows (those hooks are dropped
+by serialization; a JSON plan renders its summary frame
+generically).
 
 Post-operation vocabulary (each a JSON-able dict):
 
@@ -88,8 +88,8 @@ class StudyPlan:
         metric columns worth reporting (empty = all numeric).
     render / adapt:
         Code-only hooks: ``render(result) -> str`` overrides the
-        generic report; ``adapt(result)`` converts to a legacy result
-        dataclass.  Not serialized.
+        generic report; ``adapt(result)`` converts to a typed result
+        dataclass (:mod:`repro.api.results`).  Not serialized.
     """
 
     name: str
@@ -197,7 +197,7 @@ class StudyResult:
         return means
 
     def adapted(self):
-        """The legacy result dataclass, for plans that carry an
+        """The typed result dataclass, for plans that carry an
         adapter (the builtin paper plans do)."""
         if self.plan.adapt is None:
             raise SchedulingError(

@@ -64,7 +64,6 @@ from .spec import (
     ScenarioSpec,
     SurvivalSpec,
     content_hash,
-    is_cacheable,
     is_spec,
     spawn_seeds,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "default_cache_dir",
     "install_env_plugins",
     "install_plugins",
-    "is_cacheable",
     "is_spec",
     "known_names",
     "known_schemes",

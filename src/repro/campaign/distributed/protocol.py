@@ -2,7 +2,8 @@
 
 A *task* is one leased work unit — a spec plus its campaign-global
 index; an *outcome* is a worker's answer — either the executed
-:class:`~repro.campaign.spec.ScenarioResult` or an error message.
+:class:`~repro.campaign.spec.ScenarioResult` or a structured
+:class:`~repro.campaign.failures.FailureInfo`.
 Both are plain JSON dicts so the same payloads travel over every
 transport (files in a shared directory, JSON-lines over TCP).
 
@@ -51,7 +52,9 @@ __all__ = [
 #:    message, traceback text, retryability) instead of bare strings;
 #:    outcomes name the worker that produced them (health scoring);
 #:    tasks may carry a per-spec execution ``timeout``.
-PROTOCOL_VERSION = 3
+#: 4: the bare-string error outcome of v2 is gone: a non-dict
+#:    ``error`` is a malformed payload.
+PROTOCOL_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -154,19 +157,12 @@ def result_payload(
 def error_payload(
     job: str,
     index: int,
-    failure,
+    failure: FailureInfo,
     *,
     worker: Optional[str] = None,
 ) -> Dict:
-    """An error outcome.  ``failure`` is a
-    :class:`~repro.campaign.failures.FailureInfo` (protocol v3) or a
-    bare message string (accepted for the v2 shape)."""
-    error = (
-        failure.to_json()
-        if isinstance(failure, FailureInfo)
-        else str(failure)
-    )
-    payload = {"job": job, "index": int(index), "error": error}
+    """An error outcome carrying a structured ``failure``."""
+    payload = {"job": job, "index": int(index), "error": failure.to_json()}
     if worker:
         payload["worker"] = str(worker)
     return payload
@@ -176,25 +172,27 @@ def parse_outcome(payload: Dict) -> Tuple[str, int, object]:
     """``(job, index, ScenarioResult | SchedulingError)`` from a dict.
 
     Execution errors come back as *values* (not raised) so the broker
-    can decide how to fail the campaign.  Structured (v3) error
-    payloads rehydrate as :class:`~repro.errors.SpecFailure` with the
-    remote traceback attached; legacy string errors still parse.
+    can decide how to fail the campaign: an error payload rehydrates
+    as :class:`~repro.errors.SpecFailure` with the remote traceback
+    attached.  A non-dict ``error`` is malformed.
     """
     try:
         job = str(payload["job"])
         index = int(payload["index"])
         if "error" in payload:
             error = payload["error"]
-            if isinstance(error, dict):
-                return job, index, FailureInfo.from_json(error).to_exception()
-            return job, index, SchedulingError(str(error))
+            if not isinstance(error, dict):
+                raise TypeError(
+                    f"error must be an object, got {type(error).__name__}"
+                )
+            return job, index, FailureInfo.from_json(error).to_exception()
         return job, index, ScenarioResult.from_json(payload["result"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchedulingError(f"malformed outcome payload: {exc}") from exc
 
 
 def outcome_worker(payload: Dict) -> str:
-    """The worker token an outcome names, or ``""`` (v2 payloads)."""
+    """The worker token an outcome names, or ``""`` if it names none."""
     worker = payload.get("worker") if isinstance(payload, dict) else None
     return str(worker) if worker else ""
 

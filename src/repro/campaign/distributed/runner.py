@@ -48,7 +48,7 @@ from ..cache import ResultCache
 from ..growth import GrowableRunnerMixin
 from ..registry import PLUGINS_ENV, plugin_snapshot
 from ..runner import CampaignResult, OnResult
-from ..spec import ScenarioResult, Spec, is_cacheable
+from ..spec import ScenarioResult, Spec
 from .broker import DirectoryBroker, TCPBroker, campaign_hash
 
 __all__ = ["DistributedRunner"]
@@ -240,14 +240,6 @@ class DistributedRunner(GrowableRunnerMixin):
         # same-thread by API contract (the scaler never touches it)
         if self._closed:
             raise SchedulingError("runner is closed")
-        for spec in specs:
-            if not is_cacheable(spec):
-                raise SchedulingError(
-                    "spec references an ad-hoc '@' registry name; such "
-                    "bindings are process-local and cannot be resolved "
-                    "by remote workers — register the factory under a "
-                    "stable name on every worker instead"
-                )
         # repro: noqa[DET002] -- wall-time telemetry bracket; the
         # value lands only in CampaignResult.wall_time_s
         start = time.perf_counter()

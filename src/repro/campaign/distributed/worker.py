@@ -53,8 +53,8 @@ def execute_payload(payload: Dict, *, worker: str = "") -> Dict:
     version doesn't know) is reported like any execution error rather
     than raised — otherwise one poison-pill task would serially crash
     every worker that leases it.  Errors travel structured (exception
-    class, message, traceback text — protocol v3) so the broker can
-    charge retry budgets and quarantine with provenance.  A task
+    class, message, traceback text) so the broker can charge retry
+    budgets and quarantine with provenance.  A task
     carrying a ``timeout`` runs under the :func:`spec_deadline`
     watchdog; ``worker`` stamps outcomes for broker health scoring.
     """

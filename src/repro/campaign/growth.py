@@ -55,9 +55,9 @@ class SpecRunner(Protocol):
     """Anything that can execute a spec list campaign-style.
 
     Satisfied by :class:`~repro.campaign.runner.CampaignRunner` and
-    :class:`~repro.campaign.distributed.DistributedRunner`; the sweep
-    drivers in :mod:`repro.analysis.experiments` accept any of these
-    via their ``runner`` parameter.
+    :class:`~repro.campaign.distributed.DistributedRunner`;
+    :class:`~repro.api.study.Study` accepts any of these via its
+    ``runner`` parameter.
     """
 
     def run(

@@ -1,38 +1,52 @@
-"""Name → factory resolution for campaign specs.
+"""The plugin registry: name → factory resolution for campaign specs.
 
 Specs are pure data; this module turns their string fields into live
-objects at execution time.  Every entry a paper experiment needs ships
-built in; :func:`register_scheme` / :func:`register_battery` /
-:func:`register_processor` let drivers (and users) add custom factories
-under fresh names.
+objects at execution time.  Four axis kinds exist — ``scheme``,
+``battery``, ``processor``, ``estimator`` — and every entry a paper
+experiment needs ships built in.  Each kind has one ``register_*``
+function with three forms:
 
-Two registration flavours exist:
+**Decorator registration** (the normal path)::
 
-* **Live-object registration** (``register_scheme(name, builder)``
-  with an arbitrary callable) is process-local: with the ``fork``
-  start method workers inherit entries registered before the pool is
-  created, but ``spawn``-started workers (and remote fleets) never
-  see them.
-* **Declarative plugins** (:func:`register_plugin`) record the entry
-  as pure data — kind, name, an importable ``"module:attr"`` factory
-  path, and keyword arguments — so the registration itself can be
-  serialized, shipped across any process boundary, and replayed
-  (:func:`plugin_snapshot` / :func:`install_plugins`).  The local
-  :class:`~repro.campaign.runner.CampaignRunner` replays the snapshot
-  in every pool worker's initializer and the distributed runner ships
-  it to spawned workers via ``$REPRO_PLUGINS``, lifting the old
-  fork-only limitation.  The public decorator API lives in
-  :mod:`repro.api.registry`.
+    from repro.api import register_scheme
+
+    @register_scheme("myBAS")
+    def build_mybas(estimator, *, granularity="node"):
+        return make_scheme("myBAS", dvs=LaEDF,
+                           priority=lambda: PUBS(estimator()),
+                           ready_list=ALL_RELEASED)
+
+**Import-path registration** (no decorator)::
+
+    register_scheme("myBAS", "mypkg.schemes:build_mybas",
+                    granularity="node")
+
+Both record the entry *declaratively* (:func:`register_plugin`):
+kind, name, an importable ``"module:attr"`` factory path, and JSON
+keyword arguments.  The record serializes
+(:func:`plugin_snapshot`) and replays in any process
+(:func:`install_plugins`): the local
+:class:`~repro.campaign.runner.CampaignRunner` replays it in every
+pool worker's initializer, under any start method, and the
+distributed runner ships it to spawned fleets via ``$REPRO_PLUGINS``.
+The decorated function must therefore live at module top level in
+importable code.
+
+**Live-callable registration** (``register_scheme("x", builder)``)
+is process-local: ``fork``-started pool workers inherit it, but
+``spawn``-started workers and remote fleets never see it.
+
+Packages exposing a ``repro.plugins`` entry point are picked up by
+:func:`load_entry_points`.
 """
 
 from __future__ import annotations
 
 import importlib
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..battery.base import BatteryModel
 from ..battery.calibrate import (
@@ -58,12 +72,12 @@ from ..processor.platform import Processor, paper_processor
 from ..processor.power import PowerModel
 
 __all__ = [
+    "ENTRY_POINT_GROUP",
     "ESTIMATORS",
     "PLUGIN_KINDS",
     "PLUGINS_ENV",
     "PluginSpec",
     "resolve_estimator",
-    "estimator_name_for",
     "register_estimator",
     "build_scheme",
     "known_schemes",
@@ -77,8 +91,8 @@ __all__ = [
     "plugin_snapshot",
     "install_plugins",
     "install_env_plugins",
+    "load_entry_points",
     "unregister",
-    "fresh_name",
     "NEAR_OPTIMAL",
 ]
 
@@ -103,20 +117,6 @@ def resolve_estimator(name: str) -> EstimatorFactory:
         raise SchedulingError(
             f"unknown estimator {name!r}; known: {sorted(ESTIMATORS)}"
         ) from None
-
-
-def estimator_name_for(factory: EstimatorFactory) -> Optional[str]:
-    """Reverse lookup: the registry name of a known factory, else None."""
-    for name, known in ESTIMATORS.items():
-        if factory is known:
-            return name
-    return None
-
-
-def register_estimator(name: str, factory: EstimatorFactory) -> str:
-    """Register an estimator factory; returns the name for spec use."""
-    ESTIMATORS[name] = factory
-    return name
 
 
 # ----------------------------------------------------------------------
@@ -193,14 +193,6 @@ def build_scheme(name: str, estimator: EstimatorFactory) -> Scheme:
     return builder(estimator)
 
 
-def register_scheme(
-    name: str, builder: Callable[[EstimatorFactory], Scheme]
-) -> str:
-    """Register a scheme builder; returns the name for spec use."""
-    _SCHEMES[name] = builder
-    return name
-
-
 def known_schemes() -> Tuple[str, ...]:
     """Every currently-registered scheme name (sorted).
 
@@ -261,14 +253,6 @@ def resolve_battery(name: str, seed: Optional[int] = None) -> BatteryModel:
     return factory(seed, **_parse_params(parts))
 
 
-def register_battery(
-    name: str, factory: Callable[..., BatteryModel]
-) -> str:
-    """Register a battery factory ``(seed, **params) -> BatteryModel``."""
-    _BATTERIES[name] = factory
-    return name
-
-
 # ----------------------------------------------------------------------
 # Processors
 # ----------------------------------------------------------------------
@@ -325,36 +309,23 @@ def resolve_processor(name: str) -> Processor:
     return factory(**_parse_params(parts))
 
 
-def register_processor(name: str, factory: Callable[..., Processor]) -> str:
-    _PROCESSORS[name] = factory
-    return name
-
-
-_counter = itertools.count()
-
-
-def fresh_name(prefix: str) -> str:
-    """A unique process-local registry name for an ad-hoc factory.
-
-    Used by drivers that accept caller-supplied factory objects: the
-    factory is registered under this name so the declarative spec can
-    still reference it.  The ``@`` prefix marks the name process-local:
-    the runner refuses to cache such specs on disk (see
-    :func:`repro.campaign.spec.is_cacheable`), and callers should
-    :func:`unregister` the entry once the run is done.
-    """
-    return f"@{prefix}/{next(_counter)}"
+#: The name -> factory table behind each axis kind.
+_TABLES: Dict[str, Dict[str, Callable]] = {
+    "scheme": _SCHEMES,
+    "battery": _BATTERIES,
+    "processor": _PROCESSORS,
+    "estimator": ESTIMATORS,
+}
 
 
 def unregister(name: str) -> None:
     """Drop a registry entry by name from whichever table holds it.
 
-    A no-op for unknown names; intended for ad-hoc (:func:`fresh_name`)
-    entries so long-lived processes don't accumulate closures over
-    caller-supplied factories.  Declarative plugin records under the
-    name are dropped too.
+    A no-op for unknown names, so long-lived processes (and tests) can
+    clean up custom entries unconditionally.  Declarative plugin
+    records under the name are dropped too.
     """
-    for table in (_SCHEMES, _BATTERIES, _PROCESSORS, ESTIMATORS):
+    for table in _TABLES.values():
         table.pop(name, None)
     for key in [k for k in _PLUGINS if k[1] == name]:
         del _PLUGINS[key]
@@ -375,7 +346,7 @@ def known_names() -> Dict[str, Tuple[str, ...]]:
 # Declarative plugins (spawn-safe custom entries)
 # ----------------------------------------------------------------------
 #: Registry axes a plugin may extend.
-PLUGIN_KINDS = ("scheme", "battery", "processor", "estimator")
+PLUGIN_KINDS = tuple(_TABLES)
 
 #: Environment variable carrying a JSON plugin snapshot to worker
 #: processes started outside any Python parent (the distributed
@@ -439,6 +410,18 @@ def _load_factory(path: str) -> Callable:
     return factory
 
 
+def _bind(kind: str, fn: Callable, kwargs: Dict) -> Callable:
+    """``fn`` with a plugin's kwargs bound, in ``kind``'s calling
+    convention (call-site parameters override the bound ones)."""
+    if kind == "scheme":
+        return lambda est: fn(est, **kwargs)
+    if kind == "battery":
+        return lambda seed, **p: fn(seed, **{**kwargs, **p})
+    if kind == "processor":
+        return lambda **p: fn(**{**kwargs, **p})
+    return lambda: fn(**kwargs)
+
+
 def register_plugin(
     kind: str, name: str, factory: str, **kwargs
 ) -> str:
@@ -455,28 +438,13 @@ def register_plugin(
         raise SchedulingError(
             f"unknown plugin kind {kind!r}; known: {PLUGIN_KINDS}"
         )
-    if name.startswith("@"):
-        raise SchedulingError(
-            "plugin names must be stable (no '@' ad-hoc prefix): "
-            f"got {name!r}"
-        )
     try:
         json.dumps(kwargs)
     except (TypeError, ValueError):
         raise SchedulingError(
             f"plugin kwargs for {name!r} must be JSON-serializable"
         ) from None
-    fn = _load_factory(factory)
-    if kind == "scheme":
-        register_scheme(name, lambda est, _f=fn: _f(est, **kwargs))
-    elif kind == "battery":
-        register_battery(
-            name, lambda seed, _f=fn, **p: _f(seed, **{**kwargs, **p})
-        )
-    elif kind == "processor":
-        register_processor(name, lambda _f=fn, **p: _f(**{**kwargs, **p}))
-    else:
-        register_estimator(name, lambda _f=fn: _f(**kwargs))
+    _TABLES[kind][name] = _bind(kind, _load_factory(factory), kwargs)
     _PLUGINS[(kind, name)] = PluginSpec(kind, name, factory, dict(kwargs))
     return name
 
@@ -524,3 +492,100 @@ def install_env_plugins() -> int:
     if not isinstance(snapshot, list):
         raise SchedulingError(f"${PLUGINS_ENV} must be a JSON list")
     return install_plugins(snapshot)
+
+
+#: Entry-point group scanned by :func:`load_entry_points`.
+ENTRY_POINT_GROUP = "repro.plugins"
+
+
+def load_entry_points(group: str = ENTRY_POINT_GROUP) -> int:
+    """Discover and install plugins advertised by installed packages.
+
+    Each entry point in ``group`` must resolve to a zero-argument
+    callable (invoked; it registers whatever it wants) or an iterable
+    of plugin records (fed to :func:`install_plugins`).  Returns the
+    number of entry points processed.
+    """
+    from importlib import metadata
+
+    processed = 0
+    for ep in metadata.entry_points(group=group):
+        obj = ep.load()
+        if callable(obj):
+            obj()
+        else:
+            install_plugins([dict(record) for record in obj])
+        processed += 1
+    return processed
+
+
+# ----------------------------------------------------------------------
+# Registration fronts: decorator, import path, or live callable
+# ----------------------------------------------------------------------
+Factory = Union[str, Callable, None]
+
+
+def _factory_path(fn: Callable) -> str:
+    qualname = getattr(fn, "__qualname__", fn.__name__)
+    if "." in qualname or "<locals>" in qualname:
+        raise SchedulingError(
+            f"plugin factory {qualname!r} must be a module-level "
+            "function (so worker processes can import it); got a "
+            "nested or method object"
+        )
+    return f"{fn.__module__}:{qualname}"
+
+
+def _register(kind: str, name: str, factory: Factory, **kwargs):
+    """Shared implementation behind the four ``register_*`` fronts."""
+    if factory is None:
+        # Decorator form: @register_scheme("name", **kwargs)
+        def decorate(fn: Callable) -> Callable:
+            register_plugin(kind, name, _factory_path(fn), **kwargs)
+            return fn
+
+        return decorate
+    if isinstance(factory, str):
+        return register_plugin(kind, name, factory, **kwargs)
+    if callable(factory):
+        if kwargs:
+            raise SchedulingError(
+                "kwargs are only supported for declarative (import "
+                "path / decorator) registration — bind them into "
+                "your callable instead"
+            )
+        _TABLES[kind][name] = factory
+        return name
+    raise SchedulingError(
+        f"factory must be an import path, a callable, or omitted "
+        f"(decorator form); got {type(factory).__name__}"
+    )
+
+
+def register_scheme(name: str, factory: Factory = None, **kwargs):
+    """Register a scheme ``(estimator_factory, **kwargs) -> Scheme``
+    under ``name``; returns ``name`` (or, with no ``factory``, a
+    decorator that registers the function it wraps).
+
+    The decorator and ``"pkg.mod:attr"`` forms are declarative and
+    spawn-safe; a live callable registers process-locally.
+    """
+    return _register("scheme", name, factory, **kwargs)
+
+
+def register_battery(name: str, factory: Factory = None, **kwargs):
+    """Register a battery factory ``(seed, **kwargs) -> BatteryModel``
+    under ``name`` (same three forms as :func:`register_scheme`)."""
+    return _register("battery", name, factory, **kwargs)
+
+
+def register_processor(name: str, factory: Factory = None, **kwargs):
+    """Register a processor factory ``(**kwargs) -> Processor`` under
+    ``name`` (same three forms as :func:`register_scheme`)."""
+    return _register("processor", name, factory, **kwargs)
+
+
+def register_estimator(name: str, factory: Factory = None, **kwargs):
+    """Register an estimator factory ``(**kwargs) -> Estimator`` under
+    ``name`` (same three forms as :func:`register_scheme`)."""
+    return _register("estimator", name, factory, **kwargs)

@@ -44,10 +44,12 @@ from ..core.priority import LTF, PUBS, RandomPriority
 from ..errors import SchedulingError
 from ..exact.bounds import near_optimal_run
 from ..exact.bruteforce import count_linear_extensions, optimal_one_shot
+from ..processor.platform import Processor
 from ..sim.batch import BatchItem, ScenarioBatch
 from ..sim.engine import SimulationResult, Simulator
 from ..sim.profile import CurrentProfile
 from ..taskgraph.graph import TaskGraph
+from ..taskgraph.periodic import TaskGraphSet
 from ..taskgraph.tgff import random_dag
 from ..workloads.generator import UniformActuals, paper_task_set
 from .aggregate import MetricSummary, StreamingAggregator, summarize
@@ -78,7 +80,6 @@ from .spec import (
     Spec,
     SurvivalSpec,
     content_hash,
-    is_cacheable,
 )
 
 __all__ = [
@@ -96,8 +97,16 @@ from ..core.estimator import OracleEstimator  # re-export for one-shot users
 # ----------------------------------------------------------------------
 # Executors (one per spec kind) — pure functions of the spec
 # ----------------------------------------------------------------------
-def _build_scenario_sim(spec: ScenarioSpec) -> Tuple[Simulator, float]:
-    """The simulator + horizon a scenario spec describes."""
+class _Scenario(NamedTuple):
+    """The workload a scenario spec describes, before any scheme."""
+
+    processor: Processor
+    task_set: TaskGraphSet
+    actuals: UniformActuals
+    horizon: float
+
+
+def _scenario(spec: ScenarioSpec) -> _Scenario:
     processor = resolve_processor(spec.processor)
     task_set = paper_task_set(
         spec.n_graphs,
@@ -113,35 +122,27 @@ def _build_scenario_sim(spec: ScenarioSpec) -> Tuple[Simulator, float]:
     horizon = (
         spec.horizon if spec.horizon is not None else task_set.hyperperiod()
     )
+    return _Scenario(processor, task_set, actuals, horizon)
+
+
+def _build_scenario_sim(spec: ScenarioSpec) -> Tuple[Simulator, float]:
+    """The simulator + horizon a scenario spec describes."""
+    sc = _scenario(spec)
     scheme = build_scheme(spec.scheme, resolve_estimator(spec.estimator))
     dvs, policy = scheme.instantiate()
     sim = Simulator(
-        task_set, processor, dvs, policy,
-        actuals=actuals, on_miss=spec.on_miss,
+        sc.task_set, sc.processor, dvs, policy,
+        actuals=sc.actuals, on_miss=spec.on_miss,
     )
-    return sim, horizon
+    return sim, sc.horizon
 
 
 def _simulate(spec: ScenarioSpec) -> SimulationResult:
     if spec.scheme == NEAR_OPTIMAL:
-        processor = resolve_processor(spec.processor)
-        task_set = paper_task_set(
-            spec.n_graphs,
-            utilization=spec.utilization,
-            n_tasks_range=spec.n_tasks_range,
-            edge_prob=spec.edge_prob,
-            wcet_range=spec.wcet_range,
-            seed=spec.seed,
+        sc = _scenario(spec)
+        return near_optimal_run(
+            sc.task_set, sc.processor, sc.horizon, actuals=sc.actuals
         )
-        actuals = UniformActuals(
-            low=spec.actual_low, high=spec.actual_high, seed=spec.seed
-        )
-        horizon = (
-            spec.horizon
-            if spec.horizon is not None
-            else task_set.hyperperiod()
-        )
-        return near_optimal_run(task_set, processor, horizon, actuals=actuals)
     sim, horizon = _build_scenario_sim(spec)
     return sim.run(horizon)
 
@@ -523,8 +524,8 @@ class CampaignRunner(GrowableRunnerMixin):
     ----------
     n_workers:
         1 runs in-process; >1 uses a ``multiprocessing`` pool (``fork``
-        start method where available, so ad-hoc registry entries are
-        inherited by workers).
+        start method where available, so live-callable registry
+        entries are inherited by workers).
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely and
         fresh results are stored back.
@@ -534,8 +535,8 @@ class CampaignRunner(GrowableRunnerMixin):
         preference (fork on Linux).  Declaratively-registered plugins
         (:func:`repro.campaign.registry.register_plugin`) work under
         every start method — the pool initializer replays the plugin
-        snapshot in each worker — while live-object ad-hoc entries
-        still need ``fork`` to be inherited.
+        snapshot in each worker — while live-callable entries still
+        need ``fork`` to be inherited.
     max_retries:
         Failed specs are re-executed up to this many times before the
         ``on_error`` policy applies.  Retries back off with
@@ -641,14 +642,7 @@ class CampaignRunner(GrowableRunnerMixin):
 
         pending: List[int] = []
         for index, spec in enumerate(specs):
-            # Ad-hoc (@-named) specs bypass the cache entirely: their
-            # name -> factory binding is process-local, so a persisted
-            # entry could answer for a different factory next session.
-            hit = (
-                self.cache.get(spec)
-                if self.cache is not None and is_cacheable(spec)
-                else None
-            )
+            hit = self.cache.get(spec) if self.cache is not None else None
             if hit is not None:
                 cache_hits += 1
                 emit(index, hit)
@@ -656,7 +650,7 @@ class CampaignRunner(GrowableRunnerMixin):
                 pending.append(index)
 
         def absorb(index: int, result: ScenarioResult) -> None:
-            if self.cache is not None and is_cacheable(result.spec):
+            if self.cache is not None:
                 self.cache.put(result)
             emit(index, result)
 
@@ -744,11 +738,7 @@ class CampaignRunner(GrowableRunnerMixin):
                             report.quarantined.append(
                                 QuarantinedSpec(
                                     index=index,
-                                    spec_hash=(
-                                        content_hash(specs[index])
-                                        if is_cacheable(specs[index])
-                                        else ""
-                                    ),
+                                    spec_hash=content_hash(specs[index]),
                                     attempts=attempts[index],
                                     failure=failure,
                                 )
@@ -772,8 +762,8 @@ class CampaignRunner(GrowableRunnerMixin):
             ctx = multiprocessing.get_context(self.start_method)
         else:
             # Prefer fork only on Linux: it is the platform default
-            # there and lets workers inherit ad-hoc registry entries.
-            # macOS has fork available but deliberately defaults to
+            # there and lets workers inherit live-callable registry
+            # entries.  macOS has fork available but deliberately defaults to
             # spawn (fork is unsafe with threaded frameworks), so
             # respect the platform default elsewhere.
             methods = multiprocessing.get_all_start_methods()

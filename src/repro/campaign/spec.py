@@ -44,7 +44,6 @@ from ..errors import SchedulingError
 
 __all__ = [
     "SPEC_VERSION",
-    "AD_HOC_PREFIX",
     "ScenarioSpec",
     "OneShotSpec",
     "SurvivalSpec",
@@ -52,7 +51,6 @@ __all__ = [
     "Spec",
     "ScenarioResult",
     "content_hash",
-    "is_cacheable",
     "is_spec",
     "spawn_seeds",
     "spec_to_json",
@@ -63,11 +61,6 @@ __all__ = [
 #: previously cached results.  Battery-kernel numerics changes do not
 #: need a bump: the kernel version token (below) is hashed alongside.
 SPEC_VERSION = 1
-
-#: Names starting with this mark process-local ad-hoc registry entries
-#: (see :func:`repro.campaign.registry.fresh_name`).
-AD_HOC_PREFIX = "@"
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -273,23 +266,6 @@ class ScenarioResult:
             metrics={k: float(v) for k, v in data["metrics"].items()},
             cached=cached,
         )
-
-
-def is_cacheable(spec: Spec) -> bool:
-    """Whether ``spec`` may use the persistent on-disk cache.
-
-    Specs that reference ad-hoc registry names (``@``-prefixed, from
-    :func:`repro.campaign.registry.fresh_name`) are not cacheable: the
-    name → factory binding is process-local, so a cache entry written
-    by one session could silently answer for a *different* factory
-    registered under the same counter name in a later session.
-    """
-    fields = asdict(spec)
-    return not any(
-        isinstance(value, str) and value.startswith(AD_HOC_PREFIX)
-        for key in ("scheme", "battery", "processor", "estimator")
-        for value in (fields.get(key),)
-    )
 
 
 def spawn_seeds(root_seed: int, n: int) -> Tuple[int, ...]:

@@ -14,7 +14,7 @@ Entry points
 * CLI: ``python -m repro check [paths]`` (see :mod:`repro.check.cli`)
 * API: :func:`run_check` over a list of files/directories
 * Rule catalog: :func:`repro.check.registry.known_rules`; the rule
-  set is a declarative registry mirroring :mod:`repro.api.registry`'s
+  set is a declarative registry mirroring :mod:`repro.campaign.registry`'s
   style, so adding a rule is one decorated class (see
   ``docs/static-analysis.md``).
 

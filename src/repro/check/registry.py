@@ -1,4 +1,4 @@
-"""Declarative rule registry (mirrors :mod:`repro.api.registry`).
+"""Declarative rule registry (mirrors :mod:`repro.campaign.registry`).
 
 A rule is a class with a ``check(module, config) -> list[Finding]``
 method, registered under its id with :func:`register_rule`::

@@ -8,7 +8,13 @@ from .estimator import (
     WorstCaseEstimator,
 )
 from .feasibility import feasibility_check
-from .methodology import Scheme, SchedulingPolicy, make_scheme, paper_schemes
+from .methodology import (
+    Scheme,
+    SchedulingPolicy,
+    make_scheme,
+    paper_schemes,
+    run_scheme,
+)
 from .oneshot import OneShotOracle, OneShotResult, evaluate_order, run_one_shot
 from .priority import (
     LTF,
@@ -40,6 +46,7 @@ __all__ = [
     "Scheme",
     "make_scheme",
     "paper_schemes",
+    "run_scheme",
     "OneShotResult",
     "OneShotOracle",
     "run_one_shot",

@@ -10,7 +10,7 @@ paper identifies:
 
 :class:`Scheme` bundles a policy with a DVS-factory under a table-ready
 name; :func:`paper_schemes` returns the five rows of Table 2 (EDF,
-ccEDF, laEDF, BAS-1, BAS-2).
+ccEDF, laEDF, BAS-1, BAS-2), and :func:`run_scheme` simulates one.
 """
 
 from __future__ import annotations
@@ -20,13 +20,21 @@ from typing import Callable, List, Optional, Tuple
 
 from ..dvs import CcEDF, FrequencySetter, LaEDF, NoDVS
 from ..errors import SchedulingError
+from ..processor.platform import Processor
+from ..sim.engine import SimulationResult, Simulator
 from ..sim.state import Candidate, SchedulerView
 from .estimator import Estimator, HistoryEstimator
 from .feasibility import feasibility_check
 from .priority import PUBS, PriorityFunction, RandomPriority, SpeedOracle
 from .ready_list import ALL_RELEASED, MOST_IMMINENT, ReadyListPolicy
 
-__all__ = ["SchedulingPolicy", "Scheme", "paper_schemes", "make_scheme"]
+__all__ = [
+    "SchedulingPolicy",
+    "Scheme",
+    "paper_schemes",
+    "make_scheme",
+    "run_scheme",
+]
 
 
 class SchedulingPolicy:
@@ -213,3 +221,20 @@ def paper_schemes(
             "(feasibility-checked)",
         ),
     ]
+
+
+def run_scheme(
+    scheme: Scheme,
+    task_set,
+    processor: Processor,
+    actuals,
+    horizon: float,
+    *,
+    on_miss: str = "raise",
+) -> SimulationResult:
+    """Instantiate a scheme freshly and simulate one window."""
+    dvs, policy = scheme.instantiate()
+    sim = Simulator(
+        task_set, processor, dvs, policy, actuals=actuals, on_miss=on_miss
+    )
+    return sim.run(horizon)

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.methodology import Scheme
+from ..core.methodology import Scheme, run_scheme
 from ..errors import SchedulingError
 from ..processor.platform import Processor
-from ..sim.engine import ActualsProvider, SimulationResult, Simulator
+from ..sim.engine import ActualsProvider, SimulationResult
 from ..sim.profile import CurrentProfile
 from ..taskgraph.periodic import PeriodicTaskGraph, TaskGraphSet
 
@@ -167,11 +167,11 @@ def run_partitioned(
         if part is None:
             results.append(None)
             continue
-        dvs, policy = scheme.instantiate()
-        sim = Simulator(
-            part, proc, dvs, policy, actuals=actuals, on_miss=on_miss
+        results.append(
+            run_scheme(
+                scheme, part, proc, actuals, horizon, on_miss=on_miss
+            )
         )
-        results.append(sim.run(horizon))
     return MultiprocResult(
         per_core=tuple(results),
         partitions=partitions,

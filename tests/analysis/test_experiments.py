@@ -1,27 +1,24 @@
-"""Smoke + shape tests for the experiment drivers (tiny scales)."""
+"""Smoke + shape tests for the paper-artifact plans (tiny scales)."""
 
 import pytest
 
-from repro.analysis.experiments import (
-    ablation_dvs,
-    ablation_estimator,
-    ablation_feasibility,
-    ablation_freqset,
-    fig4,
-    fig5,
-    fig6,
-    model_coherence,
-    rate_capacity,
-    survival_scale,
-    table1,
-    table2,
-)
+from repro.analysis.lifetime import survival_scale
+from repro.api import Study, plans
+from repro.api.plans import fig4, fig5
+
+
+def adapted(builder, workers=1, **kwargs):
+    """Run a builtin plan and return its typed result."""
+    return Study(builder(**kwargs), workers=workers).run().adapted()
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return table1(sizes=(5, 6), graphs_per_size=2, seed=0, n_random=2)
+        return adapted(
+            plans.table1_plan,
+            sizes=(5, 6), graphs_per_size=2, seed=0, n_random=2,
+        )
 
     def test_all_ratios_at_least_one(self, result):
         for series in (result.random, result.ltf, result.pubs):
@@ -41,7 +38,9 @@ class TestTable1:
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig6(graph_counts=(2, 3), sets_per_point=1, seed=0)
+        return adapted(
+            plans.fig6_plan, graph_counts=(2, 3), sets_per_point=1, seed=0
+        )
 
     def test_series_present(self, result):
         assert set(result.series) == {
@@ -59,7 +58,7 @@ class TestFig6:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return table2(n_sets=1, n_graphs=3, seed=0)
+        return adapted(plans.table2_plan, n_sets=1, n_graphs=3, seed=0)
 
     def test_row_order(self, result):
         assert result.scheme_names == (
@@ -121,43 +120,53 @@ class TestFig5:
 
 class TestRateCapacity:
     def test_extrapolation_matches_paper_cell(self):
-        res = rate_capacity(currents=(0.5, 2.0))
+        res = adapted(plans.rate_capacity_plan, currents=(0.5, 2.0))
         assert res.max_capacity_mah == pytest.approx(2000.0, rel=0.03)
         assert res.available_capacity_mah < res.max_capacity_mah
         assert "maximum capacity" in res.format()
 
     def test_monotone_curves(self):
-        res = rate_capacity(currents=(0.5, 1.0, 2.0))
+        res = adapted(plans.rate_capacity_plan, currents=(0.5, 1.0, 2.0))
         for vals in res.delivered_mah.values():
             assert vals[0] > vals[-1]
 
     def test_unsorted_currents_labels_align_with_values(self):
         """Rows are labelled in sweep (ascending) order — the order
         the delivered columns are in — even for unsorted input."""
-        res = rate_capacity(currents=(2.0, 0.5))
+        res = adapted(plans.rate_capacity_plan, currents=(2.0, 0.5))
         assert res.currents == (0.5, 2.0)
         for vals in res.delivered_mah.values():
             assert vals[0] > vals[-1]
 
     def test_custom_models_identical_across_worker_counts(self):
-        """Caller-supplied cells are deep-copied per probe, so the
+        """A caller-registered cell is resolved fresh per probe, so the
         stochastic RNG stream cannot leak between probes/workers."""
+        from repro.api import register_battery, unregister
         from repro.battery.calibrate import paper_cell_stochastic
 
+        name = register_battery(
+            "stochastic-test",
+            lambda seed, **_kw: paper_cell_stochastic(seed=0),
+        )
+
         def run(workers):
-            return rate_capacity(
-                currents=(0.5, 2.0),
-                models={"s": paper_cell_stochastic(seed=0)},
+            return adapted(
+                plans.rate_capacity_plan,
                 workers=workers,
+                currents=(0.5, 2.0),
+                models={"s": name},
             )
 
-        assert run(1) == run(2)
+        try:
+            assert run(1) == run(2)
+        finally:
+            unregister(name)
 
 
 class TestModelCoherence:
     @pytest.fixture(scope="class")
     def result(self):
-        return model_coherence()
+        return adapted(plans.model_coherence_plan)
 
     def test_guideline1_ranking(self, result):
         for model in ("KiBaM", "diffusion", "stochastic"):
@@ -194,21 +203,27 @@ class TestSurvivalScale:
 
 class TestAblations:
     def test_estimator_monotone_endpoints(self):
-        res = ablation_estimator(n_sets=1, n_graphs=3, seed=1)
+        res = adapted(
+            plans.ablation_estimator_plan, n_sets=1, n_graphs=3, seed=1
+        )
         e = dict(zip(res.levels, res.metrics["energy (J)"]))
         assert e["oracle"] <= e["worst-case"] + 1e-6
 
     def test_feasibility_guarded_clean(self):
-        res = ablation_feasibility(n_sets=2, n_graphs=3, seed=0)
+        res = adapted(
+            plans.ablation_feasibility_plan, n_sets=2, n_graphs=3, seed=0
+        )
         m = dict(zip(res.levels, res.metrics["misses"]))
         assert m["guarded"] == 0.0
 
     def test_dvs_grid_complete(self):
-        res = ablation_dvs(n_sets=1, n_graphs=3, seed=0)
+        res = adapted(plans.ablation_dvs_plan, n_sets=1, n_graphs=3, seed=0)
         assert len(res.levels) == 4
         assert all(v > 0 for v in res.metrics["energy (J)"])
 
     def test_freqset_finer_not_worse(self):
-        res = ablation_freqset(n_sets=1, n_graphs=3, seed=0)
+        res = adapted(
+            plans.ablation_freqset_plan, n_sets=1, n_graphs=3, seed=0
+        )
         e = res.metrics["energy (J)"]
         assert e[-1] <= e[0] * 1.02  # 9 levels within 2% of 3 levels

@@ -88,6 +88,16 @@ class TestDeclarativeRegistration:
         finally:
             unregister("live-test")
 
+    def test_api_and_campaign_share_one_registry(self):
+        import repro.api
+        import repro.campaign
+
+        for kind in ("scheme", "battery", "processor", "estimator"):
+            front = f"register_{kind}"
+            assert getattr(repro.api, front) is getattr(
+                repro.campaign, front
+            )
+
     def test_bad_factory_paths_fail_fast(self):
         with pytest.raises(SchedulingError, match="module.attr"):
             register_plugin("scheme", "x", "no-colon")

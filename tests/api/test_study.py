@@ -1,19 +1,14 @@
-"""Study layer: legacy-shim byte-identity, plan files, cache reuse.
+"""Study layer: typed results vs frames, plan files, cache reuse.
 
-The acceptance pin of the api redesign: ``table2`` and ``fig6``
-produced via the deprecated driver shims and via the new
-``StudyPlan`` path must be byte-identical (fresh cache dirs), and the
-declarative plans must survive JSON round trips without changing a
-single spec.
+The declarative plans must survive JSON round trips without changing
+a single spec, and their typed results must equal the frame's own
+group means.
 """
-
-import warnings
 
 import pytest
 
-from repro.analysis import experiments as ex
 from repro.api import Study, StudyPlan, load_plan, plans
-from repro.campaign import CampaignRunner, ResultCache
+from repro.campaign import ResultCache
 from repro.errors import SchedulingError
 
 T2_SCALE = dict(n_sets=2, n_graphs=3, seed=0)
@@ -22,72 +17,6 @@ F6_SCALE = dict(graph_counts=(2, 3), sets_per_point=1, seed=0)
 
 def run_plan(plan, **kwargs):
     return Study(plan, **kwargs).run()
-
-
-class TestShimByteIdentity:
-    """ISSUE acceptance: legacy shims == StudyPlan path, byte-exact."""
-
-    def test_table2_shim_vs_plan(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = ex.table2(
-                **T2_SCALE,
-                runner=CampaignRunner(
-                    1, cache=ResultCache(tmp_path / "legacy")
-                ),
-            )
-        res = run_plan(
-            plans.table2_plan(**T2_SCALE),
-            cache=ResultCache(tmp_path / "plan"),
-        )
-        assert res.adapted() == legacy
-        assert res.format() == legacy.format()
-
-    def test_fig6_shim_vs_plan(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = ex.fig6(
-                **F6_SCALE,
-                runner=CampaignRunner(
-                    1, cache=ResultCache(tmp_path / "legacy")
-                ),
-            )
-        res = run_plan(
-            plans.fig6_plan(**F6_SCALE),
-            cache=ResultCache(tmp_path / "plan"),
-        )
-        assert res.adapted() == legacy
-        assert res.format() == legacy.format()
-
-    def test_shims_emit_deprecation_warnings(self):
-        with pytest.warns(DeprecationWarning, match="model_coherence"):
-            ex.model_coherence()
-
-    @pytest.mark.parametrize(
-        "shim,builder,kwargs",
-        [
-            (
-                ex.ablation_estimator,
-                plans.ablation_estimator_plan,
-                dict(n_sets=1, n_graphs=3, seed=1),
-            ),
-            (
-                ex.ablation_dvs,
-                plans.ablation_dvs_plan,
-                dict(n_sets=1, n_graphs=3, seed=0),
-            ),
-            (
-                ex.ablation_feasibility,
-                plans.ablation_feasibility_plan,
-                dict(n_sets=2, n_graphs=3, seed=0),
-            ),
-        ],
-    )
-    def test_ablation_shims_match_plans(self, shim, builder, kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = shim(**kwargs)
-        assert run_plan(builder(**kwargs)).adapted() == legacy
 
 
 class TestFrameVsLegacyNumbers:

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.analysis.experiments import fig6, table2
+from repro.api import Study, plans
 from repro.campaign import (
     CampaignRunner,
     ResultCache,
@@ -150,14 +150,6 @@ class TestDirectoryBackend:
         finally:
             runner.close()
 
-    def test_ad_hoc_specs_are_rejected(self, tmp_path):
-        runner = DistributedRunner(workdir=tmp_path)
-        try:
-            with pytest.raises(SchedulingError, match="ad-hoc"):
-                runner.run([ScenarioSpec(scheme="@scheme/0", seed=1)])
-        finally:
-            runner.close()
-
     def test_malformed_task_is_reported_not_fatal(self):
         """A poison-pill payload must come back as an error outcome,
         not crash the worker that leased it."""
@@ -234,13 +226,17 @@ class TestSpawnedWorkers:
         assert dist.n_workers == 2
 
 
+def adapted(plan, runner=None):
+    return Study(plan, runner=runner).run().adapted()
+
+
 class TestDriverAcceptance:
-    """ISSUE acceptance: table2/fig6 aggregates byte-identical between
-    the sequential local runner and a 2-worker distributed fleet."""
+    """table2/fig6 aggregates byte-identical between the sequential
+    local runner and a 2-worker distributed fleet."""
 
     def test_table2_identical(self, tmp_path):
-        kwargs = dict(n_sets=1, n_graphs=2, seed=0)
-        local = table2(**kwargs)
+        plan = plans.table2_plan(n_sets=1, n_graphs=2, seed=0)
+        local = adapted(plan)
         runner = DistributedRunner(
             workdir=tmp_path,
             poll=0.01,
@@ -248,12 +244,12 @@ class TestDriverAcceptance:
             result_timeout=TIMEOUT,
         )
         with fleet(runner, run_directory_worker, (tmp_path,)):
-            dist = table2(**kwargs, runner=runner)
+            dist = adapted(plan, runner)
         assert dist == local  # dataclass equality: every float bit-equal
 
     def test_fig6_identical(self, tmp_path):
-        kwargs = dict(graph_counts=(2,), sets_per_point=1, seed=0)
-        local = fig6(**kwargs)
+        plan = plans.fig6_plan(graph_counts=(2,), sets_per_point=1, seed=0)
+        local = adapted(plan)
         runner = DistributedRunner(
             workdir=tmp_path,
             poll=0.01,
@@ -261,5 +257,5 @@ class TestDriverAcceptance:
             result_timeout=TIMEOUT,
         )
         with fleet(runner, run_directory_worker, (tmp_path,)):
-            dist = fig6(**kwargs, runner=runner)
+            dist = adapted(plan, runner)
         assert dist == local

@@ -593,9 +593,32 @@ class TestWorkerHealth:
     def test_anonymous_worker_not_scored(self, tmp_path):
         broker = DirectoryBroker(tmp_path, health_threshold=1)
         try:
-            broker._note_worker("", 2)  # legacy v2 outcome, no token
+            broker._note_worker("", 2)  # an outcome naming no worker
             assert broker.retired_workers == set()
             assert broker.worker_health == {}
+        finally:
+            broker.close()
+
+
+    def test_string_error_outcome_is_a_corrupt_payload(self, tmp_path):
+        """A bare-string ``error`` (the retired protocol-v2 shape) is
+        not a spec failure: the broker requeues the index and charges
+        the sending worker the corrupt-payload weight."""
+        broker = DirectoryBroker(tmp_path)
+        try:
+            broker.submit([(0, ScenarioSpec(scheme="EDF", seed=1))])
+            backlog = broker.workdir.backlog()
+            outcome = {
+                "job": broker.job, "index": 0, "error": "boom",
+                "worker": "w1",
+            }
+            assert broker._accept(outcome) is None
+            assert broker.worker_health == {"w1": 2}
+            assert broker.requeued_total == 1
+            assert broker.workdir.backlog() == backlog + 1
+            assert broker.failure_report.retries == 0
+            assert not broker.failure_report.quarantined
+            assert not broker.done
         finally:
             broker.close()
 

@@ -101,35 +101,13 @@ class TestRegistry:
 
     def test_unregister_removes_ad_hoc_entries(self):
         from repro.campaign import register_battery, unregister
-        from repro.campaign.registry import fresh_name
 
-        name = register_battery(fresh_name("battery"), lambda seed: None)
+        name = register_battery("unregister-test", lambda seed: None)
         assert resolve_battery(name) is None
         unregister(name)
         with pytest.raises(SchedulingError):
             resolve_battery(name)
         unregister(name)  # idempotent no-op
-
-    def test_drivers_clean_up_ad_hoc_registrations(self):
-        from repro.analysis.experiments import table2
-        from repro.campaign import registry
-
-        def snapshot():
-            return {
-                n
-                for table in (
-                    registry._SCHEMES, registry._BATTERIES,
-                    registry._PROCESSORS, registry.ESTIMATORS,
-                )
-                for n in table
-                if n.startswith("@")
-            }
-
-        before = snapshot()
-        from repro.processor.platform import paper_processor
-
-        table2(n_sets=1, n_graphs=2, seed=0, processor=paper_processor())
-        assert snapshot() == before  # no leaked closures
 
     def test_all_builtin_schemes_build(self):
         est = resolve_estimator("history")
@@ -193,27 +171,6 @@ class TestCache:
         assert second.cache_hits == len(specs)
         assert second.results == first.results
         assert all(r.cached for r in second.results)
-
-    def test_ad_hoc_specs_bypass_the_cache(self, tmp_path):
-        from repro.campaign import build_scheme, register_scheme, unregister
-        from repro.campaign.registry import fresh_name
-
-        name = register_scheme(
-            fresh_name("scheme"),
-            lambda est: build_scheme("EDF", est),
-        )
-        try:
-            cache = ResultCache(tmp_path)
-            specs = [ScenarioSpec(scheme=name, n_graphs=2, seed=3)]
-            first = CampaignRunner(1, cache=cache).run(specs)
-            second = CampaignRunner(1, cache=cache).run(specs)
-            # Never stored, never served: a later process could bind
-            # the same counter name to a different factory.
-            assert len(cache) == 0
-            assert first.cache_hits == 0 and second.cache_hits == 0
-            assert second.results == first.results
-        finally:
-            unregister(name)
 
 
 class TestAggregator:

@@ -9,11 +9,11 @@ from repro.campaign.spec import (
     ScenarioSpec,
     SurvivalSpec,
     content_hash,
-    is_cacheable,
     spawn_seeds,
     spec_from_json,
     spec_to_json,
 )
+from repro.campaign.cache import ResultCache
 from repro.errors import SchedulingError
 
 
@@ -70,7 +70,6 @@ class TestKernelVersioning:
             battery="kibam", current=2.5, battery_seed=3
         )
         assert spec_from_json(spec_to_json(spec)) == spec
-        assert is_cacheable(spec)
 
 
 class TestContentHash:
@@ -145,30 +144,16 @@ class TestJsonRoundTrip:
 
 
 class TestCacheability:
-    def test_builtin_names_are_cacheable(self):
-        assert is_cacheable(ScenarioSpec(scheme="BAS-2", battery="kibam"))
-        assert is_cacheable(OneShotSpec(n_tasks=5, seed=0))
-        assert is_cacheable(
-            SurvivalSpec(battery="kibam", durations=(1.0,), currents=(1.0,))
-        )
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ScenarioSpec(scheme="@scheme/0"),
-            ScenarioSpec(scheme="EDF", battery="@battery/1"),
-            ScenarioSpec(scheme="EDF", processor="@processor/2"),
-            ScenarioSpec(scheme="EDF", estimator="@estimator/3"),
-            OneShotSpec(n_tasks=5, seed=0, processor="@processor/4"),
-            SurvivalSpec(
-                battery="@battery/5", durations=(1.0,), currents=(1.0,)
-            ),
-        ],
-    )
-    def test_ad_hoc_names_are_not(self, spec):
-        # Ad-hoc registry bindings are process-local: caching them on
-        # disk could answer for a different factory next session.
-        assert not is_cacheable(spec)
+    def test_builtin_names_are_cacheable(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for spec in (
+            ScenarioSpec(scheme="BAS-2", battery="kibam"),
+            OneShotSpec(n_tasks=5, seed=0),
+            SurvivalSpec(battery="kibam", durations=(1.0,), currents=(1.0,)),
+        ):
+            cache.put(ScenarioResult(spec=spec, metrics={"m": 1.0}))
+            hit = cache.get(spec)
+            assert hit is not None and hit.spec == spec
 
 
 class TestSpawnSeeds:

@@ -24,7 +24,7 @@ class TestNearOptimalRun:
     def test_lower_or_equal_energy(self, proc):
         """The precedence-relaxed oracle-pUBS run must not use more
         energy than any constrained scheme on the same workload."""
-        from repro.analysis.experiments import run_scheme
+        from repro import run_scheme
         from repro.core.methodology import paper_schemes
 
         ts = paper_task_set(3, utilization=0.85, seed=4)

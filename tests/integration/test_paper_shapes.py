@@ -2,13 +2,14 @@
 
 These are the repository's acceptance tests — each asserts a *shape*
 the paper reports (who wins, rough factors), at reduced scale so the
-suite stays fast.  EXPERIMENTS.md records full-scale runs.
+suite stays fast.  Full-scale runs are the fidelity-ledger item in
+ROADMAP.md.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_scheme
+from repro import run_scheme
 from repro.analysis.lifetime import evaluate_lifetime
 from repro.battery.calibrate import paper_cell_kibam, paper_cell_stochastic
 from repro.core.methodology import paper_schemes

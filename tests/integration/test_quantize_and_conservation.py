@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import run_scheme
+from repro import run_scheme
 from repro.core.methodology import SchedulingPolicy, paper_schemes
 from repro.core.priority import RandomPriority
 from repro.dvs import CcEDF

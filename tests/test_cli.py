@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -150,6 +152,14 @@ class TestMain:
     def test_fig5(self, capsys):
         assert main(["fig5"]) == 0
         assert "Figure 5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["fig4", "fig5"])
+    def test_worked_examples_match_golden_bytes(self, command, capsys):
+        """The full stdout of the two worked examples is pinned, not
+        just its headline (``tests/golden/cli_<command>.txt``)."""
+        assert main([command]) == 0
+        golden = Path(__file__).parent / "golden" / f"cli_{command}.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_table2_tiny(self, capsys):
         assert main(["table2", "--sets", "1", "--graphs", "2"]) == 0
