@@ -1,12 +1,12 @@
 """Broker side of the distributed campaign backends.
 
-A broker owns one campaign at a time: :meth:`submit` publishes the
-``(index, spec)`` work units, :meth:`outcomes` blocks yielding
-``(index, ScenarioResult)`` pairs as workers finish — deduplicated by
-index, with lost leases requeued — until every unit is resolved.  By
-default a worker-reported execution error fails the campaign
-immediately; with a retry budget (``max_retries``) the spec is
-republished after a deterministic backoff, and under
+A broker owns one campaign at a time: :meth:`Broker.submit` publishes
+the ``(index, spec)`` work units, :meth:`Broker.outcomes` blocks
+yielding ``(index, ScenarioResult)`` pairs as workers finish —
+deduplicated by index, with lost leases requeued — until every unit
+is resolved.  By default a worker-reported execution error fails the
+campaign immediately; with a retry budget (``max_retries``) the spec
+is republished after a deterministic backoff, and under
 ``on_error="quarantine"`` a spec that exhausts its budget is recorded
 in the broker's :class:`~repro.campaign.failures.FailureReport` and
 the campaign completes without it.
@@ -23,27 +23,36 @@ Fault tolerance:
   ledger (validated per entry against the resubmitted specs) instead
   of re-running completed work.
 * **Chunked leases with stealing** — ``chunk_size > 1`` leases
-  index-contiguous runs of tasks; when the queue runs dry, the broker
-  splits the largest outstanding chunk so idle workers steal its tail.
+  index-contiguous runs of tasks; when the queue runs dry and a worker
+  asks for work, the broker splits the largest outstanding chunk so
+  the idle worker steals its tail.
 * **Worker health scoring** — every worker token accumulates a score
   (error outcome +1, crash/stale lease +2, corrupt payload +2); at
   ``health_threshold`` the broker *retires* the worker — blacklists
   its token so it stops winning leases — instead of letting one bad
   host grind a campaign down via its retry budgets.
 * **Spec deadlines** — ``spec_timeout`` travels inside task payloads
-  (workers arm a watchdog) and is backstopped broker-side: a unit
-  leased to the same worker for well past the deadline is charged as
-  a timeout even if the worker keeps heartbeating through the hang.
+  (workers arm a watchdog) and is backstopped broker-side: a unit that
+  stays the active task of one lease for well past the deadline is
+  charged as a timeout even if the worker keeps heartbeating through
+  the hang.
 
-Two transports implement the interface: :class:`DirectoryBroker` over
-a shared filesystem (see :mod:`~repro.campaign.distributed.workdir`)
+:class:`Broker` holds all of that policy in one state machine driven
+by a single heap of timers.  It reads no clock: :meth:`Broker.step`
+takes the broker time ``now`` as an argument, and only the
+:meth:`Broker.outcomes` loop reads this host's monotonic clock.  Two
+transports supply the mechanics: :class:`DirectoryBroker` over a
+shared filesystem (see :mod:`~repro.campaign.distributed.workdir`)
 and :class:`TCPBroker` over line-delimited JSON sockets.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import hashlib
+import heapq
+import itertools
 import json
 import os
 import queue
@@ -75,14 +84,38 @@ from .protocol import (
 )
 from .workdir import WorkDir
 
-__all__ = ["DirectoryBroker", "TCPBroker", "campaign_hash"]
+__all__ = ["Broker", "DirectoryBroker", "TCPBroker", "campaign_hash"]
 
 #: Bumped on incompatible ledger format changes.
 LEDGER_VERSION = 1
 
+#: Order in which timers due at the same instant fire.
+_PRIORITY = {
+    "retry": 0,
+    "expire": 1,
+    "overdue": 2,
+    "scan": 3,
+    "steal": 4,
+    "stall": 5,
+}
+#: Timer kinds that act on leases: the leases are listed afresh first.
+_LEASE_KINDS = frozenset({"expire", "overdue", "scan", "steal"})
+
+#: ``(key, worker, remaining indices with the active one first,
+#: renewal nonce)``; a ``None`` nonce means the holder is known gone.
+LeaseInfo = Tuple[object, str, List[int], object]
+
 
 def _fresh_job_id() -> str:
     return uuid.uuid4().hex[:12]
+
+
+def _outcome_index(payload) -> Optional[int]:
+    """The index an outcome payload claims, or ``None`` if it has none."""
+    try:
+        return int(payload["index"])
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def campaign_hash(items: List[Tuple[int, Spec]]) -> str:
@@ -99,26 +132,64 @@ def campaign_hash(items: List[Tuple[int, Spec]]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-class _BrokerBase:
-    """Job bookkeeping and the resume ledger, shared by both transports.
+@dataclasses.dataclass
+class _Lease:
+    """What the broker last observed of one outstanding lease."""
+
+    worker: str = ""
+    remaining: List[int] = dataclasses.field(default_factory=list)
+    nonce: object = None
+    #: Broker time at which the lease expires unless its nonce changes.
+    expires: Optional[float] = None
+    active: Optional[int] = None
+    #: Broker time at which the active index becomes overdue.
+    overdue: Optional[float] = None
+
+
+class Broker:
+    """Every broker policy decision, independent of the transport.
+
+    Retry backoff, lease expiry, the spec-deadline backstop, the steal
+    trigger and the ``result_timeout`` stall guard are timers
+    ``(due, priority, seq, kind, key)`` on one heap, fired by
+    :meth:`step` in due order.  A lease expires by one rule on every
+    transport: its renewal nonce has not changed for
+    ``lease_timeout`` of broker time.  The spec-deadline backstop
+    times a unit from the moment it became its lease's active task.
+
+    ``transport`` supplies the mechanics — a :class:`WorkDir`, the TCP
+    server's shared state, or a test's in-memory fake — through the
+    operations :class:`WorkDir` documents: ``publish`` (start a job)
+    and ``enqueue`` chunks, list ``leases`` as :data:`LeaseInfo`,
+    ``reclaim`` a lease, ``split`` its tail, report ``demand``,
+    ``retire`` a worker, and ``pop_outcomes``.
 
     ``ledger_path=None`` disables journaling (and therefore resume).
     """
 
     def __init__(
         self,
+        transport,
         *,
-        poll: float,
-        result_timeout: Optional[float],
-        ledger_path: Optional[Path] = None,
+        poll: float = 0.05,
+        lease_timeout: float = 60.0,
+        result_timeout: Optional[float] = None,
+        chunk_size: int = 1,
+        ledger_path: Union[str, Path, None] = None,
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
         backoff_base: float = 0.05,
         health_threshold: Optional[int] = None,
-    ):
+    ) -> None:
         if poll <= 0:
             raise SchedulingError(f"poll must be > 0, got {poll}")
+        if lease_timeout <= 0:
+            raise SchedulingError(
+                f"lease_timeout must be > 0, got {lease_timeout}"
+            )
+        if chunk_size < 1:
+            raise SchedulingError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_retries < 0:
             raise SchedulingError(
                 f"max_retries must be >= 0, got {max_retries}"
@@ -132,9 +203,12 @@ class _BrokerBase:
                 f"health_threshold must be >= 1, got {health_threshold}"
             )
         validate_on_error(on_error)
+        self._transport = transport
         self.poll = float(poll)
+        self.lease_timeout = float(lease_timeout)
         self.result_timeout = result_timeout
-        self.ledger_path = ledger_path
+        self.chunk_size = int(chunk_size)
+        self.ledger_path = Path(ledger_path) if ledger_path else None
         self.max_retries = int(max_retries)
         self.on_error = on_error
         self.spec_timeout = (
@@ -142,29 +216,56 @@ class _BrokerBase:
         )
         self.backoff_base = float(backoff_base)
         self.health_threshold = health_threshold
+        # Listing leases reads every claimed chunk on a shared
+        # filesystem, and expiry only needs a fraction of the lease
+        # timeout's resolution: scan at most once a second.
+        self.scan_interval = min(1.0, self.lease_timeout / 4.0)
+        #: Backstop delay after a unit becomes active.  The worker-side
+        #: watchdog fires at exactly the deadline; the backstop waits
+        #: twice that plus a second, so it only acts where the watchdog
+        #: could not (worker thread, non-POSIX host, wedged C code).
+        self._grace: Optional[float] = None
+        if self.spec_timeout is not None:
+            self.scan_interval = min(
+                self.scan_interval, self.spec_timeout / 2.0
+            )
+            self._grace = 2.0 * self.spec_timeout + 1.0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget every trace of the previous job."""
         self.job: Optional[str] = None
         self.requeued_total = 0
+        self.failure_report = FailureReport()
+        self.retired_workers: Set[str] = set()
         self._expected: Set[int] = set()
         self._resolved: Set[int] = set()
         self._replayed: List[Tuple[int, ScenarioResult]] = []
         self._items: Dict[int, Spec] = {}
         self._attempts: Dict[int, int] = {}
-        self._retry_due: List[Tuple[float, int]] = []
-        self.failure_report = FailureReport()
         self._health: Dict[str, int] = {}
-        self.retired_workers: Set[str] = set()
+        self._stolen = 0
+        self._timers: List[Tuple[float, int, int, str, object]] = []
+        self._seq = itertools.count()
+        self._seen: Dict[object, _Lease] = {}
+        self._hungry: Dict[str, object] = {}
+        self._retries_pending = 0
+        #: Broker time of the last accepted outcome; ``None`` until the
+        #: first :meth:`step` of the job arms the periodic timers.
+        self._progress: Optional[float] = None
 
-    def _begin(
+    def submit(
         self,
         items: List[Tuple[int, Spec]],
         *,
         resume: bool = False,
         campaign: Optional[str] = None,
-    ) -> Tuple[str, List[Tuple[int, Spec]]]:
-        """Start a job; returns ``(job_id, still-to-run items)``.
+    ) -> None:
+        """Start a job and publish its still-to-run work units.
 
         With ``resume=True`` the ledger's validated entries are marked
-        resolved and excluded from the returned work list.
+        resolved, queued for :meth:`outcomes` to replay, and not
+        published.
 
         ``campaign`` is the *full* campaign's content hash.  Callers
         that submit a filtered subset (the runner strips result-cache
@@ -182,17 +283,10 @@ class _BrokerBase:
                 "resume requested but this broker has no ledger: the "
                 "TCP transport only journals when ledger_path= is set"
             )
+        self._reset()
         self.job = _fresh_job_id()
         self._expected = {index for index, _spec in items}
-        self._resolved = set()
-        self._replayed = []
-        self.requeued_total = 0
         self._items = {int(i): spec for i, spec in items}
-        self._attempts = {}
-        self._retry_due = []
-        self.failure_report = FailureReport()
-        self._health = {}
-        self.retired_workers = set()
         if self.ledger_path is not None:
             digest = campaign or campaign_hash(items)
             try:
@@ -201,16 +295,19 @@ class _BrokerBase:
                 # A refused resume must not wedge the broker in
                 # "unfinished campaign" state: the caller may retry
                 # submit() (e.g. without resume) on this instance.
-                self.job = None
-                self._expected = set()
-                self._resolved = set()
+                self._reset()
                 raise
         todo = [
             (index, spec)
             for index, spec in items
             if index not in self._resolved
         ]
-        return self.job, todo
+        self._transport.publish(
+            self.job,
+            todo,
+            chunk_size=self.chunk_size,
+            timeout=self.spec_timeout,
+        )
 
     # ------------------------------------------------------------------
     # Resume ledger
@@ -323,16 +420,16 @@ class _BrokerBase:
         """Fault/balance counters for the current campaign.
 
         ``requeued`` counts work units returned to the queue (expired
-        leases, dead connections); ``stolen`` counts chunk-steal
-        events (splits of a busy worker's lease for an idle one);
-        ``retried`` counts re-executions charged to retry budgets;
-        ``quarantined`` counts specs abandoned after exhausting
-        theirs; ``retired`` counts workers blacklisted by health
-        scoring.  Transports override to fold in their own counters.
+        leases, dead connections, the rest of a backstopped lease);
+        ``stolen`` counts work units moved by chunk steals (splits of
+        a busy worker's lease for an idle one); ``retried`` counts
+        re-executions charged to retry budgets; ``quarantined`` counts
+        specs abandoned after exhausting theirs; ``retired`` counts
+        workers blacklisted by health scoring.
         """
         return {
             "requeued": self.requeued_total,
-            "stolen": 0,
+            "stolen": self._stolen,
             "retried": self.failure_report.retries,
             "quarantined": len(self.failure_report.quarantined),
             "retired": len(self.retired_workers),
@@ -342,8 +439,197 @@ class _BrokerBase:
         while self._replayed:
             yield self._replayed.pop(0)
 
+    @property
+    def worker_health(self) -> Dict[str, int]:
+        """Current per-worker failure scores (telemetry snapshot)."""
+        return dict(self._health)
+
+    @property
+    def done(self) -> bool:
+        return self._expected == self._resolved
+
+    @property
+    def remaining(self) -> int:
+        """Unresolved work units (drives the runner's autoscaler)."""
+        return len(self._expected - self._resolved)
+
     # ------------------------------------------------------------------
-    def _accept(self, payload: Dict) -> Optional[Tuple[int, ScenarioResult]]:
+    # The state machine
+    # ------------------------------------------------------------------
+    def outcomes(self) -> Iterator[Tuple[int, ScenarioResult]]:
+        """Yield ``(index, result)`` until every unit is resolved.
+
+        Ledger replays come first; then one :meth:`step` per ``poll``
+        seconds of this host's monotonic clock, the only clock the
+        broker reads.
+        """
+        yield from self._drain_replayed()
+        while not self.done:
+            idle = True
+            for accepted in self.step(time.monotonic()):
+                idle = False
+                yield accepted
+            if idle:
+                time.sleep(self.poll)
+
+    def step(self, now: float) -> Iterator[Tuple[int, ScenarioResult]]:
+        """Advance to broker time ``now``.
+
+        Yields each polled outcome the broker accepts, then fires every
+        timer due by ``now``.  Outcomes are polled one at a time, so a
+        consumer that stops early leaves the rest with the transport.
+        """
+        if self._progress is None:
+            self._progress = now
+            self._arm(now, "scan")
+            if self.chunk_size > 1:  # single-task chunks never split
+                self._arm(now, "steal")
+            if self.result_timeout is not None:
+                self._arm(now + self.result_timeout, "stall")
+        for payload in self._transport.pop_outcomes(self.job):
+            accepted = self._accept(payload, now)
+            if accepted is not None:
+                self._progress = now
+                yield accepted
+        listed = False
+        while self._timers and self._timers[0][0] <= now:
+            _due, _priority, _seq, kind, key = heapq.heappop(self._timers)
+            if kind in ("expire", "overdue") and not self._lapsed(key, now):
+                continue  # renewed, or a later task became active
+            if kind in _LEASE_KINDS and not listed:
+                self._observe(now)
+                listed = True
+            getattr(self, f"_on_{kind}")(now, key)
+
+    def _lapsed(self, key: object, now: float) -> bool:
+        """Has lease ``key`` expired or gone overdue, as last observed?
+        Only then is it worth listing the leases afresh to confirm."""
+        lease = self._seen.get(key)
+        return lease is not None and (
+            now >= lease.expires
+            or (lease.overdue is not None and now >= lease.overdue)
+        )
+
+    def _arm(self, due: float, kind: str, key: object = None) -> None:
+        heapq.heappush(
+            self._timers, (due, _PRIORITY[kind], next(self._seq), kind, key)
+        )
+
+    def _observe(self, now: float) -> None:
+        """List the leases: arm expiry on every new renewal nonce and
+        the spec-deadline backstop on every new active index."""
+        seen: Dict[object, _Lease] = {}
+        for key, worker, remaining, nonce in self._transport.leases(
+            self.job
+        ):
+            lease = self._seen.get(key) or _Lease()
+            lease.worker, lease.remaining = worker, remaining
+            if lease.expires is None or lease.nonce != nonce:
+                lease.nonce = nonce
+                # A holder known to be gone expires at once.
+                lease.expires = now + (
+                    0.0 if nonce is None else self.lease_timeout
+                )
+                self._arm(lease.expires, "expire", key)
+            active = remaining[0] if remaining else None
+            if self._grace is not None and (
+                lease.overdue is None or lease.active != active
+            ):
+                lease.active, lease.overdue = active, now + self._grace
+                self._arm(lease.overdue, "overdue", key)
+            seen[key] = lease
+        self._seen = seen
+
+    def _on_retry(self, now: float, index: int) -> None:
+        self._retries_pending -= 1
+        if index not in self._resolved:
+            self._requeue(index)
+
+    def _requeue(self, index: int) -> None:
+        self._transport.enqueue(
+            self.job,
+            [(index, self._items[index])],
+            chunk_size=1,
+            timeout=self.spec_timeout,
+        )
+
+    def _on_expire(self, now: float, key: object) -> None:
+        lease = self._seen.get(key)
+        if lease is None or now < lease.expires:
+            return  # renewed since this timer was armed
+        del self._seen[key]
+        requeued = self._transport.reclaim(key)
+        self.requeued_total += requeued
+        if requeued:
+            self._note_worker(lease.worker, 2)
+
+    def _on_overdue(self, now: float, key: object) -> None:
+        lease = self._seen.get(key)
+        if lease is None or now < lease.overdue:
+            return  # a later task became active since
+        index = lease.active
+        if index in self._resolved or index not in self._expected:
+            return
+        # The hung worker keeps heartbeating, so its lease never
+        # expires: take the rest of the lease back as well.
+        del self._seen[key]
+        self.requeued_total += self._transport.reclaim(key, skip=index)
+        self._spec_failed(
+            index,
+            SpecTimeout(
+                f"spec {index} exceeded its {self.spec_timeout:.3g}s "
+                "deadline (broker backstop; worker still holds the "
+                "lease)",
+                exc_type="SpecTimeout",
+            ),
+            now,
+            lease.worker,
+        )
+
+    def _on_scan(self, now: float, _key: object) -> None:
+        self._arm(now + self.scan_interval, "scan")
+
+    def _on_steal(self, now: float, _key: object) -> None:
+        """Split the biggest lease while a worker is starving: its
+        demand nonce changed since the last check.
+
+        An empty queue alone is not demand: with every worker busy on
+        its own chunk, splitting would only decay chunks to single
+        tasks and bring back the per-task overhead chunking saves.
+        """
+        self._arm(now + self.scan_interval, "steal")
+        demand, last = self._transport.demand(), self._hungry
+        self._hungry = demand
+        if all(last.get(who) == nonce for who, nonce in demand.items()):
+            return
+        victims = [
+            key
+            for key, lease in self._seen.items()
+            if len(lease.remaining) > 1
+        ]
+        if victims:
+            victim = max(
+                victims, key=lambda key: len(self._seen[key].remaining)
+            )
+            self._stolen += self._transport.split(victim)
+
+    def _on_stall(self, now: float, _key: object) -> None:
+        if self._retries_pending:
+            self._progress = now  # waiting out a backoff is no stall
+        if now < self._progress + self.result_timeout:
+            self._arm(self._progress + self.result_timeout, "stall")
+            return
+        missing = sorted(self._expected - self._resolved)
+        raise SchedulingError(
+            f"no worker progress in {self.result_timeout:.0f}s; "
+            f"{len(missing)} unit(s) unresolved (first: "
+            f"{missing[:5]}) — are any workers attached?"
+        )
+
+    # ------------------------------------------------------------------
+    def _accept(
+        self, payload: object, now: float
+    ) -> Optional[Tuple[int, ScenarioResult]]:
         """Validate one outcome payload; ``None`` if stale/duplicate.
 
         Error outcomes flow into the retry/quarantine machinery; a
@@ -354,35 +640,33 @@ class _BrokerBase:
             job, index, outcome = parse_outcome(payload)
         except SchedulingError:
             self._note_worker(outcome_worker(payload), 2)
-            try:
-                index = int(payload.get("index", -1))
-            except (TypeError, ValueError, AttributeError):
-                index = -1
+            index = _outcome_index(payload)
             if (
-                payload.get("job") == self.job
+                index is not None
+                and payload.get("job") == self.job
                 and index in self._expected
                 and index not in self._resolved
             ):
                 self.requeued_total += 1
-                self._requeue_index(index)
+                self._requeue(index)
             return None
         if job != self.job or index not in self._expected:
             return None  # another campaign's straggler
         if index in self._resolved:
             return None  # duplicate after a lease requeue
         if isinstance(outcome, SchedulingError):
-            self._spec_failed(index, outcome, outcome_worker(payload))
+            self._spec_failed(index, outcome, now, outcome_worker(payload))
             return None
         self._resolved.add(index)
         self._journal(index, outcome)
         return index, outcome
 
     def _spec_failed(
-        self, index: int, exc: SchedulingError, worker: str = ""
+        self, index: int, exc: SchedulingError, now: float, worker: str = ""
     ) -> None:
         """Charge one failed execution against ``index``'s budget.
 
-        Within budget: schedule a deterministic-backoff retry.  Budget
+        Within budget: arm a deterministic-backoff retry.  Budget
         exhausted: quarantine (policy ``"quarantine"``) or raise (the
         default — same first-failure abort as before this layer, down
         to the message the pinned tests match).
@@ -396,10 +680,9 @@ class _BrokerBase:
         if attempts <= self.max_retries:
             self.failure_report.retries += 1
             seed = int(getattr(self._items.get(index), "seed", 0) or 0)
-            due = time.monotonic() + backoff_delay(
-                seed, attempts, base=self.backoff_base
-            )
-            self._retry_due.append((due, index))
+            delay = backoff_delay(seed, attempts, base=self.backoff_base)
+            self._retries_pending += 1
+            self._arm(now + delay, "retry", index)
             return
         if self.on_error == "quarantine":
             spec = self._items.get(index)
@@ -422,31 +705,6 @@ class _BrokerBase:
             f"worker failed executing scenario {index}: {exc}"
         )
 
-    def _flush_retries(self) -> None:
-        """Republish every retry whose backoff has elapsed."""
-        if not self._retry_due:
-            return
-        now = time.monotonic()
-        due = [entry for entry in self._retry_due if entry[0] <= now]
-        if not due:
-            return
-        self._retry_due = [
-            entry for entry in self._retry_due if entry[0] > now
-        ]
-        for _, index in sorted(due, key=lambda entry: entry[1]):
-            if index not in self._resolved:
-                self._requeue_index(index)
-
-    def _requeue_index(self, index: int) -> None:
-        """Transport hook: republish one work unit."""
-        raise NotImplementedError
-
-    def _pending_retries(self) -> bool:
-        return bool(self._retry_due)
-
-    # ------------------------------------------------------------------
-    # Worker health
-    # ------------------------------------------------------------------
     def _note_worker(self, worker: str, weight: int) -> None:
         """Add ``weight`` to a worker's failure score; retire at the
         threshold (error outcome +1, crash/stale lease +2, corrupt
@@ -460,225 +718,30 @@ class _BrokerBase:
             and self._health[worker] >= self.health_threshold
         ):
             self.retired_workers.add(worker)
-            self._retire_worker(worker)
-
-    def _retire_worker(self, worker: str) -> None:
-        """Transport hook: stop ``worker`` from winning further leases."""
-
-    @property
-    def worker_health(self) -> Dict[str, int]:
-        """Current per-worker failure scores (telemetry snapshot)."""
-        return dict(self._health)
-
-    @property
-    def done(self) -> bool:
-        return self._expected == self._resolved
-
-    @property
-    def remaining(self) -> int:
-        """Unresolved work units (drives the runner's autoscaler)."""
-        return len(self._expected - self._resolved)
-
-    def _check_stalled(self, last_progress: float) -> None:
-        if (
-            self.result_timeout is not None
-            and time.monotonic() - last_progress > self.result_timeout
-        ):
-            missing = sorted(self._expected - self._resolved)
-            raise SchedulingError(
-                f"no worker progress in {self.result_timeout:.0f}s; "
-                f"{len(missing)} unit(s) unresolved (first: "
-                f"{missing[:5]}) — are any workers attached?"
-            )
+            self._transport.retire(worker)
 
 
 # ----------------------------------------------------------------------
 # Shared-directory transport
 # ----------------------------------------------------------------------
-class DirectoryBroker(_BrokerBase):
+class DirectoryBroker(Broker):
     """Serve a campaign out of a shared work directory.
 
-    The resume ledger lives at ``<root>/ledger.jsonl``; pass
+    ``options`` are :class:`Broker`'s, except ``ledger_path``: the
+    resume ledger lives at ``<root>/ledger.jsonl``; pass
     ``submit(..., resume=True)`` after a broker crash to re-collect
-    journaled results instead of re-running them.
+    journaled results instead of re-running them.  A lease is a claimed
+    chunk file; its renewal nonce is the lease stamp inside the payload
+    (the file's mtime when the payload carries none), so worker clocks
+    never enter an expiry decision.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        *,
-        poll: float = 0.05,
-        lease_timeout: float = 60.0,
-        result_timeout: Optional[float] = None,
-        chunk_size: int = 1,
-        max_retries: int = 0,
-        on_error: str = "raise",
-        spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
-        health_threshold: Optional[int] = None,
-    ) -> None:
-        workdir = WorkDir(root)
+    def __init__(self, root: Union[str, Path], **options) -> None:
+        self.workdir = WorkDir(root)
         super().__init__(
-            poll=poll,
-            result_timeout=result_timeout,
-            ledger_path=workdir.ledger_path,
-            max_retries=max_retries,
-            on_error=on_error,
-            spec_timeout=spec_timeout,
-            backoff_base=backoff_base,
-            health_threshold=health_threshold,
+            self.workdir, ledger_path=self.workdir.ledger_path, **options
         )
-        if lease_timeout <= 0:
-            raise SchedulingError(
-                f"lease_timeout must be > 0, got {lease_timeout}"
-            )
-        if chunk_size < 1:
-            raise SchedulingError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.workdir = workdir
-        self.lease_timeout = float(lease_timeout)
-        self.chunk_size = int(chunk_size)
-        self.split_total = 0
-        # Persistent scan state for change-based lease/demand expiry:
-        # worker clocks never enter the comparisons (NFS fleets skew).
-        self._lease_obs: Dict[str, Tuple[float, float]] = {}
-        self._starve_obs: Dict[str, Tuple[float, float]] = {}
-        # Overdue-spec backstop state: (chunk, index) -> first seen
-        # as the active task, plus the set already charged.
-        self._active_obs: Dict[Tuple[str, int], float] = {}
-        self._overdue_fired: Set[Tuple[str, int]] = set()
         self.workdir.ensure_layout()
-
-    def submit(
-        self,
-        items: List[Tuple[int, Spec]],
-        *,
-        resume: bool = False,
-        campaign: Optional[str] = None,
-    ) -> None:
-        job, todo = self._begin(items, resume=resume, campaign=campaign)
-        self.workdir.publish(
-            job, todo, chunk_size=self.chunk_size, timeout=self.spec_timeout
-        )
-
-    def _requeue_index(self, index: int) -> None:
-        spec = self._items.get(index)
-        if spec is None:
-            return
-        self.workdir.enqueue(
-            str(self.job),
-            [(index, spec)],
-            chunk_size=1,
-            timeout=self.spec_timeout,
-        )
-
-    def _retire_worker(self, worker: str) -> None:
-        self.workdir.retire(worker)
-
-    def _scan_overdue(self) -> None:
-        """Broker-side spec-deadline backstop for the directory queue.
-
-        A hung spec keeps its lease alive (the heartbeat thread is
-        separate from the wedged executor), so lease expiry can never
-        catch it.  Instead, watch each claimed chunk's *active* task:
-        if the same index stays active well past ``spec_timeout``,
-        charge it as a timeout.  The worker-side watchdog fires at
-        exactly the deadline; this backstop waits twice that plus a
-        second so it only acts when the watchdog could not (worker
-        thread, non-POSIX platform, wedged C extension).
-        """
-        if self.spec_timeout is None:
-            return
-        grace = 2.0 * self.spec_timeout + 1.0
-        now = time.monotonic()
-        live: Set[Tuple[str, int]] = set()
-        for path in sorted(self.workdir.claimed.glob("chunk-*.json")):
-            payload = self.workdir.refresh(path.name)
-            if payload is None or payload.get("job") != self.job:
-                continue
-            active = payload.get("active")
-            if not isinstance(active, dict):
-                continue
-            try:
-                index = int(active.get("index", -1))
-            except (TypeError, ValueError):
-                continue
-            key = (path.name, index)
-            live.add(key)
-            first_seen = self._active_obs.setdefault(key, now)
-            if key in self._overdue_fired:
-                continue
-            if now - first_seen <= grace:
-                continue
-            self._overdue_fired.add(key)
-            if index in self._resolved or index not in self._expected:
-                continue
-            worker = str(payload.get("worker") or "")
-            self._note_worker(worker, 1)
-            self._spec_failed(
-                index,
-                SpecTimeout(
-                    f"spec {index} exceeded its "
-                    f"{self.spec_timeout:.3g}s deadline (broker "
-                    "backstop; worker still holds the lease)",
-                    exc_type="SpecTimeout",
-                ),
-                worker="",
-            )
-        for key in list(self._active_obs):
-            if key not in live:
-                del self._active_obs[key]
-                self._overdue_fired.discard(key)
-
-    def outcomes(self) -> Iterator[Tuple[int, ScenarioResult]]:
-        yield from self._drain_replayed()
-        # Expiry/steal scans read every claimed chunk's payload; on a
-        # big fleet over NFS that is real I/O, and their resolution
-        # only needs to be a fraction of the lease timeout — not every
-        # poll tick.
-        scan_interval = min(1.0, self.lease_timeout / 4.0)
-        if self.spec_timeout is not None:
-            scan_interval = min(scan_interval, self.spec_timeout / 2.0)
-        last_scan = -scan_interval
-        last_progress = time.monotonic()
-        while not self.done:
-            got_any = False
-            for payload in self.workdir.pop_outcomes(self.job):
-                accepted = self._accept(payload)
-                if accepted is not None:
-                    got_any = True
-                    yield accepted
-            self._flush_retries()
-            if got_any:
-                last_progress = time.monotonic()
-                continue
-            now = time.monotonic()
-            if now - last_scan >= scan_interval:
-                last_scan = now
-                expired_workers: List[str] = []
-                self.requeued_total += self.workdir.requeue_expired(
-                    self.lease_timeout,
-                    self._lease_obs,
-                    expired_workers=expired_workers,
-                )
-                for worker in expired_workers:
-                    self._note_worker(worker, 2)
-                self._scan_overdue()
-                if self.chunk_size > 1:  # single-task chunks never split
-                    self.split_total += self.workdir.split_starved(
-                        observed=self._starve_obs
-                    )
-            if not self._pending_retries():
-                self._check_stalled(last_progress)
-            else:
-                last_progress = time.monotonic()
-            time.sleep(self.poll)
-
-    @property
-    def telemetry(self) -> Dict[str, int]:
-        data = super().telemetry
-        data["requeued"] = self.requeued_total
-        data["stolen"] = self.split_total
-        return data
 
     def close(self) -> None:
         """Tell idle workers to exit (the shutdown marker persists)."""
@@ -699,20 +762,25 @@ class DirectoryBroker(_BrokerBase):
 # TCP transport
 # ----------------------------------------------------------------------
 class _TCPState:
-    """Queue state shared between the server threads and the broker.
+    """Queue state shared between the server threads and the broker,
+    and the TCP transport the :class:`Broker` drives.
 
     ``pending`` holds chunks (lists of task payloads); ``owner`` maps
     every leased task index to the session that holds it, ``sessions``
-    the reverse; ``last_beat`` is per-session heartbeat time driving
-    the optional lease timeout; ``stolen`` collects indices taken from
-    a session so its next outcome ack tells it to skip them.
+    the reverse.  ``beats`` counts each connected session's requests —
+    the renewal nonce of its lease; a closed session has no entry.
+    ``waits`` counts each session's lease requests answered ``wait``
+    since its last task — its demand signal.  ``stolen`` collects
+    indices taken from a session so its next outcome ack tells it to
+    skip them.
     """
 
     def __init__(self, poll: float) -> None:
         # A contract lock (plain Lock unless REPRO_CONTRACT_LOCKS is
-        # set): every helper below runs with it held by the caller
-        # and declares so via assert_held — statically checked by
-        # RACE001, verified at runtime in assertion mode.
+        # set): the transport methods take it, and the helpers the
+        # connection threads call run with it held and declare so via
+        # assert_held — statically checked by RACE001, verified at
+        # runtime in assertion mode.
         self.lock = contract_lock("tcp-state")
         self.poll = poll
         self.job: Optional[str] = None
@@ -720,95 +788,132 @@ class _TCPState:
         self.tasks: Dict[int, Dict] = {}
         self.owner: Dict[int, str] = {}
         self.sessions: Dict[str, Set[int]] = {}
-        self.last_beat: Dict[str, float] = {}
+        self.beats: Dict[str, int] = {}
+        self.waits: Dict[str, int] = {}
         self.stolen: Dict[str, Set[int]] = {}
         self.conns: Dict[str, object] = {}
-        self.outcomes: "queue.Queue[Dict]" = queue.Queue()
+        self.outcomes: "queue.Queue[object]" = queue.Queue()
         self.closing = False
-        self.requeued = 0
-        self.steals = 0
-        #: Worker health plumbing: session -> self-reported worker
-        #: token, retired (blacklisted) tokens, and (token, weight)
-        #: events the connection threads leave for the broker thread.
+        #: Session -> self-reported worker token, and the retired
+        #: (blacklisted) tokens.
         self.worker_by_session: Dict[str, str] = {}
         self.retired: Set[str] = set()
-        self.health_events: List[Tuple[str, int]] = []
-        #: When each leased index started executing (spec-deadline
-        #: backstop); keyed by index, reset on every (re)lease.
-        self.lease_start: Dict[int, float] = {}
 
-    # All methods below assume ``self.lock`` is held by the caller.
+    # -- the transport (see Broker) --------------------------------------
+    def publish(
+        self,
+        job: str,
+        items: List[Tuple[int, Spec]],
+        *,
+        chunk_size: int,
+        timeout: Optional[float],
+    ) -> None:
+        with self.lock:
+            self.job = job
+            for table in (
+                self.pending,
+                self.tasks,
+                self.owner,
+                self.sessions,
+                self.stolen,
+                self.retired,
+            ):
+                table.clear()
+        self.enqueue(job, items, chunk_size=chunk_size, timeout=timeout)
+
+    def enqueue(
+        self,
+        job: str,
+        items: List[Tuple[int, Spec]],
+        *,
+        chunk_size: int,
+        timeout: Optional[float],
+    ) -> None:
+        chunks = [
+            [
+                task_payload(job, i, spec, timeout=timeout)
+                for i, spec in items[lo : lo + chunk_size]
+            ]
+            for lo in range(0, len(items), chunk_size)
+        ]
+        with self.lock:
+            self.pending.extend(chunks)
+
+    def leases(self, job: str) -> List[LeaseInfo]:
+        with self.lock:
+            return [
+                (
+                    session_id,
+                    self.worker_by_session.get(session_id, ""),
+                    sorted(indices),
+                    self.beats.get(session_id),
+                )
+                for session_id, indices in self.sessions.items()
+                if indices
+            ]
+
+    def reclaim(self, session_id: str, *, skip: Optional[int] = None) -> int:
+        with self.lock:
+            indices = sorted(self.sessions.pop(session_id, ()))
+            chunk = []
+            for index in indices:
+                self.owner.pop(index, None)
+                task = self.tasks.pop(index, None)
+                if task is not None and index != skip:
+                    chunk.append(task)
+            if session_id in self.beats:  # still connected: skip them
+                self.stolen.setdefault(session_id, set()).update(indices)
+            else:
+                self.stolen.pop(session_id, None)
+                self.worker_by_session.pop(session_id, None)
+            if chunk:
+                self.pending.appendleft(chunk)
+            return len(chunk)
+
+    def split(self, session_id: str) -> int:
+        """The victim keeps the front half (it executes front-to-back,
+        so the tail is the least likely to be in flight); its next
+        outcome ack names the stolen indices so it skips them."""
+        with self.lock:
+            ordered = sorted(self.sessions.get(session_id, ()))
+            chunk = []
+            for index in ordered[(len(ordered) + 1) // 2 :]:
+                self.sessions[session_id].discard(index)
+                self.owner.pop(index, None)
+                self.stolen.setdefault(session_id, set()).add(index)
+                chunk.append(self.tasks.pop(index))
+            if chunk:
+                self.pending.append(chunk)
+            return len(chunk)
+
+    def demand(self) -> Dict[str, object]:
+        with self.lock:
+            return {} if self.pending else dict(self.waits)
+
+    def retire(self, worker: str) -> None:
+        with self.lock:
+            self.retired.add(worker)
+
+    def pop_outcomes(self, job: str) -> Iterator[object]:
+        while not self.outcomes.empty():  # the broker is the only reader
+            yield self.outcomes.get_nowait()
+
+    # -- connection-thread helpers: the caller holds ``self.lock`` -------
     def lease_to(self, session_id: str, chunk: List[Dict]) -> None:
         assert_held(self.lock)
-        now = time.monotonic()
         for task in chunk:
             index = int(task["index"])
             self.tasks[index] = task
             self.owner[index] = session_id
             self.sessions.setdefault(session_id, set()).add(index)
-            self.lease_start[index] = now
-        self.last_beat[session_id] = time.monotonic()
+        self.waits.pop(session_id, None)
 
     def release(self, index: int) -> None:
         assert_held(self.lock)
         self.tasks.pop(index, None)
-        self.lease_start.pop(index, None)
         session_id = self.owner.pop(index, None)
         if session_id is not None:
             self.sessions.get(session_id, set()).discard(index)
-
-    def requeue_session(self, session_id: str) -> int:
-        """Return a dead/stale session's leased tasks to the queue."""
-        assert_held(self.lock)
-        indices = sorted(self.sessions.pop(session_id, set()))
-        chunk = []
-        for index in indices:
-            task = self.tasks.pop(index, None)
-            self.owner.pop(index, None)
-            self.lease_start.pop(index, None)
-            if task is not None:
-                chunk.append(task)
-        if chunk:
-            self.pending.appendleft(chunk)
-            self.requeued += len(chunk)
-        self.last_beat.pop(session_id, None)
-        self.stolen.pop(session_id, None)
-        return len(chunk)
-
-    def steal_for(self, thief_id: str) -> Optional[List[Dict]]:
-        """Split the biggest outstanding lease's tail off for a thief.
-
-        The victim keeps the front half (it executes front-to-back, so
-        the tail is the least likely to be in flight); the stolen
-        indices are remembered and reported on the victim's next
-        outcome ack so it stops before executing them.
-        """
-        assert_held(self.lock)
-        victim_id, victim_indices = None, ()
-        for session_id, indices in self.sessions.items():
-            if session_id == thief_id or len(indices) < 2:
-                continue
-            if len(indices) > len(victim_indices):
-                victim_id, victim_indices = session_id, indices
-        if victim_id is None:
-            return None
-        ordered = sorted(victim_indices)
-        take = ordered[(len(ordered) + 1) // 2 :]
-        if not take:
-            return None
-        chunk = []
-        for index in take:
-            task = self.tasks.get(index)
-            if task is None:
-                continue
-            self.sessions[victim_id].discard(index)
-            self.stolen.setdefault(victim_id, set()).add(index)
-            chunk.append(task)
-        if not chunk:
-            return None
-        self.lease_to(thief_id, chunk)
-        self.steals += 1
-        return chunk
 
 
 class _WorkerConnection(socketserver.StreamRequestHandler):
@@ -820,12 +925,15 @@ class _WorkerConnection(socketserver.StreamRequestHandler):
         worker_token = ""
         with state.lock:
             state.conns[session_id] = self.connection
+            state.beats[session_id] = 0
         try:
             while True:
                 msg = recv_msg(self.rfile)
                 if msg is None:
                     break
                 op = msg.get("op")
+                with state.lock:
+                    state.beats[session_id] += 1
                 if op == "hello":
                     if msg.get("version") != PROTOCOL_VERSION:
                         send_msg(
@@ -858,47 +966,44 @@ class _WorkerConnection(socketserver.StreamRequestHandler):
                             state.lease_to(session_id, chunk)
                             reply = {"op": "task", "tasks": chunk}
                         else:
-                            chunk = state.steal_for(session_id)
-                            if chunk is not None:
-                                reply = {"op": "task", "tasks": chunk}
-                            else:
-                                reply = {"op": "wait", "poll": state.poll}
+                            state.waits[session_id] = (
+                                state.waits.get(session_id, 0) + 1
+                            )
+                            reply = {"op": "wait", "poll": state.poll}
                     send_msg(self.wfile, reply)
                 elif op == "heartbeat":
-                    with state.lock:
-                        state.last_beat[session_id] = time.monotonic()
                     send_msg(self.wfile, {"op": "ok"})
                 elif op == "outcome":
                     payload = msg.get("outcome")
-                    if not isinstance(payload, dict) or "index" not in payload:
-                        break
-                    index = int(payload["index"])
+                    index = _outcome_index(payload)
                     with state.lock:
                         # Only the live campaign's outcomes release a
                         # lease: a straggler from a previous job would
                         # be dropped by the broker's job filter, and
                         # disowning the current holder's lease here
                         # would leave the index unrecoverable if that
-                        # holder later dies.
-                        if payload.get("job") == state.job:
+                        # holder later dies.  Malformed payloads are
+                        # the broker's to judge, like any other.
+                        if index is not None and (
+                            payload.get("job") == state.job
+                        ):
                             state.release(index)
-                        state.last_beat[session_id] = time.monotonic()
                         stolen = sorted(state.stolen.pop(session_id, ()))
                     state.outcomes.put(payload)
                     send_msg(self.wfile, {"op": "ok", "stolen": stolen})
                 else:
                     break
         except (OSError, ValueError):
-            pass  # connection died; fall through to requeue
+            pass  # connection died; the broker reclaims its lease
         finally:
             with state.lock:
                 state.conns.pop(session_id, None)
-                requeued = state.requeue_session(session_id)
-                state.worker_by_session.pop(session_id, None)
-                if requeued and worker_token:
-                    # Died holding work: a crash signal for the
-                    # broker thread's health scoring.
-                    state.health_events.append((worker_token, 2))
+                state.beats.pop(session_id, None)
+                state.waits.pop(session_id, None)
+                if not state.sessions.get(session_id):
+                    state.sessions.pop(session_id, None)
+                    state.stolen.pop(session_id, None)
+                    state.worker_by_session.pop(session_id, None)
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -906,53 +1011,26 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
-class TCPBroker(_BrokerBase):
+class TCPBroker(Broker):
     """Serve a campaign over a listening TCP socket.
 
-    Binding happens in the constructor, so ``address`` (useful with
-    port 0 for an ephemeral port) is known before any worker starts.
-    The accept loop runs in a daemon thread; lost connections requeue
-    their outstanding leases automatically, and ``lease_timeout``
-    (heartbeat-based) additionally requeues leases of workers that are
-    connected but silent — e.g. hung mid-scenario.  ``ledger_path``
-    enables the resume ledger for TCP campaigns too.
+    ``options`` are :class:`Broker`'s; ``ledger_path`` enables the
+    resume ledger for TCP campaigns.  Binding happens in the
+    constructor, so ``address`` (useful with port 0 for an ephemeral
+    port) is known before any worker starts.  The accept loop runs in a
+    daemon thread.  A lease belongs to one worker session; its renewal
+    nonce counts the session's requests (leases, heartbeats,
+    outcomes), so a connected but silent worker — e.g. hung
+    mid-scenario — loses its lease after ``lease_timeout``, and a
+    closed connection loses it at the broker's next scan.
     """
 
     def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        poll: float = 0.05,
-        result_timeout: Optional[float] = None,
-        lease_timeout: Optional[float] = None,
-        chunk_size: int = 1,
-        ledger_path: Union[str, Path, None] = None,
-        max_retries: int = 0,
-        on_error: str = "raise",
-        spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
-        health_threshold: Optional[int] = None,
+        self, host: str = "127.0.0.1", port: int = 0, **options
     ) -> None:
-        super().__init__(
-            poll=poll,
-            result_timeout=result_timeout,
-            ledger_path=Path(ledger_path) if ledger_path else None,
-            max_retries=max_retries,
-            on_error=on_error,
-            spec_timeout=spec_timeout,
-            backoff_base=backoff_base,
-            health_threshold=health_threshold,
-        )
-        if lease_timeout is not None and lease_timeout <= 0:
-            raise SchedulingError(
-                f"lease_timeout must be > 0, got {lease_timeout}"
-            )
-        if chunk_size < 1:
-            raise SchedulingError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.lease_timeout = lease_timeout
-        self.chunk_size = int(chunk_size)
-        self._state = _TCPState(self.poll)
+        self._state = _TCPState(poll=0.0)
+        super().__init__(self._state, **options)
+        self._state.poll = self.poll  # validated by Broker
         self._server = _TCPServer((host, port), _WorkerConnection)
         self._server.state = self._state  # type: ignore[attr-defined]
         self._thread = threading.Thread(
@@ -966,153 +1044,6 @@ class TCPBroker(_BrokerBase):
     def address(self) -> Tuple[str, int]:
         host, port = self._server.server_address[:2]
         return str(host), int(port)
-
-    def submit(
-        self,
-        items: List[Tuple[int, Spec]],
-        *,
-        resume: bool = False,
-        campaign: Optional[str] = None,
-    ) -> None:
-        job, todo = self._begin(items, resume=resume, campaign=campaign)
-        with self._state.lock:
-            self._state.job = job
-            self._state.pending.clear()
-            self._state.tasks.clear()
-            self._state.owner.clear()
-            self._state.sessions.clear()
-            self._state.stolen.clear()
-            self._state.lease_start.clear()
-            self._state.retired.clear()
-            self._state.health_events.clear()
-            for lo in range(0, len(todo), self.chunk_size):
-                batch = todo[lo : lo + self.chunk_size]
-                self._state.pending.append(
-                    [
-                        task_payload(
-                            job, i, spec, timeout=self.spec_timeout
-                        )
-                        for i, spec in batch
-                    ]
-                )
-
-    def _requeue_index(self, index: int) -> None:
-        spec = self._items.get(index)
-        if spec is None:
-            return
-        task = task_payload(
-            str(self.job), index, spec, timeout=self.spec_timeout
-        )
-        with self._state.lock:
-            if index not in self._state.owner:
-                self._state.pending.append([task])
-
-    def _retire_worker(self, worker: str) -> None:
-        with self._state.lock:
-            self._state.retired.add(worker)
-
-    def _requeue_stale_leases(self) -> None:
-        if self.lease_timeout is None:
-            return
-        deadline = time.monotonic() - self.lease_timeout
-        crashed: List[str] = []
-        with self._state.lock:
-            stale = [
-                session_id
-                for session_id, indices in self._state.sessions.items()
-                if indices
-                and self._state.last_beat.get(session_id, 0.0) < deadline
-            ]
-            for session_id in stale:
-                requeued = self._state.requeue_session(session_id)
-                self.requeued_total += requeued
-                token = self._state.worker_by_session.get(session_id)
-                if requeued and token:
-                    crashed.append(token)
-        for token in crashed:
-            self._note_worker(token, 2)
-
-    def _drain_health_events(self) -> None:
-        with self._state.lock:
-            events = list(self._state.health_events)
-            self._state.health_events.clear()
-        for token, weight in events:
-            self._note_worker(token, weight)
-
-    def _requeue_overdue(self) -> None:
-        """Spec-deadline backstop: reclaim units a worker has held far
-        past the deadline even while heartbeating (hung executor).
-
-        The reclaimed index is marked stolen for its session — when
-        (if) the wedged worker comes back, its next ack tells it to
-        skip the unit — and charged as a timeout through the normal
-        retry/quarantine path.
-        """
-        if self.spec_timeout is None:
-            return
-        grace = 2.0 * self.spec_timeout + 1.0
-        cutoff = time.monotonic() - grace
-        overdue: List[Tuple[int, str]] = []
-        with self._state.lock:
-            for index, started in list(self._state.lease_start.items()):
-                if started >= cutoff or index in self._resolved:
-                    continue
-                session_id = self._state.owner.get(index)
-                if session_id is None:
-                    continue
-                self._state.sessions.get(session_id, set()).discard(
-                    index
-                )
-                self._state.stolen.setdefault(session_id, set()).add(
-                    index
-                )
-                self._state.tasks.pop(index, None)
-                self._state.owner.pop(index, None)
-                self._state.lease_start.pop(index, None)
-                token = self._state.worker_by_session.get(
-                    session_id, ""
-                )
-                overdue.append((index, token))
-        for index, token in overdue:
-            self._note_worker(token, 1)
-            self._spec_failed(
-                index,
-                SpecTimeout(
-                    f"spec {index} exceeded its "
-                    f"{self.spec_timeout:.3g}s deadline (broker "
-                    "backstop; worker still heartbeating)",
-                    exc_type="SpecTimeout",
-                ),
-                worker="",
-            )
-
-    @property
-    def telemetry(self) -> Dict[str, int]:
-        data = super().telemetry
-        with self._state.lock:
-            data["requeued"] = self.requeued_total + self._state.requeued
-            data["stolen"] = self._state.steals
-        return data
-
-    def outcomes(self) -> Iterator[Tuple[int, ScenarioResult]]:
-        yield from self._drain_replayed()
-        last_progress = time.monotonic()
-        while not self.done:
-            self._drain_health_events()
-            self._flush_retries()
-            try:
-                payload = self._state.outcomes.get(timeout=self.poll)
-            except queue.Empty:
-                self._requeue_stale_leases()
-                self._requeue_overdue()
-                if self._pending_retries():
-                    last_progress = time.monotonic()
-                self._check_stalled(last_progress)
-                continue
-            accepted = self._accept(payload)
-            if accepted is not None:
-                last_progress = time.monotonic()
-                yield accepted
 
     def close(self) -> None:
         with self._state.lock:

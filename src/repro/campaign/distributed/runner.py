@@ -86,9 +86,7 @@ class DistributedRunner(GrowableRunnerMixin):
     lease_timeout:
         Seconds without lease renewal before an unfinished claim is
         assumed dead and requeued.  With heartbeats (below) this may
-        be much shorter than the slowest scenario.  ``None`` on the
-        TCP transport disables heartbeat expiry (connection loss still
-        requeues).
+        be much shorter than the slowest scenario.
     heartbeat:
         Interval at which spawned workers renew their leases while
         executing; passed to ``campaign-worker --heartbeat``.
@@ -135,7 +133,7 @@ class DistributedRunner(GrowableRunnerMixin):
         n_local_workers: int = 0,
         autoscale: Optional[Tuple[int, int]] = None,
         poll: float = 0.05,
-        lease_timeout: Optional[float] = 60.0,
+        lease_timeout: float = 60.0,
         heartbeat: Optional[float] = 15.0,
         chunk_size: int = 1,
         resume: bool = False,
@@ -178,7 +176,11 @@ class DistributedRunner(GrowableRunnerMixin):
         self._scaler_stop: Optional[threading.Event] = None
         self._scaler: Optional[threading.Thread] = None
         self._closed = False
-        containment = dict(
+        options = dict(
+            poll=poll,
+            lease_timeout=lease_timeout,
+            result_timeout=result_timeout,
+            chunk_size=chunk_size,
             max_retries=max_retries,
             on_error=on_error,
             spec_timeout=spec_timeout,
@@ -186,28 +188,12 @@ class DistributedRunner(GrowableRunnerMixin):
             health_threshold=health_threshold,
         )
         if workdir is not None:
-            self._broker = DirectoryBroker(
-                workdir,
-                poll=poll,
-                lease_timeout=(
-                    60.0 if lease_timeout is None else lease_timeout
-                ),
-                result_timeout=result_timeout,
-                chunk_size=chunk_size,
-                **containment,
-            )
+            self._broker = DirectoryBroker(workdir, **options)
             self._worker_args = ["--dir", str(workdir)]
         else:
             host, port = listen
             self._broker = TCPBroker(
-                host,
-                int(port),
-                poll=poll,
-                result_timeout=result_timeout,
-                lease_timeout=lease_timeout,
-                chunk_size=chunk_size,
-                ledger_path=ledger,
-                **containment,
+                host, int(port), ledger_path=ledger, **options
             )
             bound_host, bound_port = self._broker.address
             self._worker_args = ["--connect", f"{bound_host}:{bound_port}"]

@@ -10,10 +10,10 @@ queue.  Layout under the root:
 ``claimed/chunk-NNNNNN-<token>.json``
     Chunks a worker has leased.  Claiming is a single ``os.rename``
     from ``pending/`` — atomic on POSIX, so exactly one worker wins a
-    race.  The lease clock is the ``lease`` stamp *inside* the payload
-    (written at claim time, renewed by worker heartbeats); the file's
-    mtime is only a fallback for unreadable payloads, because mtime is
-    coarse or skewed on some shared filesystems.
+    race.  The lease's renewal nonce is the ``lease`` stamp *inside*
+    the payload (written at claim time, renewed by worker heartbeats);
+    the file's mtime is only a fallback for stamp-less payloads,
+    because mtime is coarse or skewed on some shared filesystems.
 ``results/<job>-NNNNNN.json``
     Per-task outcome payloads, written atomically; the broker consumes
     (and deletes) them as they appear, ignoring alien jobs.
@@ -30,10 +30,10 @@ queue.  Layout under the root:
 ``shutdown``
     Marker telling idle workers to exit.
 
-Work stealing: the broker, while polling, splits the largest claimed
-chunk when ``pending/`` runs dry *and* a starving marker is fresh
-(:meth:`WorkDir.split_starved`), so the hungry worker's next claim
-*is* the steal.  Duplicate execution
+Work stealing: the broker splits the largest claimed chunk
+(:meth:`WorkDir.split`) when ``pending/`` runs dry *and* a starving
+marker keeps changing (:meth:`WorkDir.demand`), so the hungry worker's
+next claim *is* the steal.  Duplicate execution
 (a slow worker finishing after its chunk was split or requeued) is
 harmless: execution is deterministic, outcomes are deduplicated by
 index broker-side, and the job token keeps campaigns in the same
@@ -43,7 +43,6 @@ directory from cross-talking.
 from __future__ import annotations
 
 import os
-import time
 import uuid
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -184,187 +183,96 @@ class WorkDir:
         )
         return len(tasks)
 
-    def requeue_expired(
-        self,
-        lease_timeout: float,
-        observed: Optional[Dict[str, Tuple[float, float]]] = None,
-        *,
-        expired_workers: Optional[List[str]] = None,
-    ) -> int:
-        """Requeue chunks whose lease ran out; count requeued *tasks*.
+    def leases(self, job: str) -> List[Tuple[str, str, List[int], float]]:
+        """``job``'s claimed chunks as ``(name, worker, remaining indices
+        with the active one first, renewal nonce)``.
 
-        Expiry is judged on the lease stamp inside the payload (a
-        heartbeating worker keeps it fresh however long its scenario
-        runs); the file mtime is consulted only when the payload
-        carries no stamp.
-
-        ``observed`` is the caller's persistent scan state (chunk file
-        name -> ``(last_stamp, monotonic_first_seen)``).  With it, a
-        lease expires when its stamp has not *changed* for
-        ``lease_timeout`` seconds of this host's monotonic time — the
-        stamp is treated as a renewal nonce, so worker wall clocks
-        (which may be arbitrarily skewed on a multi-host fleet) never
-        enter the comparison.  Without it, the stamp is compared
-        against this host's wall clock directly (one-shot callers).
-
-        ``expired_workers``, if given a list, collects the claiming
-        worker's token (stamped at claim time) for every expired
-        chunk — the broker's crash signal for health scoring.
+        The nonce is the lease stamp inside the payload; the file's
+        mtime stands in only when the payload carries no stamp (a
+        worker that died between the claiming rename and the stamp
+        write).  Unreadable chunks are left out: their tasks cannot be
+        known, so they are never requeued, and the broker's stall
+        guard names the unresolved indices instead.
         """
-        requeued = 0
-        # repro: noqa[DET002] -- lease-expiry clocks; stamps never
-        # reach results (requeued work reruns deterministically)
-        now_wall = time.time()
-        now_mono = time.monotonic()  # repro: noqa[DET002] -- ditto:
-        # renewal-nonce aging only, never part of any result
-        present = set()
+        found = []
         for path in sorted(self.claimed.glob("chunk-*.json")):
             payload = read_json(path)
-            stamp = lease_stamp(payload)
-            if stamp is None:
-                try:
-                    stamp = path.stat().st_mtime
-                except OSError:
-                    continue  # worker finished (or released) mid-scan
-            name = path.name
-            present.add(name)
-            if observed is not None:
-                prev = observed.get(name)
-                if prev is None or prev[0] != stamp:
-                    observed[name] = (stamp, now_mono)
-                    continue  # new or renewed since the last scan
-                if now_mono - prev[1] <= lease_timeout:
-                    continue
-            elif now_wall - stamp <= lease_timeout:
+            if payload is None or payload.get("job") != job:
                 continue
-            if payload is None:
-                # Unreadable and expired.  Do NOT move it to pending/:
-                # claim() deletes unreadable files, which would lose
-                # the tasks for good.  Atomic writes make persistent
-                # corruption near-impossible; if it ever happens the
-                # campaign stalls and the result_timeout guard names
-                # the unresolved indices.
-                continue
-            requeued += self._publish_chunk(
-                str(payload.get("job", "")), _remaining_tasks(payload)
-            )
-            if expired_workers is not None and payload.get("worker"):
-                expired_workers.append(str(payload["worker"]))
+            nonce = lease_stamp(payload)
             try:
-                path.unlink()
-            except OSError:
-                pass
-            present.discard(name)
-        if observed is not None:
-            for name in list(observed):
-                if name not in present:
-                    del observed[name]
+                if nonce is None:
+                    nonce = path.stat().st_mtime
+                remaining = [
+                    int(task["index"]) for task in _remaining_tasks(payload)
+                ]
+            except (OSError, KeyError, TypeError, ValueError):
+                continue  # released mid-scan, or a mangled task
+            worker = str(payload.get("worker") or "")
+            found.append((path.name, worker, remaining, nonce))
+        return found
+
+    def reclaim(self, name: str, *, skip: Optional[int] = None) -> int:
+        """Requeue a claimed chunk's unfinished tasks except ``skip``
+        and drop the claim; count the tasks requeued.
+
+        An unreadable chunk stays where it is: claim() deletes
+        unreadable files, so routing it through ``pending/`` would lose
+        its tasks for good.
+        """
+        path = self.claimed / name
+        payload = read_json(path)
+        if payload is None:
+            return 0
+        tasks = [
+            task
+            for task in _remaining_tasks(payload)
+            if task.get("index") != skip
+        ]
+        requeued = self._publish_chunk(str(payload.get("job", "")), tasks)
+        try:
+            path.unlink()
+        except OSError:
+            pass
         return requeued
 
-    def split_starved(
-        self,
-        *,
-        demand_window: float = 2.0,
-        observed: Optional[Dict[str, Tuple[float, float]]] = None,
-    ) -> int:
-        """Split the largest claimed chunk for a *starving* worker.
+    def split(self, name: str) -> int:
+        """Move the back half of a claimed chunk's not-yet-started
+        tasks to a fresh pending chunk; count the tasks moved.
 
-        A split happens only when ``pending/`` is empty AND some
-        worker has recently (within ``demand_window`` seconds)
-        reported finding nothing to claim — an empty queue alone is
-        not demand: with every worker busy on its own chunk, splitting
-        would just decay chunks to size 1 and re-introduce the
-        per-task overhead chunking amortizes.  ``observed`` mirrors
-        :meth:`requeue_expired`'s scan state: with it, marker
-        freshness is change-based and immune to worker clock skew.
-
-        Returns the number of tasks moved back to ``pending/``.  The
-        split leaves the owner the front half — it is already
-        executing from the front — and publishes the tail as a fresh
-        chunk, so the starving worker's next claim *is* the steal.  A
+        The owner keeps the front half — it executes from the front —
+        and a starving worker's next claim *is* the steal.  A
         concurrent rewrite by the owner can resurrect a task in both
         halves; duplicates are deduplicated broker-side.
         """
-        if not self._has_starving(demand_window, observed):
+        path = self.claimed / name
+        payload = read_json(path)
+        if payload is None:
             return 0
+        tasks = list(payload.get("tasks") or ())
+        keep = (len(tasks) + 1) // 2
+        if keep == len(tasks):
+            return 0
+        payload["tasks"] = tasks[:keep]
+        atomic_write_json(path, payload)
+        return self._publish_chunk(str(payload.get("job", "")), tasks[keep:])
+
+    def demand(self) -> Dict[str, float]:
+        """Workers asking for work while nothing is pending: token ->
+        its starving marker's mtime, which changes while the worker
+        keeps finding nothing (the steal signal)."""
         try:
             if any(self.pending.glob("chunk-*.json")):
-                return 0
-        except OSError:
-            return 0
-        best_path: Optional[Path] = None
-        best_payload: Optional[Dict] = None
-        for path in sorted(self.claimed.glob("chunk-*.json")):
-            payload = read_json(path)
-            if payload is None:
-                continue
-            tasks = payload.get("tasks") or ()
-            if len(tasks) < 2:
-                continue
-            if best_payload is None or len(tasks) > len(
-                best_payload["tasks"]
-            ):
-                best_path, best_payload = path, payload
-        if best_payload is None or best_path is None:
-            return 0
-        tasks = list(best_payload["tasks"])
-        keep = (len(tasks) + 1) // 2
-        stolen = tasks[keep:]
-        best_payload["tasks"] = tasks[:keep]
-        atomic_write_json(best_path, best_payload)
-        return self._publish_chunk(
-            str(best_payload.get("job", "")), stolen
-        )
-
-    def _has_starving(
-        self,
-        demand_window: float,
-        observed: Optional[Dict[str, Tuple[float, float]]] = None,
-    ) -> bool:
-        """Any worker hungry within the window?  Prunes stale markers.
-
-        With ``observed``, a marker is live while its mtime keeps
-        changing (the starving worker re-touches it), judged in this
-        host's monotonic time; without it, mtime is compared against
-        this host's wall clock.
-        """
-        # repro: noqa[DET002] -- starvation-marker aging only;
-        # the demand signal never reaches results
-        now_wall = time.time()
-        now_mono = time.monotonic()  # repro: noqa[DET002] -- ditto:
-        # marker-freshness clock, never part of any result
-        found = False
-        try:
+                return {}
             markers = sorted(self.starving.glob("*"))
         except OSError:
-            return False
+            return {}
+        found = {}
         for path in markers:
             try:
-                mtime = path.stat().st_mtime
+                found[path.name] = path.stat().st_mtime
             except OSError:
                 continue  # the worker just found work and cleared it
-            if observed is not None:
-                prev = observed.get(path.name)
-                if prev is None or prev[0] != mtime:
-                    observed[path.name] = (mtime, now_mono)
-                    found = True
-                elif now_mono - prev[1] <= demand_window:
-                    found = True
-                elif now_mono - prev[1] > 10.0 * demand_window:
-                    try:  # a dead worker's marker; drop it
-                        path.unlink()
-                    except OSError:
-                        pass
-                    del observed[path.name]
-                continue
-            age = now_wall - mtime
-            if age <= demand_window:
-                found = True
-            elif age > 10.0 * demand_window:
-                try:  # a dead worker's marker; drop it
-                    path.unlink()
-                except OSError:
-                    pass
         return found
 
     def retire(self, token: str) -> None:
@@ -482,18 +390,6 @@ class WorkDir:
         except OSError:
             pass  # requeued/stolen while we finished
 
-    def requeue_rest(self, payload: Dict) -> None:
-        """Hand a chunk's unfinished tasks back to ``pending/``.
-
-        Used by a worker stopping early (``max_tasks`` mid-chunk) so
-        the rest of the fleet picks the remainder up immediately
-        instead of after a lease expiry.
-        """
-        self._publish_chunk(
-            str(payload.get("job", "")), _remaining_tasks(payload)
-        )
-        self.release(str(payload["chunk"]))
-
     def renew(self, chunk: str) -> bool:
         """Heartbeat: refresh a claimed chunk's lease stamp.
 
@@ -502,11 +398,9 @@ class WorkDir:
         so the caller can stop renewing.
         """
         payload = self.refresh(chunk)
-        if payload is None:
-            return False
-        stamp_lease(payload, renew_only=True)
-        atomic_write_json(self.claimed / chunk, payload)
-        return True
+        if payload is not None:
+            self.update(payload)
+        return payload is not None
 
     def submit(self, payload: Dict) -> None:
         """Publish one task's outcome payload."""

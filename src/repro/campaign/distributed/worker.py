@@ -156,7 +156,9 @@ def _serve_chunk(
                 if current is None:
                     return executed  # stolen or requeued wholesale
                 if max_tasks is not None and executed >= max_tasks:
-                    workdir.requeue_rest(current)
+                    # Hand the rest back now rather than after a lease
+                    # expiry, so the fleet picks it up immediately.
+                    workdir.reclaim(chunk)
                     return executed
                 task = current.get("active")
                 if not isinstance(task, dict):

@@ -3,12 +3,12 @@
 The static analyzer (:mod:`repro.check`, rule RACE001) verifies that
 shared state guarded by a ``self.lock`` is only touched inside ``with
 self.lock:`` blocks — but some methods are *designed* to run with the
-lock already held by their caller (e.g. every ``_TCPState`` helper in
-:mod:`repro.campaign.distributed.broker`).  Statically that contract
-is declared by making ``assert_held`` the method's first statement;
-at runtime it is enforced by :class:`ContractLock`, which records the
-holding thread and can verify holder identity on every guarded
-access.
+lock already held by their caller (e.g. the ``_TCPState`` helpers the
+connection threads of :mod:`repro.campaign.distributed.broker` call).
+Statically that contract is declared by making ``assert_held`` the
+method's first statement; at runtime it is enforced by
+:class:`ContractLock`, which records the holding thread and can verify
+holder identity on every guarded access.
 
 The assertion mode is opt-in via ``REPRO_CONTRACT_LOCKS=1`` (the
 chaos suite and the RACE001 acceptance tests run with it set): with

@@ -241,5 +241,5 @@ class TestChaosBudget:
         assert sorted(collected) == list(range(len(specs)))
         assert executed >= len(specs)  # everything ran at least once
         assert executed <= (
-            len(specs) + broker.requeued_total + broker.split_total
+            len(specs) + broker.requeued_total + broker.telemetry["stolen"]
         )

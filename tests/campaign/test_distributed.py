@@ -123,8 +123,18 @@ class TestDirectoryBackend:
         # A worker leases a unit and dies without finishing it.
         stolen = WorkDir(tmp_path).claim()
         assert stolen is not None
+        step, steps = broker.step, []
+
+        def step_later(now):
+            # Broker time jumps one lease timeout after the first step,
+            # so the dead lease expires without the test waiting.
+            steps.append(now)
+            return step(now + (2.0 if len(steps) > 1 else 0.0))
+
+        broker.step = step_later
         with fleet(broker, run_directory_worker, (tmp_path,), n=1):
             collected = dict(broker.outcomes())
+        assert broker.requeued_total >= 1
         assert sorted(collected) == list(range(len(specs)))
         local = CampaignRunner(1).run(specs)
         assert [collected[i].metrics for i in sorted(collected)] == (

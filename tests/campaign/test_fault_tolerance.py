@@ -19,10 +19,11 @@ from repro.campaign.distributed import (
     TCPBroker,
     WorkDir,
     campaign_hash,
+    execute_payload,
     run_directory_worker,
     run_tcp_worker,
 )
-from repro.campaign.distributed.protocol import lease_stamp, stamp_lease
+from repro.campaign.distributed.protocol import lease_stamp
 from repro.errors import SchedulingError
 
 #: Generous stall guard: tests should fail loudly, never hang.
@@ -49,120 +50,133 @@ def fleet_thread(target, args, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# Lease clock: the payload stamp is the authority, mtime the fallback
+# Lease clock: the payload stamp is the renewal nonce, mtime the
+# fallback, and the broker ages nonces on its own clock (virtual here)
 # ----------------------------------------------------------------------
+def drive(broker, *times):
+    """Step ``broker`` at each virtual time; the accepted indices."""
+    return [index for now in times for index, _ in broker.step(now)]
+
+
+def write_stamp(path, stamp):
+    """Set a claimed chunk's lease stamp by hand (a worker renewing)."""
+    payload = json.loads(path.read_text())
+    payload["lease"] = {"claimed_at": 0.0, "renewed_at": stamp}
+    path.write_text(json.dumps(payload))
+
+
 class TestLeaseClock:
-    def publish_and_claim(self, tmp_path, n=1):
-        wd = WorkDir(tmp_path)
-        wd.ensure_layout()
-        wd.publish("job", list(enumerate(small_specs(1, ("EDF",) * n))))
-        payload = wd.claim()
+    def publish_and_claim(self, tmp_path, n=1, **options):
+        options.setdefault("lease_timeout", 60.0)
+        broker = DirectoryBroker(tmp_path, **options)
+        broker.submit(list(enumerate(small_specs(1, ("EDF",) * n))))
+        payload = broker.workdir.claim()
         assert payload is not None
-        return wd, payload
+        return broker, broker.workdir.claimed / payload["chunk"]
 
     def test_fresh_stamp_survives_ancient_mtime(self, tmp_path):
         """A skewed/coarse filesystem clock must not expire a live
-        lease: the claim stamp inside the payload wins."""
-        wd, payload = self.publish_and_claim(tmp_path)
-        path = wd.claimed / payload["chunk"]
+        lease: the stamp inside the payload is the nonce, and renewing
+        it keeps the lease however old the mtime looks."""
+        broker, path = self.publish_and_claim(tmp_path)
         os.utime(path, (0.0, 0.0))  # mtime says 1970
-        assert wd.requeue_expired(lease_timeout=60.0) == 0
+        drive(broker, 0.0, 59.0)
+        write_stamp(path, 1.0)
+        os.utime(path, (0.0, 0.0))
+        drive(broker, 60.0, 119.0)
         assert path.exists()
+        assert broker.requeued_total == 0
 
     def test_stale_stamp_expires_despite_fresh_mtime(self, tmp_path):
-        wd, payload = self.publish_and_claim(tmp_path)
-        path = wd.claimed / payload["chunk"]
-        payload["lease"] = {
-            "claimed_at": time.time() - 500.0,
-            "renewed_at": time.time() - 500.0,
-        }
-        path.write_text(json.dumps(payload))  # fresh mtime, old stamp
-        assert wd.requeue_expired(lease_timeout=60.0) == 1
+        """Touching the file is no renewal: an unchanged stamp expires
+        after ``lease_timeout`` however fresh the mtime."""
+        broker, path = self.publish_and_claim(tmp_path)
+        drive(broker, 0.0)
+        os.utime(path, None)  # fresh mtime, same stamp
+        drive(broker, 30.0, 59.9)
+        assert path.exists()
+        drive(broker, 60.0)
         assert not path.exists()
-        assert len(list(wd.pending.glob("chunk-*.json"))) == 1
+        assert len(list(broker.workdir.pending.glob("chunk-*.json"))) == 1
+        assert broker.requeued_total == 1
 
     def test_missing_stamp_falls_back_to_mtime(self, tmp_path):
         """A worker that died between claiming (rename) and writing
-        the lease stamp leaves a stamp-less payload whose mtime is the
-        publish time — the fallback clock must still requeue it."""
-        wd, payload = self.publish_and_claim(tmp_path)
-        path = wd.claimed / payload["chunk"]
+        the lease stamp leaves a stamp-less payload: its mtime is the
+        nonce, so the lease still expires — and a moving mtime still
+        renews it."""
+        broker, path = self.publish_and_claim(tmp_path)
+        payload = json.loads(path.read_text())
         payload["lease"] = None
         path.write_text(json.dumps(payload))
-        os.utime(path, None)  # fresh mtime: not expired yet
-        assert wd.requeue_expired(lease_timeout=60.0) == 0
-        os.utime(path, (0.0, 0.0))  # ancient mtime: expired
-        assert wd.requeue_expired(lease_timeout=60.0) == 1
+        os.utime(path, (1000.0, 1000.0))
+        drive(broker, 0.0, 30.0)
+        os.utime(path, (2000.0, 2000.0))
+        drive(broker, 31.0, 90.0)
+        assert path.exists()
+        drive(broker, 91.0)
+        assert not path.exists()
+        assert broker.requeued_total == 1
 
     def test_unreadable_chunk_is_never_deleted(self, tmp_path):
         """An unreadable claimed chunk must not be routed through
         pending/ (claim() deletes unreadable files — the tasks would
         be lost for good and the campaign would hang silently);
         it stays put for the stall guard to report."""
-        wd, payload = self.publish_and_claim(tmp_path)
-        path = wd.claimed / payload["chunk"]
+        broker, path = self.publish_and_claim(
+            tmp_path, result_timeout=1000.0
+        )
         path.write_text("{ not json")
         os.utime(path, (0.0, 0.0))  # looks long-expired
-        assert wd.requeue_expired(lease_timeout=60.0) == 0
+        drive(broker, 0.0, 999.0)
         assert path.exists()
-        assert not list(wd.pending.glob("chunk-*.json"))
+        assert not list(broker.workdir.pending.glob("chunk-*.json"))
+        with pytest.raises(SchedulingError, match=r"first: \[0\]"):
+            drive(broker, 1000.0)
+        assert path.exists()
 
     def test_renew_refreshes_the_stamp(self, tmp_path):
-        wd, payload = self.publish_and_claim(tmp_path)
-        chunk = payload["chunk"]
+        broker, path = self.publish_and_claim(tmp_path)
+        wd, chunk = broker.workdir, path.name
+        claimed_at = wd.refresh(chunk)["lease"]["claimed_at"]
         before = lease_stamp(wd.refresh(chunk))
         time.sleep(0.05)
         assert wd.renew(chunk) is True
         after = lease_stamp(wd.refresh(chunk))
         assert after > before
         claimed = wd.refresh(chunk)
-        assert claimed["lease"]["claimed_at"] == pytest.approx(
-            payload["lease"]["claimed_at"]
-        )
+        assert claimed["lease"]["claimed_at"] == pytest.approx(claimed_at)
         wd.release(chunk)
         assert wd.renew(chunk) is False  # gone: stop renewing
 
     def test_observation_mode_ignores_worker_clock_skew(self, tmp_path):
-        """With scan state, the stamp is a renewal *nonce* judged in
-        the broker's monotonic time — a worker whose wall clock is
-        hours off neither expires early nor lives forever."""
-        wd, payload = self.publish_and_claim(tmp_path)
-        chunk = payload["chunk"]
-        path = wd.claimed / chunk
-        skewed = wd.refresh(chunk)
-        skewed["lease"] = {  # worker clock 1h behind the broker
-            "claimed_at": time.time() - 3600.0,
-            "renewed_at": time.time() - 3600.0,
-        }
-        path.write_text(json.dumps(skewed))
-        observed = {}
-        # First scan only records the stamp; nothing expires yet even
-        # though the wall-clock comparison would call it long dead.
-        assert wd.requeue_expired(60.0, observed) == 0
-        # A renewal (stamp change) resets the observation clock.
-        assert wd.renew(chunk)
-        assert wd.requeue_expired(0.0, observed) == 0
-        # No renewal since the last scan -> expired, requeued.
-        assert wd.requeue_expired(0.0, observed) == 1
+        """The stamp is a renewal *nonce* judged in the broker's own
+        time — a worker whose wall clock is hours off neither expires
+        early nor lives forever."""
+        broker, path = self.publish_and_claim(tmp_path)
+        write_stamp(path, time.time() - 3600.0)  # worker 1h behind
+        # A wall-clock comparison would call it long dead.
+        drive(broker, 0.0, 59.0)
+        assert path.exists()
+        # A renewal (stamp change) resets the broker's clock.
+        assert broker.workdir.renew(path.name)
+        drive(broker, 60.0, 119.0)
+        assert path.exists()
+        # No renewal since -> expired, requeued.
+        drive(broker, 120.0)
         assert not path.exists()
+        assert broker.requeued_total == 1
 
     def test_requeue_recovers_the_active_task(self, tmp_path):
         """A crashed worker's in-flight task must come back too."""
-        wd = WorkDir(tmp_path)
-        wd.ensure_layout()
-        wd.publish(
-            "job", list(enumerate(small_specs(1))), chunk_size=2
-        )
-        payload = wd.claim()
+        broker, path = self.publish_and_claim(tmp_path, n=2, chunk_size=2)
+        wd = broker.workdir
+        payload = wd.refresh(path.name)
         payload["active"] = payload["tasks"].pop(0)
-        wd.update(payload)
-        stamp_lease(payload)  # then the worker dies silently
+        wd.update(payload)  # then the worker dies silently
         assert wd.backlog() == 2
-        path = wd.claimed / payload["chunk"]
-        stale = wd.refresh(payload["chunk"])
-        stale["lease"]["renewed_at"] -= 500.0
-        path.write_text(json.dumps(stale))
-        assert wd.requeue_expired(lease_timeout=60.0) == 2
+        drive(broker, 0.0, 60.0)
+        assert broker.requeued_total == 2
         indices = sorted(
             t["index"]
             for p in wd.pending.glob("chunk-*.json")
@@ -172,61 +186,44 @@ class TestLeaseClock:
 
 
 class TestHeartbeat:
-    #: ~1s of simulation per spec — long relative to the tight lease
-    #: timeouts below.
-    LONG = dict(n_graphs=3, horizon=5000.0)
-
     def test_heartbeat_outlives_short_lease_timeout(self, tmp_path):
         """A renewing worker's long scenario is never falsely
         requeued, however short the lease timeout."""
-        specs = small_specs(1, ("ccEDF",), **self.LONG)
-        broker = DirectoryBroker(
-            tmp_path, poll=0.02, lease_timeout=0.4, result_timeout=TIMEOUT
-        )
+        specs = small_specs(1, ("ccEDF",))
+        broker = DirectoryBroker(tmp_path, lease_timeout=0.4)
         broker.submit(list(enumerate(specs)))
-        t = fleet_thread(
-            run_directory_worker,
-            (tmp_path,),
-            poll=0.02,
-            idle_timeout=TIMEOUT,
-            heartbeat=0.1,
+        payload = broker.workdir.claim("w1")
+        path = broker.workdir.claimed / payload["chunk"]
+        for tick in range(100):  # ten seconds, a beat every 0.1 s
+            write_stamp(path, float(tick))
+            assert drive(broker, tick / 10) == []
+        broker.workdir.submit(
+            execute_payload(payload["tasks"][0], worker="w1")
         )
-        try:
-            collected = dict(broker.outcomes())
-        finally:
-            broker.close()
-            t.join(timeout=10.0)
-        assert sorted(collected) == [0]
+        assert drive(broker, 10.0) == [0]
         assert broker.requeued_total == 0  # the lease never expired
 
     def test_without_heartbeat_the_stale_lease_requeues(self, tmp_path):
         """The inverse: no renewal and a short timeout means the
         broker requeues mid-execution (the duplicate is deduped)."""
-        specs = small_specs(
-            1, ("ccEDF",), n_graphs=3, horizon=20000.0
-        )
-        broker = DirectoryBroker(
-            tmp_path, poll=0.02, lease_timeout=0.4, result_timeout=TIMEOUT
-        )
+        specs = small_specs(1, ("ccEDF",))
+        broker = DirectoryBroker(tmp_path, lease_timeout=0.4)
         broker.submit(list(enumerate(specs)))
-        threads = [
-            fleet_thread(
-                run_directory_worker,
-                (tmp_path,),
-                poll=0.02,
-                idle_timeout=TIMEOUT,
-                heartbeat=None,
-            )
-            for _ in range(2)
-        ]
-        try:
-            collected = dict(broker.outcomes())
-        finally:
-            broker.close()
-            for t in threads:
-                t.join(timeout=10.0)
+        wd = broker.workdir
+        first = wd.claim("w1")  # executes without ever renewing
+        drive(broker, 0.0, 0.3)
+        assert broker.requeued_total == 0
+        drive(broker, 0.4)
+        assert broker.requeued_total == 1
+        assert broker.worker_health == {"w1": 2}
+        second = wd.claim("w2")
+        assert [t["index"] for t in second["tasks"]] == [0]
+        wd.submit(execute_payload(second["tasks"][0], worker="w2"))
+        collected = dict(broker.step(0.5))
+        # The stale holder finishes after all: deduplicated by index.
+        wd.submit(execute_payload(first["tasks"][0], worker="w1"))
+        assert drive(broker, 0.6) == []
         assert sorted(collected) == [0]
-        assert broker.requeued_total >= 1
         local = CampaignRunner(1).run(specs)
         assert collected[0].metrics == local.results[0].metrics
 
@@ -236,31 +233,33 @@ class TestHeartbeat:
         from repro.campaign.distributed.worker import _BrokerSession
 
         specs = small_specs(1, ("EDF",))
-        broker = TCPBroker(
-            port=0, poll=0.02, lease_timeout=0.5, result_timeout=TIMEOUT
-        )
+        broker = TCPBroker(port=0, lease_timeout=0.5)
         host, port = broker.address
         broker.submit(list(enumerate(specs)))
         hog = _BrokerSession(host, port)
-        reply = hog.request({"op": "lease"})
-        assert reply is not None and reply.get("op") == "task"
-        # The hog never heartbeats and never answers; a healthy worker
-        # joining later must still complete the campaign.
-        t = fleet_thread(
-            run_tcp_worker,
-            (host, port),
-            poll=0.02,
-            idle_timeout=TIMEOUT,
-            heartbeat=0.1,
-        )
+        healthy = None
         try:
-            collected = dict(broker.outcomes())
+            reply = hog.request({"op": "lease"})
+            assert reply is not None and reply.get("op") == "task"
+            # The hog never heartbeats and never answers; a healthy
+            # worker joining later must still complete the campaign.
+            drive(broker, 0.0, 0.49)
+            assert broker.requeued_total == 0
+            drive(broker, 0.5)
+            assert broker.requeued_total == 1
+            healthy = _BrokerSession(host, port)
+            reply = healthy.request({"op": "lease"})
+            assert [t["index"] for t in reply["tasks"]] == [0]
+            outcome = execute_payload(reply["tasks"][0])
+            ack = healthy.request({"op": "outcome", "outcome": outcome})
+            assert ack.get("op") == "ok"
+            assert drive(broker, 0.6) == [0]
+            assert broker.done
         finally:
             broker.close()
             hog.close()
-            t.join(timeout=10.0)
-        assert sorted(collected) == [0]
-        assert broker.requeued_total >= 1
+            if healthy is not None:
+                healthy.close()
 
 
 # ----------------------------------------------------------------------
@@ -280,26 +279,28 @@ class TestChunkedLeases:
         assert chunks == [[0, 1], [2]]
 
     def test_split_starved_steals_the_tail(self, tmp_path):
-        wd = WorkDir(tmp_path)
-        wd.ensure_layout()
-        wd.publish(
-            "job", list(enumerate(small_specs(2))), chunk_size=4
-        )
+        broker = DirectoryBroker(tmp_path, chunk_size=4)
+        broker.submit(list(enumerate(small_specs(2))))
+        wd = broker.workdir
         owner = wd.claim()
         assert [t["index"] for t in owner["tasks"]] == [0, 1, 2, 3]
         # An empty queue alone is not demand: with every worker busy
         # a split would only decay chunks back to per-task leases.
-        assert wd.split_starved() == 0
+        drive(broker, 0.0)
+        assert broker.telemetry["stolen"] == 0
         wd.mark_starving("idle-worker")  # a claim found nothing
-        assert wd.split_starved() == 2  # tail half moves back
+        drive(broker, 1.0)
+        assert broker.telemetry["stolen"] == 2  # tail half moves back
         # Queue no longer starved: no further split until it drains.
-        assert wd.split_starved() == 0
+        drive(broker, 2.0)
+        assert broker.telemetry["stolen"] == 2
         kept = wd.refresh(owner["chunk"])
         assert [t["index"] for t in kept["tasks"]] == [0, 1]
         thief = wd.claim()
         assert [t["index"] for t in thief["tasks"]] == [2, 3]
         wd.clear_starving("idle-worker")
-        assert wd.split_starved() == 0
+        drive(broker, 3.0)
+        assert broker.telemetry["stolen"] == 2
 
     def test_chunked_run_bit_identical_to_local(self, tmp_path):
         specs = small_specs(3)
@@ -341,13 +342,16 @@ class TestChunkedLeases:
         reply = victim.request({"op": "lease"})
         assert [t["index"] for t in reply["tasks"]] == [0, 1, 2, 3]
         thief = _BrokerSession(host, port)
-        stolen = thief.request({"op": "lease"})
         try:
+            # The thief's unanswered lease request is the demand signal
+            # the broker's next step splits the victim's lease for.
+            assert thief.request({"op": "lease"}).get("op") == "wait"
+            drive(broker, 0.0)
+            stolen = thief.request({"op": "lease"})
             assert stolen.get("op") == "task"
             assert [t["index"] for t in stolen["tasks"]] == [2, 3]
+            assert broker.telemetry["stolen"] == 2
             # The victim learns about the theft on its next ack.
-            from repro.campaign.distributed.worker import execute_payload
-
             outcome = execute_payload(reply["tasks"][0])
             ack = victim.request({"op": "outcome", "outcome": outcome})
             assert ack.get("op") == "ok"

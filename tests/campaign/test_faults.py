@@ -35,7 +35,10 @@ from repro.campaign.distributed import (
     DirectoryBroker,
     DistributedRunner,
     TCPBroker,
+    run_directory_worker,
+    run_tcp_worker,
 )
+from repro.campaign.distributed.protocol import atomic_write_json
 from repro.campaign.failures import (
     FailureInfo,
     FailureReport,
@@ -600,27 +603,104 @@ class TestWorkerHealth:
             broker.close()
 
 
-    def test_string_error_outcome_is_a_corrupt_payload(self, tmp_path):
+    @pytest.mark.parametrize("index", [0, None])
+    @pytest.mark.parametrize("transport", ["directory", "tcp"])
+    def test_string_error_outcome_is_a_corrupt_payload(
+        self, tmp_path, transport, index
+    ):
         """A bare-string ``error`` (the retired protocol-v2 shape) is
-        not a spec failure: the broker requeues the index and charges
-        the sending worker the corrupt-payload weight."""
-        broker = DirectoryBroker(tmp_path)
+        not a spec failure, and a ``null`` index is no index: on either
+        transport the broker charges the sending worker the
+        corrupt-payload weight and requeues the index if it names one.
+        Over TCP the session survives to send more."""
+        from repro.campaign.distributed.worker import _BrokerSession
+
+        spec = ScenarioSpec(scheme="EDF", seed=1)
+        outcome = {"index": index, "error": "boom", "worker": "w1"}
+        if transport == "directory":
+            broker = DirectoryBroker(tmp_path)
+            broker.submit([(0, spec)])
+            backlog = broker.workdir.backlog
+            atomic_write_json(
+                broker.workdir.results / "garbled.json",
+                dict(outcome, job=broker.job),
+            )
+        else:
+            broker = TCPBroker(port=0)
+            broker.submit([(0, spec)])
+            state = broker._state
+
+            def backlog():
+                with state.lock:
+                    return sum(len(chunk) for chunk in state.pending)
+
+            session = _BrokerSession(*broker.address, worker="w1")
+            ack = session.request(
+                {"op": "outcome", "outcome": dict(outcome, job=broker.job)}
+            )
+            assert ack == {"op": "ok", "stolen": []}
         try:
-            broker.submit([(0, ScenarioSpec(scheme="EDF", seed=1))])
-            backlog = broker.workdir.backlog()
-            outcome = {
-                "job": broker.job, "index": 0, "error": "boom",
-                "worker": "w1",
-            }
-            assert broker._accept(outcome) is None
+            queued = backlog()
+            assert list(broker.step(0.0)) == []
             assert broker.worker_health == {"w1": 2}
-            assert broker.requeued_total == 1
-            assert broker.workdir.backlog() == backlog + 1
+            requeued = 0 if index is None else 1
+            assert broker.requeued_total == requeued
+            assert backlog() == queued + requeued
             assert broker.failure_report.retries == 0
             assert not broker.failure_report.quarantined
             assert not broker.done
+            if transport == "tcp":
+                assert session.request({"op": "heartbeat"}) == {"op": "ok"}
+                session.close()
         finally:
             broker.close()
+
+
+class TestBrokerBackstop:
+    @pytest.mark.parametrize("transport", ["directory", "tcp"])
+    def test_healthy_chunk_tail_is_not_charged(self, tmp_path, transport):
+        """The backstop times a unit from when it became active, not
+        from when its chunk was leased: eight 0.3 s units in one chunk
+        outlast the 2 s grace of a 0.5 s deadline, yet none is late.
+        The worker runs on a thread, where its own watchdog cannot
+        arm, so only the broker's backstop is in play."""
+        specs = make_specs(8)
+        faults.install(
+            faults.FaultPlan(
+                rules=(
+                    faults.FaultRule(
+                        point="spec.execute", kind="hang", delay_s=0.3
+                    ),
+                ),
+            )
+        )
+        options = dict(
+            poll=0.02, chunk_size=8, spec_timeout=0.5, result_timeout=TIMEOUT
+        )
+        if transport == "directory":
+            broker = DirectoryBroker(tmp_path, **options)
+            serve, address = run_directory_worker, (tmp_path,)
+        else:
+            broker = TCPBroker(port=0, **options)
+            serve, address = run_tcp_worker, broker.address
+        broker.submit(list(enumerate(specs)))
+        worker = threading.Thread(
+            target=serve,
+            args=address,
+            kwargs=dict(poll=0.02, idle_timeout=TIMEOUT, heartbeat=0.1),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            collected = dict(broker.outcomes())
+        finally:
+            broker.close()
+            worker.join(timeout=10.0)
+        assert broker.failure_report.timeouts == 0
+        assert sorted(collected) == list(range(8))
+        assert [collected[i].metrics for i in range(8)] == (
+            reference_metrics(8)
+        )
 
 
 # ----------------------------------------------------------------------

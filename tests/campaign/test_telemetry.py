@@ -1,7 +1,6 @@
 """Structured campaign telemetry: requeue/steal/replay counters."""
 
 import threading
-import time
 
 from repro.campaign import CampaignRunner, ScenarioSpec, spawn_seeds
 from repro.campaign.distributed import (
@@ -62,37 +61,39 @@ class TestBrokerTelemetry:
             poll=0.02,
             result_timeout=TIMEOUT,
         )
-        # Claim the only chunk as a fake worker that dies immediately:
-        # the real fleet attaches after the lease has gone stale.
-        claimed = threading.Event()
-
-        def doomed_claim():
-            payload = runner._broker.workdir.claim()
-            assert payload is not None
-            claimed.set()  # ...and never execute or renew it
-
-        def late_fleet():
-            claimed.wait(TIMEOUT)
-            time.sleep(0.8)  # let the lease expire
-            run_directory_worker(
-                tmp_path, poll=0.02, idle_timeout=TIMEOUT, max_tasks=1
-            )
-
-        submitted = threading.Thread(target=late_fleet, daemon=True)
-
-        original_submit = runner._broker.submit
+        broker = runner._broker
+        fleet = threading.Thread(
+            target=run_directory_worker,
+            args=(tmp_path,),
+            kwargs=dict(
+                poll=0.02, idle_timeout=TIMEOUT, max_tasks=1, heartbeat=0.1
+            ),
+            daemon=True,
+        )
+        original_submit, original_step = broker.submit, broker.step
 
         def submit_then_claim(*args, **kwargs):
             original_submit(*args, **kwargs)
-            doomed_claim()
-            submitted.start()
+            # Claim the only chunk as a fake worker that dies at once;
+            # the real fleet finds nothing until the lease expires.
+            assert broker.workdir.claim() is not None
+            fleet.start()
 
-        runner._broker.submit = submit_then_claim
+        steps = []
+
+        def step_later(now):
+            # Every step after the first runs one lease timeout later
+            # in broker time: the abandoned claim expires on the second
+            # step, without the test waiting for it.
+            steps.append(now)
+            return original_step(now + (0.5 if len(steps) > 1 else 0.0))
+
+        broker.submit, broker.step = submit_then_claim, step_later
         try:
             campaign = runner.run(specs)
         finally:
             runner.close()
-            submitted.join(timeout=10.0)
+            fleet.join(timeout=10.0)
         assert campaign.requeued >= 1
         assert campaign.telemetry["requeued"] >= 1
         # The scenario still executed exactly once to completion.

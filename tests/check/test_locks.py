@@ -89,7 +89,8 @@ class TestContractLock:
 
 
 class TestBrokerContract:
-    """The broker's _TCPState helpers really run under the contract."""
+    """The TCP connection threads' _TCPState helpers really run under
+    the contract; its transport methods take the lock themselves."""
 
     def _state(self):
         from repro.campaign.distributed.broker import _TCPState
@@ -111,6 +112,17 @@ class TestBrokerContract:
             assert state.owner == {0: "session-1"}
             state.release(0)
             assert state.owner == {}
+
+    def test_transport_methods_take_the_lock(self, monkeypatch):
+        monkeypatch.setenv(CONTRACT_LOCKS_ENV, "1")
+        state = self._state()
+        state.publish("job", [], chunk_size=1, timeout=None)
+        with state.lock:
+            state.lease_to("session-1", [{"index": 0}, {"index": 1}])
+        assert state.leases("job") == [("session-1", "", [0, 1], None)]
+        assert state.reclaim("session-1", skip=0) == 1
+        assert [t["index"] for t in state.pending[0]] == [1]
+        assert not state.lock.locked()
 
     def test_plain_lock_when_disabled(self, monkeypatch):
         monkeypatch.delenv(CONTRACT_LOCKS_ENV, raising=False)
