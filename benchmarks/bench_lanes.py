@@ -12,7 +12,8 @@ means the batch is faster.  The campaign runner's
 Spec families (``--specs``):
 
 * ``table2`` — ``table2_plan(n_sets=10)``, 50 specs;
-* ``fig6`` — ``fig6_plan()`` without the near-optimal reference;
+* ``fig6`` — ``fig6_plan()``, 75 specs, 15 of them near-optimal
+  references;
 * ``campaign`` — 20 seeds x the five paper schemes, n_graphs=2,
   u=0.7, kibam, as the ``campaign`` CLI builds them.
 
@@ -34,7 +35,6 @@ if __name__ == "__main__":  # allow standalone runs without PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api.plans import PAPER_SCHEME_NAMES, fig6_plan, table2_plan
-from repro.campaign.registry import NEAR_OPTIMAL
 from repro.campaign.runner import run_scenario_batch, run_spec
 from repro.campaign.spec import ScenarioSpec, spawn_seeds
 
@@ -43,8 +43,7 @@ def family(name):
     if name == "table2":
         return table2_plan(n_sets=10).sweep.expand_with_meta()[0]
     if name == "fig6":
-        specs = fig6_plan().sweep.expand_with_meta()[0]
-        return [s for s in specs if s.scheme != NEAR_OPTIMAL]
+        return fig6_plan().sweep.expand_with_meta()[0]
     return [
         ScenarioSpec(
             scheme=scheme, n_graphs=2, utilization=0.7, battery="kibam",

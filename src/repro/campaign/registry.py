@@ -96,8 +96,10 @@ __all__ = [
     "NEAR_OPTIMAL",
 ]
 
-#: Pseudo-scheme handled specially by the executor: the precedence-
-#: relaxed near-optimal reference run (Figure 6's normalizer).
+#: Scheme name of the precedence-relaxed near-optimal reference run
+#: (Figure 6's normalizer).  It has no registry entry: the reference
+#: also relaxes the task set, so the executor builds its simulator
+#: with :func:`repro.exact.bounds.near_optimal_sim`.
 NEAR_OPTIMAL = "near-optimal"
 
 EstimatorFactory = Callable[[], Estimator]
@@ -196,9 +198,10 @@ def build_scheme(name: str, estimator: EstimatorFactory) -> Scheme:
 def known_schemes() -> Tuple[str, ...]:
     """Every currently-registered scheme name (sorted).
 
-    Includes :data:`NEAR_OPTIMAL`, which the executor handles without
-    a registry entry.  Useful for validating user input *before*
-    shipping specs to a worker fleet.
+    Includes :data:`NEAR_OPTIMAL`, which has no registry entry: the
+    executor builds it with :func:`repro.exact.bounds.near_optimal_sim`.
+    Useful for validating user input *before* shipping specs to a
+    worker fleet.
     """
     return tuple(sorted(_SCHEMES)) + (NEAR_OPTIMAL,)
 

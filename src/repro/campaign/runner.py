@@ -42,7 +42,7 @@ from ..analysis.lifetime import evaluate_lifetime, survival_scale
 from ..core.oneshot import run_one_shot
 from ..core.priority import LTF, PUBS, RandomPriority
 from ..errors import SchedulingError
-from ..exact.bounds import near_optimal_run
+from ..exact.bounds import near_optimal_run, near_optimal_sim
 from ..exact.bruteforce import count_linear_extensions, optimal_one_shot
 from ..processor.platform import Processor
 from ..sim.batch import BatchItem, ScenarioBatch
@@ -128,12 +128,18 @@ def _scenario(spec: ScenarioSpec) -> _Scenario:
 def _build_scenario_sim(spec: ScenarioSpec) -> Tuple[Simulator, float]:
     """The simulator + horizon a scenario spec describes."""
     sc = _scenario(spec)
-    scheme = build_scheme(spec.scheme, resolve_estimator(spec.estimator))
-    dvs, policy = scheme.instantiate()
-    sim = Simulator(
-        sc.task_set, sc.processor, dvs, policy,
-        actuals=sc.actuals, on_miss=spec.on_miss,
-    )
+    if spec.scheme == NEAR_OPTIMAL:
+        sim = near_optimal_sim(
+            sc.task_set, sc.processor,
+            actuals=sc.actuals, on_miss=spec.on_miss,
+        )
+    else:
+        scheme = build_scheme(spec.scheme, resolve_estimator(spec.estimator))
+        dvs, policy = scheme.instantiate()
+        sim = Simulator(
+            sc.task_set, sc.processor, dvs, policy,
+            actuals=sc.actuals, on_miss=spec.on_miss,
+        )
     return sim, sc.horizon
 
 
@@ -141,7 +147,8 @@ def _simulate(spec: ScenarioSpec) -> SimulationResult:
     if spec.scheme == NEAR_OPTIMAL:
         sc = _scenario(spec)
         return near_optimal_run(
-            sc.task_set, sc.processor, sc.horizon, actuals=sc.actuals
+            sc.task_set, sc.processor, sc.horizon,
+            actuals=sc.actuals, on_miss=spec.on_miss,
         )
     sim, horizon = _build_scenario_sim(spec)
     return sim.run(horizon)
@@ -390,7 +397,7 @@ _UnitOutcome = Tuple[
 
 
 def _vectorizable(spec: Spec) -> bool:
-    return isinstance(spec, ScenarioSpec) and spec.scheme != NEAR_OPTIMAL
+    return isinstance(spec, ScenarioSpec)
 
 
 def _run_unit(unit: _Unit) -> _UnitOutcome:

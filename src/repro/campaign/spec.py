@@ -70,7 +70,9 @@ class ScenarioSpec:
     ----------
     scheme:
         Scheme name resolved via :data:`repro.campaign.registry.SCHEMES`
-        (e.g. ``"BAS-2"``), or the special ``"near-optimal"`` reference.
+        (e.g. ``"BAS-2"``), or ``"near-optimal"`` for Figure 6's
+        precedence-relaxed reference (built by
+        :func:`repro.exact.bounds.near_optimal_sim`).
     n_graphs, utilization, n_tasks_range, edge_prob, wcet_range:
         Task-set generator parameters (see
         :func:`repro.workloads.generator.paper_task_set`).

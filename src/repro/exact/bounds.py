@@ -22,7 +22,9 @@ from ..sim.engine import ActualsProvider, SimulationResult, Simulator
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.periodic import PeriodicTaskGraph, TaskGraphSet
 
-__all__ = ["relax_precedence", "relax_set", "near_optimal_run"]
+__all__ = [
+    "relax_precedence", "relax_set", "near_optimal_sim", "near_optimal_run"
+]
 
 
 def relax_precedence(graph: TaskGraph) -> TaskGraph:
@@ -38,26 +40,42 @@ def relax_set(task_set: TaskGraphSet) -> TaskGraphSet:
     )
 
 
+def near_optimal_sim(
+    task_set: TaskGraphSet,
+    processor: Processor,
+    *,
+    actuals: Optional[ActualsProvider] = None,
+    on_miss: str = "raise",
+) -> Simulator:
+    """The simulator of the near-optimal reference for ``task_set``.
+
+    Precedence-relaxed tasks scheduled by laEDF + pUBS with *oracle*
+    estimates over the all-released ready list.  Uses the same actuals
+    provider as the run under evaluation so the comparison sees
+    identical workloads.  Every part is one the vector engine
+    compiles, so the reference can ride in a
+    :class:`~repro.sim.batch.ScenarioBatch` like any other scheme.
+    """
+    return Simulator(
+        relax_set(task_set),
+        processor,
+        LaEDF(),
+        SchedulingPolicy(PUBS(OracleEstimator()), ALL_RELEASED),
+        actuals=actuals,
+        on_miss=on_miss,
+    )
+
+
 def near_optimal_run(
     task_set: TaskGraphSet,
     processor: Processor,
     horizon: float,
     *,
     actuals: Optional[ActualsProvider] = None,
+    on_miss: str = "raise",
 ) -> SimulationResult:
-    """The near-optimal reference execution for ``task_set``.
-
-    Precedence-relaxed tasks scheduled by laEDF + pUBS with *oracle*
-    estimates over the all-released ready list.  Uses the same actuals
-    provider as the run under evaluation so the comparison sees
-    identical workloads.
-    """
-    relaxed = relax_set(task_set)
-    sim = Simulator(
-        relaxed,
-        processor,
-        LaEDF(),
-        SchedulingPolicy(PUBS(OracleEstimator()), ALL_RELEASED),
-        actuals=actuals,
-    )
-    return sim.run(horizon)
+    """The near-optimal reference execution: :func:`near_optimal_sim`
+    run to ``horizon``."""
+    return near_optimal_sim(
+        task_set, processor, actuals=actuals, on_miss=on_miss
+    ).run(horizon)

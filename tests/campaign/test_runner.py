@@ -55,6 +55,28 @@ class TestRunSpec:
         # near-bounds) every real scheme on the same workload.
         assert run.metrics["energy_j"] >= ref.metrics["energy_j"] * 0.98
 
+    def test_near_optimal_keeps_on_miss_on_both_paths(self, monkeypatch):
+        from repro.campaign import runner
+
+        spec = ScenarioSpec(
+            scheme=NEAR_OPTIMAL, n_graphs=2, seed=3, on_miss="record"
+        )
+        sim, horizon = runner._build_scenario_sim(spec)
+        assert sim.on_miss == "record"
+        assert all(g.graph.edges() == () for g in sim.task_set)
+        assert horizon == sim.task_set.hyperperiod()
+
+        seen = []
+        real = runner.near_optimal_run
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["on_miss"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "near_optimal_run", spy)
+        run_spec(spec)
+        assert seen == ["record"]
+
     def test_oneshot_ratios_at_least_one(self):
         result = run_spec(OneShotSpec(n_tasks=5, seed=1, n_random=2))
         for key in ("random", "ltf", "pubs"):

@@ -182,12 +182,21 @@ class TestOnePipeline:
         assert campaign.executed == len(campaign.results)
         assert campaign.demoted == 0
 
-    def test_table2_scenarios_never_fall_back(self):
+    @pytest.mark.parametrize(
+        "plan, schemes",
+        [
+            ("table2", {"EDF", "ccEDF", "laEDF", "BAS-1", "BAS-2"}),
+            (
+                "fig6",
+                {"near-optimal", "random", "LTF", "pUBS-imminent", "pUBS-all"},
+            ),
+        ],
+        ids=["table2", "fig6"],
+    )
+    def test_plan_scenarios_never_fall_back(self, plan, schemes):
         stats = {}
-        specs = plan_specs("table2")
-        assert {s.scheme for s in specs} == {
-            "EDF", "ccEDF", "laEDF", "BAS-1", "BAS-2"
-        }
+        specs = plan_specs(plan)
+        assert {s.scheme for s in specs} == schemes
         run_scenario_batch(list(enumerate(specs)), stats=stats)
         assert stats["vector_fallbacks"] == 0
         assert stats["numeric_demotions"] == 0
@@ -220,7 +229,7 @@ MIXED = [
     ScenarioSpec(scheme="BAS-1", n_graphs=2, seed=5),
     ScenarioSpec(scheme="BAS-2", n_graphs=2, seed=6),
 ]
-VECTOR = [0, 2, 4, 5, 6]
+VECTOR = [0, 2, 3, 4, 5, 6]
 
 
 def unit_indices(units):
@@ -236,15 +245,15 @@ class TestUnits:
     @pytest.mark.usefixtures("narrow_batches")
     def test_vector_batches_are_strided_and_first(self):
         units = CampaignRunner(2)._units(MIXED, list(range(len(MIXED))))
-        assert unit_indices(units) == [[0, 4, 6], [2, 5], [1], [3]]
+        assert unit_indices(units) == [[0, 3, 5], [2, 4, 6], [1]]
         units = CampaignRunner(1)._units(MIXED, list(range(len(MIXED))))
-        assert unit_indices(units) == [VECTOR, [1], [3]]
+        assert unit_indices(units) == [VECTOR, [1]]
 
     @pytest.mark.usefixtures("narrow_batches")
     def test_max_unit_caps_batch_width(self, monkeypatch):
         monkeypatch.setattr(runner, "MAX_UNIT", 2)
         units = CampaignRunner(1)._units(MIXED, VECTOR)
-        assert unit_indices(units) == [[0, 5], [2, 6], [4]]
+        assert unit_indices(units) == [[0, 4], [2, 5], [3, 6]]
 
     @pytest.mark.usefixtures("narrow_batches")
     def test_contained_runs_cut_one_spec_per_unit(self):
@@ -274,17 +283,17 @@ class TestUnits:
         with pytest.raises(KeyboardInterrupt):
             CampaignRunner(1, cache=cache).run(MIXED)
         cached = [i for i, s in enumerate(MIXED) if cache.get(s) is not None]
-        assert cached == [0, 5]
+        assert cached == [0, 4]
 
-        def near_optimal_dies(spec):
-            if getattr(spec, "scheme", None) == NEAR_OPTIMAL:
+        def one_shot_dies(spec):
+            if isinstance(spec, OneShotSpec):
                 raise KeyboardInterrupt
             return real_spec(spec)
 
         monkeypatch.setattr(runner, "run_scenario_batch", real_batch)
-        monkeypatch.setattr(runner, "run_spec", near_optimal_dies)
+        monkeypatch.setattr(runner, "run_spec", one_shot_dies)
         cache = ResultCache(tmp_path / "b")
         with pytest.raises(KeyboardInterrupt):
             CampaignRunner(1, cache=cache).run(MIXED)
         cached = [i for i, s in enumerate(MIXED) if cache.get(s) is not None]
-        assert cached == [0, 1, 2, 4, 5, 6]
+        assert cached == VECTOR

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.exact.bounds import near_optimal_run, relax_precedence, relax_set
+from repro.exact.bounds import (
+    near_optimal_run,
+    near_optimal_sim,
+    relax_precedence,
+    relax_set,
+)
 from repro.workloads.generator import UniformActuals, paper_task_set
 
 
@@ -41,3 +46,16 @@ class TestNearOptimalRun:
         actuals = UniformActuals(seed=6)
         ref = near_optimal_run(ts, proc, ts.hyperperiod(), actuals=actuals)
         assert ref.completed_jobs == ref.released_jobs
+
+    def test_record_on_miss_reaches_the_simulator(self, proc):
+        ts = paper_task_set(2, seed=6)
+        h = ts.hyperperiod()
+        sim = near_optimal_sim(
+            ts, proc, actuals=UniformActuals(seed=6), on_miss="record"
+        )
+        assert sim.on_miss == "record"
+        assert all(g.graph.edges() == () for g in sim.task_set)
+        res = sim.run(h)
+        assert not res.misses
+        ref = near_optimal_run(ts, proc, h, actuals=UniformActuals(seed=6))
+        assert res.energy == ref.energy
