@@ -2,10 +2,11 @@
 
 Runs one seeded 20-scenario campaign (4 schemes x 5 workloads,
 battery-evaluated) twice: sequentially and across a worker pool, then
-reports both wall-clocks and verifies the aggregates are bit-identical
-— the campaign engine's core guarantee.  Speedup tracks the machine's
-core count (a single-core container shows parallel *overhead*, not
-gain; the determinism check is meaningful everywhere).
+reports both wall-clocks and verifies the result frames are
+bit-identical — the campaign engine's core guarantee.  Speedup tracks
+the machine's core count (a single-core container shows parallel
+*overhead*, not gain; the determinism check is meaningful
+everywhere).
 
 Also runnable standalone (the CI smoke test)::
 
@@ -24,12 +25,12 @@ from pathlib import Path
 if __name__ == "__main__":  # allow standalone runs without PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.api import ResultFrame
 from repro.campaign import (
     CampaignResult,
     CampaignRunner,
     ScenarioSpec,
     spawn_seeds,
-    summarize,
 )
 
 SCHEMES = ("EDF", "ccEDF", "laEDF", "BAS-2")
@@ -54,18 +55,16 @@ def run_campaign(specs, n_workers: int, cache=None) -> CampaignResult:
     return CampaignRunner(n_workers, cache=cache).run(specs)
 
 
-def aggregates(campaign: CampaignResult):
-    return summarize(campaign.results, group_by=lambda r: r.spec.scheme)
+def frame_csv(campaign: CampaignResult) -> str:
+    """The campaign's result frame as CSV: every float, exact."""
+    return ResultFrame.from_results(campaign.results).to_csv()
 
 
 def compare(n_scenarios: int, n_workers: int, *, seed: int = 0) -> str:
     specs = build_specs(n_scenarios, seed=seed)
     seq = run_campaign(specs, 1)
     par = run_campaign(specs, n_workers)
-    identical = aggregates(seq) == aggregates(par) and [
-        r.metrics for r in seq.results
-    ] == [r.metrics for r in par.results]
-    if not identical:
+    if frame_csv(seq) != frame_csv(par):
         raise AssertionError(
             "sequential and parallel campaigns disagree — determinism "
             "guarantee broken"
@@ -78,7 +77,7 @@ def compare(n_scenarios: int, n_workers: int, *, seed: int = 0) -> str:
         f"parallel:   {par.wall_time_s:8.2f}s  ({n_workers} workers, "
         f"{os.cpu_count()} cpu(s) visible)\n"
         f"speedup:    {speedup:8.2f}x\n"
-        f"aggregates bit-identical: yes"
+        f"result frames bit-identical: yes"
     )
 
 

@@ -4,10 +4,10 @@ Runs one seeded battery-evaluated campaign three ways: sequentially in
 process, distributed over 1 spawned worker, and distributed over
 ``--workers`` spawned workers (shared-directory transport, the same
 path a multi-host fleet uses), then verifies all three produce
-bit-identical per-scenario metrics and aggregates before reporting
-wall-clocks.  On a single-core container the distributed rows mostly
-measure transport overhead (subprocess boot + file polling); the
-determinism check is the part that is meaningful everywhere.
+bit-identical result frames before reporting wall-clocks.  On a
+single-core container the distributed rows mostly measure transport
+overhead (subprocess boot + file polling); the determinism check is
+the part that is meaningful everywhere.
 
 Also runnable standalone (the CI smoke test)::
 
@@ -27,10 +27,10 @@ from pathlib import Path
 if __name__ == "__main__":  # allow standalone runs without PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.campaign import CampaignResult, CampaignRunner, summarize
+from repro.campaign import CampaignResult, CampaignRunner
 from repro.campaign.distributed import DistributedRunner
 
-from bench_campaign import build_specs
+from bench_campaign import build_specs, frame_csv
 
 RESULT_TIMEOUT = 300.0
 
@@ -47,12 +47,7 @@ def run_distributed(specs, n_workers: int) -> CampaignResult:
 
 
 def _assert_identical(reference: CampaignResult, other: CampaignResult):
-    same = [r.metrics for r in reference.results] == [
-        r.metrics for r in other.results
-    ] and summarize(
-        reference.results, group_by=lambda r: r.spec.scheme
-    ) == summarize(other.results, group_by=lambda r: r.spec.scheme)
-    if not same:
+    if frame_csv(reference) != frame_csv(other):
         raise AssertionError(
             "distributed campaign disagrees with the sequential runner "
             "— determinism guarantee broken"

@@ -15,15 +15,22 @@ from repro.api import Study, plans
 
 def test_model_coherence(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: Study(plans.model_coherence_plan()).run().adapted(),
+        lambda: Study(plans.model_coherence_plan()).run(),
         rounds=1,
         iterations=1,
     )
     publish(results_dir, "fig23_model_coherence", result.format())
 
-    for model in ("KiBaM", "diffusion", "stochastic"):
-        m = dict(zip(result.shapes, result.margins[model]))
+    pivot = result.frame.pivot(
+        "battery", "_shape", "survival_scale", agg="first"
+    )
+    margins = {
+        battery: dict(zip(pivot.column_labels, pivot.cells[i]))
+        for i, battery in enumerate(pivot.row_labels)
+    }
+    for model in ("kibam", "diffusion", "stochastic:noise=0.05"):
+        m = margins[model]
         assert m["decreasing"] > m["mixed"] > m["increasing"]
-    assert result.rankings_agree()
-    peukert = result.margins["Peukert"]
+    assert "rankings agree: yes" in result.format()
+    peukert = list(margins["peukert"].values())
     assert max(peukert) - min(peukert) < 1e-3

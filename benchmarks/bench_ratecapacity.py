@@ -10,6 +10,8 @@ extrapolations.
 
 from conftest import publish
 from repro.api import Study, plans
+from repro.battery.calibrate import paper_cell_kibam
+from repro.battery.ratecapacity import extrapolated_capacities
 
 
 def test_rate_capacity(benchmark, results_dir):
@@ -20,19 +22,26 @@ def test_rate_capacity(benchmark, results_dir):
                     0.1, 0.2, 0.45, 0.7, 1.0, 1.25, 2.0, 2.8, 4.0, 8.0
                 )
             )
-        ).run().adapted(),
+        ).run(),
         rounds=1,
         iterations=1,
     )
     publish(results_dir, "ratecapacity", result.format())
 
     # The extrapolated maximum matches the paper's 2000 mAh cell.
-    assert abs(result.max_capacity_mah - 2000.0) / 2000.0 < 0.03
-    assert result.available_capacity_mah < result.max_capacity_mah
+    max_c, avail_c = extrapolated_capacities(paper_cell_kibam())
+    assert abs(max_c / 3.6 - 2000.0) / 2000.0 < 0.03
+    assert avail_c < max_c
     # Every model's curve is monotone decreasing in load.
-    for vals in result.delivered_mah.values():
+    frame = result.frame
+    for battery in ("kibam", "diffusion", "stochastic"):
+        vals = list(frame.filter(battery=battery).column("delivered_c"))
         assert all(a >= b for a, b in zip(vals, vals[1:]))
     # The calibration anchors (0.45 A -> 1800 mAh, 1.25 A -> 1570 mAh).
-    kibam = dict(zip(result.currents, result.delivered_mah["KiBaM"]))
+    sub = frame.filter(battery="kibam")
+    kibam = {
+        float(i): float(q) / 3.6
+        for i, q in zip(sub.column("current"), sub.column("delivered_c"))
+    }
     assert abs(kibam[0.45] - 1800.0) < 10.0
     assert abs(kibam[1.25] - 1570.0) < 10.0

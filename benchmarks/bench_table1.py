@@ -24,15 +24,16 @@ def test_table1(benchmark, results_dir):
                 n_random=3,
                 max_extensions=100_000,
             )
-        ).run().adapted(),
+        ).run(),
         rounds=1,
         iterations=1,
     )
     publish(results_dir, "table1", result.format())
 
-    rand = np.array(result.random)
-    ltf = np.array(result.ltf)
-    pubs = np.array(result.pubs)
+    means = result.summary()
+    rand = means.column("random")
+    ltf = means.column("ltf")
+    pubs = means.column("pubs")
     # Everyone is at least optimal (ratios >= 1).
     assert np.all(rand >= 1 - 1e-9)
     assert np.all(ltf >= 1 - 1e-9)

@@ -19,8 +19,6 @@ Three quick demonstrations on the calibrated AAA NiMH cell:
 Run:  python examples/battery_playground.py
 """
 
-import numpy as np
-
 from repro import CurrentProfile, paper_cell_kibam
 from repro.api import Study, plans
 from repro.battery import sweep_rate_capacity
@@ -56,18 +54,12 @@ def recovery_demo() -> None:
 
 def guideline_demo() -> None:
     print("3. guideline 1 — non-increasing order sustains the most load")
-    result = Study(plans.model_coherence_plan()).run().adapted()
-    header = "   " + "profile".ljust(12) + "".join(
-        m.rjust(12) for m in result.margins
-    )
-    print(header)
-    for i, shape in enumerate(result.shapes):
-        row = "   " + shape.ljust(12) + "".join(
-            f"{result.margins[m][i]:12.4f}" for m in result.margins
-        )
-        print(row)
-    agree = "agree" if result.rankings_agree() else "DISAGREE"
-    print(f"   recovery-aware models {agree}; Peukert is order-blind\n")
+    # The plan's report: the sustainable-scale table per model plus the
+    # ranking verdict (its title line repeats this section's header).
+    report = Study(plans.model_coherence_plan()).run().format()
+    for line in report.splitlines()[1:]:
+        print("   " + line)
+    print()
 
 
 def main() -> None:

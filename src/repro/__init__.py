@@ -42,7 +42,6 @@ from .campaign import (
     ResultCache,
     ScenarioResult,
     ScenarioSpec,
-    StreamingAggregator,
     run_spec,
     spawn_seeds,
 )
@@ -156,7 +155,6 @@ __all__ = [
     "ResultCache",
     "ScenarioResult",
     "ScenarioSpec",
-    "StreamingAggregator",
     "run_spec",
     "spawn_seeds",
     # analysis

@@ -35,12 +35,12 @@ import sys
 
 from . import faults
 from .analysis.tables import format_table
+from .api import ResultFrame
 from .api import plans as study_plans
 from .campaign import (
     CampaignRunner,
     ResultCache,
     ScenarioSpec,
-    StreamingAggregator,
     install_env_plugins,
     known_schemes,
     spawn_seeds,
@@ -303,34 +303,41 @@ def _cmd_campaign(args) -> str:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     armed = _arm_cli_faults(args)
     runner = _make_campaign_runner(args, cache)
-    agg = StreamingAggregator(
-        percentiles=(50.0,), group_by=lambda r: r.spec.scheme
-    )
     try:
-        campaign = runner.run(specs, aggregators=[agg])
+        campaign = runner.run(specs)
     finally:
         if isinstance(runner, DistributedRunner):
             runner.close()
         if armed:
             faults.uninstall()
-    stats = agg.summary()
     rows = []
-    for scheme in args.schemes:
-        if scheme not in stats:
-            continue  # every scenario of this scheme was quarantined
-        st = stats[scheme]
-        life = st["lifetime_min"]
-        rows.append(
+    if campaign.results:  # empty when every spec was quarantined
+        grouped = ResultFrame.from_results(campaign.results).group_by(
+            "scheme"
+        )
+        mean, low, high, p50 = (
+            {row["scheme"]: row for row in reduced.to_rows()}
+            for reduced in (
+                grouped.mean(),
+                grouped.min(),
+                grouped.max(),
+                grouped.percentile(50.0),
+            )
+        )
+        rows = [
             [
                 scheme,
-                life.mean,
-                life.minimum,
-                life.maximum,
-                life.percentiles[50.0],
-                st["delivered_mah"].mean,
-                st["misses"].mean,
+                mean[scheme]["lifetime_min"],
+                low[scheme]["lifetime_min"],
+                high[scheme]["lifetime_min"],
+                p50[scheme]["lifetime_min"],
+                mean[scheme]["delivered_mah"],
+                mean[scheme]["misses"],
             ]
-        )
+            for scheme in args.schemes
+            # every scenario of a missing scheme was quarantined
+            if scheme in mean
+        ]
     table = format_table(
         ["Scheme", "Life mean", "min", "max", "p50", "mAh mean", "misses"],
         rows,

@@ -15,13 +15,15 @@ orthogonal pieces:
     reuses the content-hash result cache for every unchanged point.
 
 **Result frames** (:mod:`repro.api.frame`)
-    ``Study.run`` returns a typed columnar :class:`ResultFrame`
-    (struct-of-arrays: spec fields, meta axes, metrics) with
+    The result type of every study and campaign.  ``Study.run``
+    returns a typed columnar :class:`ResultFrame` (struct-of-arrays:
+    spec fields, meta axes, metrics; one row per spec) with
     deterministic ``group_by`` / ``pivot`` / ``mean_ci`` /
-    ``normalize`` / ``to_csv`` / ``to_json`` — every reduction runs
-    in row order, replacing the per-driver bespoke result dataclasses
-    with one container that is bit-identical to the hand-rolled
-    aggregations it superseded.
+    ``normalize`` / ``to_csv`` / ``to_json``; build one from any
+    campaign with :meth:`ResultFrame.from_results`.  Every reduction
+    runs in row order, so a table is bit-identical across worker
+    counts and backends.  Each paper artifact's rows are rendered
+    straight from its frame.
 
 **The registry** (:mod:`repro.campaign.registry`)
     Axis values are names resolved through the plugin registry.
@@ -71,40 +73,25 @@ from ..campaign.registry import (
     unregister,
 )
 from .frame import GroupedFrame, PivotTable, ResultFrame
-from .results import (
-    AblationResult,
-    Fig4Result,
-    Fig5Result,
-    Fig6Result,
-    ModelCoherenceResult,
-    RateCapacityResult,
-    Table1Result,
-    Table2Result,
-)
+from .results import Fig4Result, Fig5Result
 from .study import Study, StudyPlan, StudyResult, load_plan
 from .sweep import Axis, Condition, SeedRule, Sweep
 from . import plans
 
 __all__ = [
-    "AblationResult",
     "Axis",
     "Condition",
     "Fig4Result",
     "Fig5Result",
-    "Fig6Result",
     "GroupedFrame",
-    "ModelCoherenceResult",
     "NEAR_OPTIMAL",
     "PivotTable",
-    "RateCapacityResult",
     "ResultFrame",
     "SeedRule",
     "Study",
     "StudyPlan",
     "StudyResult",
     "Sweep",
-    "Table1Result",
-    "Table2Result",
     "known_names",
     "known_schemes",
     "load_entry_points",

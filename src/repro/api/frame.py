@@ -418,8 +418,11 @@ class ResultFrame:
         return text
 
     def to_json(self) -> Dict:
-        """JSON-ready ``{"columns": {name: [values]}}`` (column order
-        preserved by the dict)."""
+        """JSON-ready ``{"columns": {name: [values]}, "float_columns":
+        [names]}`` (column order preserved by the dict).  NaN is
+        written as ``null``; ``float_columns`` names the float64
+        columns, whose ``null`` reads back as NaN rather than ``None``.
+        """
         columns: Dict[str, List] = {}
         for name in self.column_names:
             out: List[Any] = []
@@ -432,15 +435,27 @@ class ResultFrame:
                     v = None
                 out.append(v)
             columns[name] = out
-        return {"columns": columns}
+        float_columns = [
+            name
+            for name in self.column_names
+            if self._columns[name].dtype.kind == "f"
+        ]
+        return {"columns": columns, "float_columns": float_columns}
 
     @classmethod
     def from_json(cls, data: Dict) -> "ResultFrame":
+        floats = set(data.get("float_columns", ()))
         columns = {}
         for name, values in dict(data["columns"]).items():
-            columns[name] = _make_column(
-                [tuple(v) if isinstance(v, list) else v for v in values]
-            )
+            if name in floats:
+                columns[name] = np.asarray(
+                    [math.nan if v is None else v for v in values],
+                    dtype=float,
+                )
+            else:
+                columns[name] = _make_column(
+                    [tuple(v) if isinstance(v, list) else v for v in values]
+                )
         return cls(columns)
 
     def format(self, *, precision: int = 6) -> str:
@@ -465,7 +480,9 @@ class GroupedFrame:
 
     Aggregation methods reduce every numeric non-key column in row
     order and return a new :class:`ResultFrame` with the key columns,
-    an ``n`` count column, and the aggregated columns.
+    an ``n`` count column, and the aggregated columns.  ``min``,
+    ``max`` and ``percentile`` select rather than accumulate, so their
+    values do not depend on the order at all.
     """
 
     frame: ResultFrame
@@ -512,6 +529,19 @@ class GroupedFrame:
 
     def first(self) -> ResultFrame:
         return self._aggregate(lambda vals, rows: float(vals[rows[0]]))
+
+    def min(self) -> ResultFrame:
+        return self._aggregate(lambda vals, rows: float(vals[rows].min()))
+
+    def max(self) -> ResultFrame:
+        return self._aggregate(lambda vals, rows: float(vals[rows].max()))
+
+    def percentile(self, q: float) -> ResultFrame:
+        """Per-group ``q``-th percentile (0-100, linear interpolation
+        between the two nearest ranks, as ``numpy.percentile``)."""
+        return self._aggregate(
+            lambda vals, rows: float(np.percentile(vals[rows], q))
+        )
 
     def series(self, value: str) -> Dict[Tuple, float]:
         """Group-key → mean-of-``value`` mapping, insertion-ordered."""

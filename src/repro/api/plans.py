@@ -1,11 +1,11 @@
 """The paper's tables, figures, and ablations as declarative plans.
 
 Each builder returns a :class:`~repro.api.study.StudyPlan` whose
-sweep expands to the paper artifact's spec list, plus an ``adapt``
-hook producing its typed result (:mod:`repro.api.results`) and a
-``render`` hook printing the paper's rows.  Run one with
+sweep expands to the paper artifact's spec list, plus a ``render``
+hook printing the paper's rows from the result frame.  Run one with
 ``Study(plans.table2_plan(n_sets=100), workers=8).run()``; the
-result's ``adapted()`` is the :class:`~repro.api.results.Table2Result`.
+result's ``frame`` holds one row per spec and ``summary()`` the group
+means the paper reports.
 
 Scale parameters default to quick settings (pass the paper's full
 scale when you have the minutes).  Builders accept registry *names*
@@ -19,8 +19,11 @@ for a campaign to parallelize or cache.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..analysis.tables import format_series, format_table
 from ..campaign.registry import NEAR_OPTIMAL
 from ..core.methodology import SchedulingPolicy
 from ..core.oneshot import run_one_shot
@@ -31,16 +34,7 @@ from ..errors import SchedulingError
 from ..processor.platform import Processor, paper_processor
 from ..sim.engine import Simulator
 from ..workloads.presets import fig4_cases, fig4_pair, fig5_actuals, fig5_set
-from .results import (
-    AblationResult,
-    Fig4Result,
-    Fig5Result,
-    Fig6Result,
-    ModelCoherenceResult,
-    RateCapacityResult,
-    Table1Result,
-    Table2Result,
-)
+from .results import Fig4Result, Fig5Result
 from .study import StudyPlan, StudyResult
 from .sweep import Sweep
 
@@ -71,11 +65,6 @@ PAPER_SCHEME_NAMES: Tuple[str, ...] = (
 FIG6_SCHEME_NAMES: Tuple[str, ...] = (
     "random", "LTF", "pUBS-imminent", "pUBS-all"
 )
-
-
-def _series(res: StudyResult, keys, value) -> Dict[Tuple, float]:
-    """Group-mean series in first-appearance order (deterministic)."""
-    return res.frame.group_by(*keys).series(value)
 
 
 # ----------------------------------------------------------------------
@@ -117,14 +106,17 @@ def table1_plan(
         .seed(mode="spawn", root=seed)
     )
 
-    def adapt(res: StudyResult) -> Table1Result:
-        means = res.frame.group_by("n_tasks").mean()
-        return Table1Result(
-            sizes=tuple(int(n) for n in means.column("n_tasks")),
-            random=tuple(float(v) for v in means.column("random")),
-            ltf=tuple(float(v) for v in means.column("ltf")),
-            pubs=tuple(float(v) for v in means.column("pubs")),
-            graphs_per_size=graphs_per_size,
+    def render(res: StudyResult) -> str:
+        return format_table(
+            ["# of tasks", "Random", "LTF", "pUBS"],
+            [
+                [row["n_tasks"], row["random"], row["ltf"], row["pubs"]]
+                for row in res.summary().to_rows()
+            ],
+            title=(
+                "Table 1 — energy normalized w.r.t. optimal "
+                f"(avg of {graphs_per_size} DAGs per size)"
+            ),
         )
 
     return StudyPlan(
@@ -133,8 +125,7 @@ def table1_plan(
         sweep=sweep,
         group_by=("n_tasks",),
         metrics=("random", "ltf", "pubs"),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=render,
     )
 
 
@@ -178,18 +169,33 @@ def table2_plan(
         )
     )
 
-    def adapt(res: StudyResult) -> Table2Result:
-        means = res.frame.group_by("scheme").mean()
-        return Table2Result(
-            scheme_names=tuple(str(s) for s in means.column("scheme")),
-            delivered_mah=tuple(
-                float(v) for v in means.column("delivered_mah")
+    def render(res: StudyResult) -> str:
+        means = res.summary().to_rows()
+        table = format_table(
+            ["Scheme", "Charge (mAh)", "Lifetime (min)"],
+            [
+                [row["scheme"], row["delivered_mah"], row["lifetime_min"]]
+                for row in means
+            ],
+            title=(
+                "Table 2 — battery performance at 70% utilization "
+                f"(avg of {n_sets} taskgraph sets)"
             ),
-            lifetime_min=tuple(
-                float(v) for v in means.column("lifetime_min")
-            ),
-            n_sets=n_sets,
+            precision=1,
         )
+        # The §6 improvement percentages, recomputed from this run.
+        lifetime = {row["scheme"]: row["lifetime_min"] for row in means}
+        claims = [
+            f"BAS-2 lifetime {label}: "
+            f"{(lifetime['BAS-2'] / lifetime[target] - 1.0) * 100.0:+.1f}%"
+            for target, label in (
+                ("ccEDF", "over ccEDF"),
+                ("laEDF", "over laEDF"),
+                ("EDF", "over no-DVS EDF"),
+            )
+            if target in lifetime and "BAS-2" in lifetime
+        ]
+        return table + "\n" + "\n".join(claims)
 
     return StudyPlan(
         name="table2",
@@ -197,8 +203,7 @@ def table2_plan(
         sweep=sweep,
         group_by=("scheme",),
         metrics=("delivered_mah", "lifetime_min"),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=render,
     )
 
 
@@ -333,18 +338,22 @@ def fig6_plan(
         {"op": "exclude", "where": {"scheme": NEAR_OPTIMAL}},
     )
 
-    def adapt(res: StudyResult) -> Fig6Result:
-        series: Dict[str, Tuple[float, ...]] = {
-            name: () for name in FIG6_SCHEME_NAMES
+    def render(res: StudyResult) -> str:
+        # Groups appear count by count, so each scheme's means line
+        # up with ``graph_counts``.
+        series: Dict[str, List[float]] = {
+            name: [] for name in FIG6_SCHEME_NAMES
         }
-        for (scheme, _count), mean in _series(
-            res, ("scheme", "n_graphs"), "energy_rel"
-        ).items():
-            series[scheme] = series[scheme] + (float(mean),)
-        return Fig6Result(
-            graph_counts=tuple(int(c) for c in graph_counts),
-            series=series,
-            sets_per_point=sets_per_point,
+        for row in res.summary().to_rows():
+            series[row["scheme"]].append(row["energy_rel"])
+        return format_series(
+            "# taskgraphs",
+            [int(c) for c in graph_counts],
+            series,
+            title=(
+                "Figure 6 — energy normalized w.r.t. near-optimal "
+                f"(precedence relaxed; avg of {sets_per_point} sets)"
+            ),
         )
 
     return StudyPlan(
@@ -354,8 +363,7 @@ def fig6_plan(
         post=post,
         group_by=("scheme", "n_graphs"),
         metrics=("energy_rel",),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=render,
     )
 
 
@@ -403,18 +411,38 @@ def model_coherence_plan(
         )
     )
 
-    def adapt(res: StudyResult) -> ModelCoherenceResult:
+    def render(res: StudyResult) -> str:
+        # margins[model][i]: the largest multiplier by which shape i's
+        # currents can be scaled with the battery still completing the
+        # whole profile (guideline 1: non-increasing sustains the most).
         pivot = res.frame.pivot(
             "battery", "_shape", "survival_scale", agg="first"
         )
         margins = {
-            display[reg]: tuple(
-                float(v) for v in pivot.cells[i]
-            )
+            display[reg]: pivot.cells[i].tolist()
             for i, reg in enumerate(pivot.row_labels)
         }
-        return ModelCoherenceResult(
-            shapes=tuple(pivot.column_labels), margins=margins
+        table = format_series(
+            "profile",
+            list(pivot.column_labels),
+            margins,
+            title=(
+                "Figures 2-3 — battery models agree on load-shape "
+                "friendliness (max sustainable load scale)"
+            ),
+            precision=4,
+        )
+        # Do the recovery-aware models order the shapes identically?
+        orders = {
+            tuple(np.argsort(values))
+            for model, values in margins.items()
+            if model != "Peukert"
+        }
+        verdict = "yes" if len(orders) == 1 else "NO"
+        return (
+            table
+            + f"\nkinetic/diffusion/stochastic rankings agree: {verdict}"
+            + "\n(Peukert is permutation-blind: its column is flat)"
         )
 
     return StudyPlan(
@@ -423,8 +451,7 @@ def model_coherence_plan(
         sweep=sweep,
         group_by=("battery", "_shape"),
         metrics=("survival_scale",),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=render,
     )
 
 
@@ -442,7 +469,7 @@ def rate_capacity_plan(
     ``models`` maps display label → battery registry name; defaults to
     the three calibrated paper cells.  The curve's extrapolated ends
     (maximum/available capacity) are closed-form KiBaM anchors,
-    computed in the adapter.
+    computed in the renderer.
     """
     entries: Tuple[Tuple[str, str], ...] = tuple(
         (models or {
@@ -461,25 +488,33 @@ def rate_capacity_plan(
         .grid(current=swept)
     )
 
-    def adapt(res: StudyResult) -> RateCapacityResult:
+    def render(res: StudyResult) -> str:
         from ..battery.calibrate import paper_cell_kibam
         from ..battery.ratecapacity import extrapolated_capacities
 
-        delivered: Dict[str, Tuple[float, ...]] = {}
-        frame = res.frame
-        for _disp, reg in entries:
-            sub = frame.filter(battery=reg)
-            delivered[display[reg]] = tuple(
-                float(v) / 3.6 for v in sub.column("delivered_c")
-            )
+        delivered_mah = {
+            display[reg]: [
+                float(v) / 3.6
+                for v in res.frame.filter(battery=reg).column("delivered_c")
+            ]
+            for _disp, reg in entries
+        }
         max_c, avail_c = extrapolated_capacities(paper_cell_kibam())
-        return RateCapacityResult(
-            # Labelled in sweep (ascending) order — the order the
-            # delivered columns are in.
-            currents=tuple(swept),
-            delivered_mah=delivered,
-            max_capacity_mah=max_c / 3.6,
-            available_capacity_mah=avail_c / 3.6,
+        # Labelled in sweep (ascending) order — the order the
+        # delivered columns are in.
+        table = format_series(
+            "I (A)",
+            swept,
+            delivered_mah,
+            title="Load vs delivered capacity (mAh)",
+            precision=1,
+        )
+        return (
+            table
+            + f"\nextrapolated maximum capacity:   "
+            f"{max_c / 3.6:.0f} mAh (paper: 2000)"
+            + f"\nextrapolated available capacity: "
+            f"{avail_c / 3.6:.0f} mAh"
         )
 
     return StudyPlan(
@@ -488,38 +523,37 @@ def rate_capacity_plan(
         sweep=sweep,
         group_by=("battery", "current"),
         metrics=("delivered_c", "lifetime_s"),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=render,
     )
 
 
 # ----------------------------------------------------------------------
 # Ablations
 # ----------------------------------------------------------------------
-def _ablation_adapter(
+def _ablation_render(
     title: str,
     factor: str,
-    level_axis: str,
     labels: Mapping,
-    metric: str,
     metric_label: str,
     notes: str = "",
 ):
-    def adapt(res: StudyResult) -> AblationResult:
-        means = _series(res, (level_axis,), metric)
-        return AblationResult(
-            title=title,
-            factor=factor,
-            levels=tuple(labels[key] for (key,) in means),
-            metrics={
-                metric_label: tuple(
-                    float(v) for v in means.values()
-                )
-            },
-            notes=notes,
-        )
+    """A one-factor ablation table: one row per level of the plan's
+    single ``group_by`` axis, showing the mean of its single metric."""
 
-    return adapt
+    def render(res: StudyResult) -> str:
+        (axis,), (metric,) = res.plan.group_by, res.plan.metrics
+        out = format_table(
+            [factor, metric_label],
+            [
+                [labels[row[axis]], row[metric]]
+                for row in res.summary().to_rows()
+            ],
+            title=title,
+            precision=3,
+        )
+        return out + "\n" + notes if notes else out
+
+    return render
 
 
 def ablation_estimator_plan(
@@ -545,22 +579,18 @@ def ablation_estimator_plan(
         .grid(estimator=list(estimators))
         .seed(mode="offset", root=seed, terms={"_rep": 1})
     )
-    adapt = _ablation_adapter(
-        "Ablation — pUBS estimate accuracy (BAS-2 energy, J)",
-        "estimator",
-        "estimator",
-        {e: e for e in estimators},
-        "energy_j",
-        "energy (J)",
-    )
     return StudyPlan(
         name="ablation-estimator",
         description="pUBS estimate accuracy vs energy",
         sweep=sweep,
         group_by=("estimator",),
         metrics=("energy_j",),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=_ablation_render(
+            "Ablation — pUBS estimate accuracy (BAS-2 energy, J)",
+            "estimator",
+            {e: e for e in estimators},
+            "energy (J)",
+        ),
     )
 
 
@@ -583,22 +613,18 @@ def ablation_freqset_plan(
         .grid(processor=list(processors))
         .seed(mode="offset", root=seed, terms={"_rep": 1})
     )
-    adapt = _ablation_adapter(
-        "Ablation — frequency-table granularity (BAS-2 energy, J)",
-        "table",
-        "processor",
-        processors,
-        "energy_j",
-        "energy (J)",
-    )
     return StudyPlan(
         name="ablation-freqset",
         description="frequency-table granularity vs energy",
         sweep=sweep,
         group_by=("processor",),
         metrics=("energy_j",),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=_ablation_render(
+            "Ablation — frequency-table granularity (BAS-2 energy, J)",
+            "table",
+            processors,
+            "energy (J)",
+        ),
     )
 
 
@@ -628,22 +654,18 @@ def ablation_dvs_plan(
         .grid(scheme=list(grid))
         .seed(mode="offset", root=seed, terms={"_rep": 1})
     )
-    adapt = _ablation_adapter(
-        "Ablation — DVS algorithm x ready list (pUBS energy, J)",
-        "combination",
-        "scheme",
-        {g: g for g in grid},
-        "energy_j",
-        "energy (J)",
-    )
     return StudyPlan(
         name="ablation-dvs",
         description="DVS algorithm x ready-list grid",
         sweep=sweep,
         group_by=("scheme",),
         metrics=("energy_j",),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=_ablation_render(
+            "Ablation — DVS algorithm x ready list (pUBS energy, J)",
+            "combination",
+            {g: g for g in grid},
+            "energy (J)",
+        ),
     )
 
 
@@ -675,26 +697,19 @@ def ablation_feasibility_plan(
         .grid(scheme=list(variants))
         .seed(mode="offset", root=seed, terms={"_rep": 1})
     )
-    adapt = _ablation_adapter(
-        "Ablation — feasibility check (deadline misses per set)",
-        "variant",
-        "scheme",
-        variants,
-        "misses",
-        "misses",
-        notes=(
-            "guarded BAS-2 must show 0 misses; unguarded generally "
-            "not."
-        ),
-    )
     return StudyPlan(
         name="ablation-feasibility",
         description="Algorithm 2 guard vs deadline misses",
         sweep=sweep,
         group_by=("scheme",),
         metrics=("misses",),
-        adapt=adapt,
-        render=lambda res: adapt(res).format(),
+        render=_ablation_render(
+            "Ablation — feasibility check (deadline misses per set)",
+            "variant",
+            variants,
+            "misses",
+            notes="guarded BAS-2 must show 0 misses; unguarded generally not.",
+        ),
     )
 
 

@@ -2,19 +2,18 @@
 
 A :class:`StudyPlan` is the declarative description of a whole
 experiment: the :class:`~repro.api.sweep.Sweep` that expands to
-campaign specs, a pipeline of frame operations (``post``), and how to
-summarize (``group_by`` / ``metrics``).  :class:`Study` executes a
-plan on any :class:`~repro.campaign.growth.SpecRunner` — the local
-multiprocessing runner, a cached runner, or a distributed fleet — and
-returns a :class:`StudyResult` holding the typed
+campaign specs, a pipeline of frame operations (``post``), and which
+group means to report (``group_by`` / ``metrics``).  :class:`Study`
+executes a plan on any :class:`~repro.campaign.growth.SpecRunner` —
+the local multiprocessing runner, a cached runner, or a distributed
+fleet — and returns a :class:`StudyResult` holding the typed
 :class:`~repro.api.frame.ResultFrame` plus campaign telemetry.
 
 Plans serialize: :meth:`StudyPlan.to_json` / :func:`load_plan` power
 ``python -m repro study run plan.json``.  The builtin paper plans in
-:mod:`repro.api.plans` additionally carry code-only ``render`` /
-``adapt`` hooks printing the paper's rows (those hooks are dropped
-by serialization; a JSON plan renders its summary frame
-generically).
+:mod:`repro.api.plans` additionally carry a code-only ``render`` hook
+printing the paper's rows from the frame (dropped by serialization; a
+JSON plan renders its summary frame generically).
 
 Post-operation vocabulary (each a JSON-able dict):
 
@@ -86,10 +85,9 @@ class StudyPlan:
     group_by / metrics:
         How :meth:`StudyResult.summary` aggregates: group keys and the
         metric columns worth reporting (empty = all numeric).
-    render / adapt:
-        Code-only hooks: ``render(result) -> str`` overrides the
-        generic report; ``adapt(result)`` converts to a typed result
-        dataclass (:mod:`repro.api.results`).  Not serialized.
+    render:
+        Code-only hook: ``render(result) -> str`` overrides the
+        generic report.  Not serialized.
     """
 
     name: str
@@ -99,7 +97,6 @@ class StudyPlan:
     group_by: Tuple[str, ...] = ()
     metrics: Tuple[str, ...] = ()
     render: Optional[Callable[["StudyResult"], str]] = None
-    adapt: Optional[Callable[["StudyResult"], Any]] = None
 
     def __post_init__(self) -> None:
         self.post = tuple(self.post)
@@ -121,8 +118,8 @@ class StudyPlan:
 
     # Serialization ----------------------------------------------------
     def to_json(self) -> Dict:
-        """The plan as a JSON-ready dict (``render``/``adapt`` hooks
-        are code and are dropped)."""
+        """The plan as a JSON-ready dict (the ``render`` hook is code
+        and is dropped)."""
         return {
             "version": PLAN_VERSION,
             "name": self.name,
@@ -195,15 +192,6 @@ class StudyResult:
             )
             means = means.select(*keep)
         return means
-
-    def adapted(self):
-        """The typed result dataclass, for plans that carry an
-        adapter (the builtin paper plans do)."""
-        if self.plan.adapt is None:
-            raise SchedulingError(
-                f"plan {self.plan.name!r} has no legacy adapter"
-            )
-        return self.plan.adapt(self)
 
     def format(self) -> str:
         """The study report: the plan's renderer if present, else a

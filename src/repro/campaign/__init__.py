@@ -3,12 +3,14 @@
 Turns the repo's scenario sweeps (paper tables/figures, ablations,
 user-defined studies) into declarative spec lists executed by a
 multiprocessing runner with per-scenario ``SeedSequence``-derived
-seeds, an on-disk result cache keyed by spec content hash, and
-streaming order-deterministic aggregators.  Sequential and parallel
-execution of the same campaign are bit-identical.
+seeds and an on-disk result cache keyed by spec content hash.
+Results come back in spec order, so sequential and parallel execution
+of the same campaign are bit-identical; aggregate them with
+:class:`repro.api.ResultFrame`, whose reductions run in row order.
 
 Quick start::
 
+    from repro.api import ResultFrame
     from repro.campaign import (
         CampaignRunner, ResultCache, ScenarioSpec, spawn_seeds,
     )
@@ -20,10 +22,10 @@ Quick start::
         for name in ("ccEDF", "BAS-2")
     ]
     campaign = CampaignRunner(n_workers=4, cache=ResultCache()).run(specs)
-    print(campaign.summary(group_by=lambda r: r.spec.scheme))
+    frame = ResultFrame.from_results(campaign.results)
+    print(frame.group_by("scheme").mean().format())
 """
 
-from .aggregate import MetricSummary, StreamingAggregator, summarize
 from .cache import ResultCache, default_cache_dir
 from .failures import (
     FailureInfo,
@@ -79,7 +81,6 @@ __all__ = [
     "FailureInfo",
     "FailureReport",
     "GrowableRunnerMixin",
-    "MetricSummary",
     "NEAR_OPTIMAL",
     "OneShotSpec",
     "QuarantinedSpec",
@@ -88,7 +89,6 @@ __all__ = [
     "ScenarioSpec",
     "SpecRunner",
     "SpecTemplate",
-    "StreamingAggregator",
     "SurvivalSpec",
     "backoff_delay",
     "build_scheme",
@@ -112,6 +112,5 @@ __all__ = [
     "run_spec",
     "sample_bounded_dag",
     "spawn_seeds",
-    "summarize",
     "unregister",
 ]

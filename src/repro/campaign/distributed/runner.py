@@ -2,8 +2,8 @@
 
 :class:`DistributedRunner` mirrors the
 :class:`~repro.campaign.runner.CampaignRunner` interface — ``run``,
-``run_campaign``/``extend``, optional result cache, streaming
-aggregators — but executes specs on a fleet of worker processes
+``run_campaign``/``extend``, optional result cache, the streaming
+``on_result`` callback — but executes specs on a fleet of worker processes
 attached over one of two transports:
 
 ``workdir=PATH``
@@ -219,7 +219,6 @@ class DistributedRunner(GrowableRunnerMixin):
         specs: Sequence[Spec],
         *,
         on_result: Optional[OnResult] = None,
-        aggregators: Sequence = (),
     ) -> CampaignResult:
         """Execute ``specs`` on the fleet; results in spec order."""
         # repro: noqa[RACE001] -- usage guard; run()/close() are
@@ -234,8 +233,6 @@ class DistributedRunner(GrowableRunnerMixin):
 
         def emit(index: int, result: ScenarioResult) -> None:
             results[index] = result
-            for agg in aggregators:
-                agg.add(index, result)
             if on_result is not None:
                 on_result(index, result)
 

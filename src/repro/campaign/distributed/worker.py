@@ -30,8 +30,8 @@ from typing import Dict, Optional, Set, Union
 
 from ... import faults
 from ...errors import SchedulingError
-from ..failures import FailureInfo, spec_deadline
-from ..runner import run_spec
+from ..failures import FailureInfo
+from ..runner import _run_unit, _Unit
 from .protocol import (
     PROTOCOL_VERSION,
     error_payload,
@@ -54,9 +54,10 @@ def execute_payload(payload: Dict, *, worker: str = "") -> Dict:
     than raised — otherwise one poison-pill task would serially crash
     every worker that leases it.  Errors travel structured (exception
     class, message, traceback text) so the broker can charge retry
-    budgets and quarantine with provenance.  A task
-    carrying a ``timeout`` runs under the :func:`spec_deadline`
-    watchdog; ``worker`` stamps outcomes for broker health scoring.
+    budgets and quarantine with provenance.  A parsed task runs as a
+    contained one-spec unit of the local runner's worker: under the
+    task's ``timeout`` watchdog, behind the ``spec.execute`` fault
+    point.  ``worker`` stamps outcomes for broker health scoring.
     """
     job = str(payload.get("job", ""))
     try:
@@ -65,14 +66,14 @@ def execute_payload(payload: Dict, *, worker: str = "") -> Dict:
         index = -1
     try:
         job, index, spec = parse_task(payload)
-        deadline = task_timeout(payload)
-        with spec_deadline(deadline, what=f"spec {index}"):
-            faults.fire("spec.execute", index)
-            result = run_spec(spec)
-    except Exception as exc:  # deterministic failure: report, don't die
+        unit = _Unit(((index, spec),), True, task_timeout(payload))
+    except Exception as exc:  # malformed payload: report, don't die
         return error_payload(
             job, index, FailureInfo.from_exception(exc), worker=worker
         )
+    ((_index, result, failure),), _demoted = _run_unit(unit)
+    if failure is not None:
+        return error_payload(job, index, failure, worker=worker)
     return result_payload(job, index, result, worker=worker)
 
 

@@ -11,7 +11,7 @@ and with a content-hash result cache attached, even a fresh process
 asked for the enlarged campaign re-executes nothing but the suffix.
 
 :class:`GrowableRunnerMixin` adds this protocol to any runner exposing
-``run(specs, on_result=..., aggregators=...)`` — both the local
+``run(specs, on_result=...)`` — both the local
 :class:`~repro.campaign.runner.CampaignRunner` and the distributed
 :class:`~repro.campaign.distributed.DistributedRunner` inherit it:
 
@@ -37,7 +37,6 @@ from typing import (
 )
 
 from ..errors import SchedulingError
-from .aggregate import StreamingAggregator
 from .spec import Spec, is_spec, spawn_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,7 +64,6 @@ class SpecRunner(Protocol):
         specs: Sequence[Spec],
         *,
         on_result: Optional[Callable] = None,
-        aggregators: Sequence[StreamingAggregator] = (),
     ) -> "CampaignResult": ...  # pragma: no cover - protocol
 
 
@@ -95,9 +93,8 @@ def _expand(template: SpecTemplate, seed: int, index: int) -> List[Spec]:
 class GrowableRunnerMixin:
     """Adds ``run_campaign`` / ``extend`` to a spec-list runner.
 
-    The host class must provide ``run(specs, on_result=...,
-    aggregators=...)`` returning a
-    :class:`~repro.campaign.runner.CampaignResult`.
+    The host class must provide ``run(specs, on_result=...)``
+    returning a :class:`~repro.campaign.runner.CampaignResult`.
     """
 
     _growth: Optional[_GrowthState] = None
@@ -115,7 +112,6 @@ class GrowableRunnerMixin:
         *,
         root_seed: int = 0,
         on_result: Optional[Callable] = None,
-        aggregators: Sequence[StreamingAggregator] = (),
     ) -> "CampaignResult":
         """Run ``n_scenarios`` template-built scenarios; remember them.
 
@@ -129,24 +125,23 @@ class GrowableRunnerMixin:
                 f"n_scenarios must be >= 1, got {n_scenarios}"
             )
         self._growth = _GrowthState(template, int(root_seed), 0, [])
-        return self._grow(n_scenarios, on_result, aggregators)
+        return self._grow(n_scenarios, on_result)
 
     def extend(
         self,
         n_more: int,
         *,
         on_result: Optional[Callable] = None,
-        aggregators: Sequence[StreamingAggregator] = (),
     ) -> "CampaignResult":
         """Grow the last :meth:`run_campaign` by ``n_more`` scenarios.
 
         Only the new suffix is executed (the prefix's specs are not
         even rebuilt); the returned result covers the *whole* enlarged
         campaign, with ``executed`` / ``cache_hits`` counting the
-        suffix run alone.  ``on_result`` and ``aggregators`` see the
-        suffix results under their global spec indices, so an
-        aggregator threaded through ``run_campaign`` and every
-        ``extend`` accumulates the full campaign exactly once.
+        suffix run alone.  ``on_result`` sees the suffix results
+        under their global spec indices, so a callback threaded
+        through ``run_campaign`` and every ``extend`` receives each
+        result of the full campaign exactly once.
         """
         if self._growth is None:
             raise SchedulingError(
@@ -154,16 +149,13 @@ class GrowableRunnerMixin:
             )
         if n_more < 1:
             raise SchedulingError(f"n_more must be >= 1, got {n_more}")
-        return self._grow(
-            self._growth.n_scenarios + n_more, on_result, aggregators
-        )
+        return self._grow(self._growth.n_scenarios + n_more, on_result)
 
     # ------------------------------------------------------------------
     def _grow(
         self,
         n_total: int,
         on_result: Optional[Callable],
-        aggregators: Sequence[StreamingAggregator],
     ) -> "CampaignResult":
         from .runner import CampaignResult  # deferred: import cycle
 
@@ -177,8 +169,6 @@ class GrowableRunnerMixin:
         offset = len(state.results)
 
         def emit(local_index: int, result) -> None:
-            for agg in aggregators:
-                agg.add(offset + local_index, result)
             if on_result is not None:
                 on_result(offset + local_index, result)
 

@@ -3,17 +3,18 @@
 :func:`run_spec` executes one spec in the calling process;
 :class:`CampaignRunner` maps a spec list across a ``multiprocessing``
 pool (or runs sequentially for ``n_workers=1``), consulting an optional
-:class:`~repro.campaign.cache.ResultCache` first and feeding streaming
-aggregators as workers finish.
+:class:`~repro.campaign.cache.ResultCache` first and streaming each
+result to an ``on_result`` callback as workers finish.
 
 Determinism
 -----------
 Every spec carries its own seed (assigned by the caller, typically via
 :func:`~repro.campaign.spec.spawn_seeds`), every executor derives all
 randomness from that seed alone, and the returned result list is in
-spec order regardless of completion order — so a campaign's results
-and aggregates are bit-identical between sequential and parallel
-execution, across any worker count.
+spec order regardless of completion order — so a campaign's results,
+and every :class:`~repro.api.frame.ResultFrame` built from them, are
+bit-identical between sequential and parallel execution, across any
+worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from ..taskgraph.graph import TaskGraph
 from ..taskgraph.periodic import TaskGraphSet
 from ..taskgraph.tgff import random_dag
 from ..workloads.generator import UniformActuals, paper_task_set
-from .aggregate import MetricSummary, StreamingAggregator, summarize
 from .cache import ResultCache
 from .failures import (
     FailureInfo,
@@ -503,11 +503,6 @@ class CampaignResult:
         """One metric across all scenarios, in spec order."""
         return tuple(r.metrics[name] for r in self.results)
 
-    def summary(self, **kwargs) -> Dict[str, Dict[str, MetricSummary]]:
-        """Deterministic aggregate statistics (see
-        :func:`repro.campaign.aggregate.summarize`)."""
-        return summarize(self.results, **kwargs)
-
 
 OnResult = Callable[[int, ScenarioResult], None]
 
@@ -624,15 +619,13 @@ class CampaignRunner(GrowableRunnerMixin):
         specs: Sequence[Spec],
         *,
         on_result: Optional[OnResult] = None,
-        aggregators: Sequence[StreamingAggregator] = (),
     ) -> CampaignResult:
         """Execute ``specs``; results come back in spec order.
 
-        ``on_result`` and ``aggregators`` are fed each ``(index,
-        result)`` as it becomes available (cache hits first, then
-        units in completion order) — aggregates are still
-        deterministic because :class:`StreamingAggregator` summarizes
-        in index order.
+        ``on_result`` is fed each ``(index, result)`` as it becomes
+        available (cache hits first, then units in completion order);
+        reduce the returned, spec-ordered ``results`` rather than the
+        arrival order.
         """
         # repro: noqa[DET002] -- wall-time telemetry bracket; the
         # value lands only in CampaignResult.wall_time_s
@@ -642,8 +635,6 @@ class CampaignRunner(GrowableRunnerMixin):
 
         def emit(index: int, result: ScenarioResult) -> None:
             results[index] = result
-            for agg in aggregators:
-                agg.add(index, result)
             if on_result is not None:
                 on_result(index, result)
 

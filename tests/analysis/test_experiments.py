@@ -1,5 +1,7 @@
 """Smoke + shape tests for the paper-artifact plans (tiny scales)."""
 
+import re
+
 import pytest
 
 from repro.analysis.lifetime import survival_scale
@@ -7,27 +9,41 @@ from repro.api import Study, plans
 from repro.api.plans import fig4, fig5
 
 
-def adapted(builder, workers=1, **kwargs):
-    """Run a builtin plan and return its typed result."""
-    return Study(builder(**kwargs), workers=workers).run().adapted()
+def run(builder, workers=1, **kwargs):
+    """Run a builtin plan (tiny scale) and return its study result."""
+    return Study(builder(**kwargs), workers=workers).run()
+
+
+def means(res, key, value):
+    """``{level: mean of value}`` over the result frame, grouped by one
+    key column in first-appearance order."""
+    return {
+        level: mean
+        for (level,), mean in res.frame.group_by(key).series(value).items()
+    }
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return adapted(
+        return run(
             plans.table1_plan,
             sizes=(5, 6), graphs_per_size=2, seed=0, n_random=2,
         )
 
     def test_all_ratios_at_least_one(self, result):
-        for series in (result.random, result.ltf, result.pubs):
-            assert all(r >= 1.0 - 1e-9 for r in series)
+        for row in result.summary().to_rows():
+            for name in ("random", "ltf", "pubs"):
+                assert row[name] >= 1.0 - 1e-9
 
     def test_pubs_beats_random(self, result):
         import numpy as np
 
-        assert np.mean(result.pubs) <= np.mean(result.random) + 1e-9
+        pubs = means(result, "n_tasks", "pubs")
+        random = means(result, "n_tasks", "random")
+        assert np.mean(list(pubs.values())) <= np.mean(
+            list(random.values())
+        ) + 1e-9
 
     def test_format(self, result):
         out = result.format()
@@ -38,18 +54,18 @@ class TestTable1:
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return adapted(
+        return run(
             plans.fig6_plan, graph_counts=(2, 3), sets_per_point=1, seed=0
         )
 
     def test_series_present(self, result):
-        assert set(result.series) == {
+        assert set(result.frame.column("scheme")) == {
             "random", "LTF", "pUBS-imminent", "pUBS-all"
         }
 
     def test_normalized_at_least_one(self, result):
-        for vals in result.series.values():
-            assert all(v >= 0.98 for v in vals)
+        for row in result.summary().to_rows():
+            assert row["energy_rel"] >= 0.98
 
     def test_format(self, result):
         assert "Figure 6" in result.format()
@@ -58,27 +74,35 @@ class TestFig6:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return adapted(plans.table2_plan, n_sets=1, n_graphs=3, seed=0)
+        return run(plans.table2_plan, n_sets=1, n_graphs=3, seed=0)
 
     def test_row_order(self, result):
-        assert result.scheme_names == (
+        assert tuple(result.summary().column("scheme")) == (
             "EDF", "ccEDF", "laEDF", "BAS-1", "BAS-2"
         )
 
     def test_lifetime_ordering(self, result):
         """The paper's headline progression: DVS schemes outlive EDF,
         BAS outlives (or ties) the laEDF baseline."""
-        lt = dict(zip(result.scheme_names, result.lifetime_min))
+        lt = means(result, "scheme", "lifetime_min")
         assert lt["EDF"] < lt["ccEDF"] < lt["laEDF"]
         assert lt["BAS-2"] >= lt["laEDF"] * 0.995
 
     def test_charge_ordering(self, result):
-        q = dict(zip(result.scheme_names, result.delivered_mah))
+        q = means(result, "scheme", "delivered_mah")
         assert q["EDF"] < q["ccEDF"]
         assert q["EDF"] < q["BAS-2"]
 
     def test_ratio_helper(self, result):
-        assert result.ratio("BAS-2", "EDF") > 1.5
+        """The headline claim is the ratio of the frame's lifetime
+        means, printed as a percentage."""
+        lt = means(result, "scheme", "lifetime_min")
+        ratio = lt["BAS-2"] / lt["EDF"]
+        assert ratio > 1.5
+        assert (
+            f"BAS-2 lifetime over no-DVS EDF: {(ratio - 1.0) * 100.0:+.1f}%"
+            in result.format()
+        )
 
     def test_format_headline(self, result):
         out = result.format()
@@ -118,25 +142,42 @@ class TestFig5:
         assert "Figure 5(a)" in result.format()
 
 
+def delivered(res):
+    """Delivered charge per battery, in sweep (ascending current) order."""
+    return {
+        battery: list(res.frame.filter(battery=battery).column("delivered_c"))
+        for battery in dict.fromkeys(res.frame.column("battery"))
+    }
+
+
 class TestRateCapacity:
     def test_extrapolation_matches_paper_cell(self):
-        res = adapted(plans.rate_capacity_plan, currents=(0.5, 2.0))
-        assert res.max_capacity_mah == pytest.approx(2000.0, rel=0.03)
-        assert res.available_capacity_mah < res.max_capacity_mah
-        assert "maximum capacity" in res.format()
+        out = run(plans.rate_capacity_plan, currents=(0.5, 2.0)).format()
+        found = {
+            kind: float(value)
+            for kind, value in re.findall(
+                r"extrapolated (maximum|available) capacity: +(\d+) mAh", out
+            )
+        }
+        assert found["maximum"] == pytest.approx(2000.0, rel=0.03)
+        assert found["available"] < found["maximum"]
 
     def test_monotone_curves(self):
-        res = adapted(plans.rate_capacity_plan, currents=(0.5, 1.0, 2.0))
-        for vals in res.delivered_mah.values():
+        res = run(plans.rate_capacity_plan, currents=(0.5, 1.0, 2.0))
+        for vals in delivered(res).values():
             assert vals[0] > vals[-1]
 
     def test_unsorted_currents_labels_align_with_values(self):
         """Rows are labelled in sweep (ascending) order — the order
         the delivered columns are in — even for unsorted input."""
-        res = adapted(plans.rate_capacity_plan, currents=(2.0, 0.5))
-        assert res.currents == (0.5, 2.0)
-        for vals in res.delivered_mah.values():
+        res = run(plans.rate_capacity_plan, currents=(2.0, 0.5))
+        for battery in ("kibam", "diffusion", "stochastic"):
+            sub = res.frame.filter(battery=battery)
+            assert tuple(sub.column("current")) == (0.5, 2.0)
+        for vals in delivered(res).values():
             assert vals[0] > vals[-1]
+        rows = res.format().splitlines()[3:5]
+        assert [row.split()[0] for row in rows] == ["0.5", "2.0"]
 
     def test_custom_models_identical_across_worker_counts(self):
         """A caller-registered cell is resolved fresh per probe, so the
@@ -149,16 +190,16 @@ class TestRateCapacity:
             lambda seed, **_kw: paper_cell_stochastic(seed=0),
         )
 
-        def run(workers):
-            return adapted(
+        def frame_csv(workers):
+            return run(
                 plans.rate_capacity_plan,
                 workers=workers,
                 currents=(0.5, 2.0),
                 models={"s": name},
-            )
+            ).frame.to_csv()
 
         try:
-            assert run(1) == run(2)
+            assert frame_csv(1) == frame_csv(2)
         finally:
             unregister(name)
 
@@ -166,19 +207,33 @@ class TestRateCapacity:
 class TestModelCoherence:
     @pytest.fixture(scope="class")
     def result(self):
-        return adapted(plans.model_coherence_plan)
+        return run(plans.model_coherence_plan)
 
-    def test_guideline1_ranking(self, result):
-        for model in ("KiBaM", "diffusion", "stochastic"):
-            m = dict(zip(result.shapes, result.margins[model]))
+    @pytest.fixture(scope="class")
+    def margins(self, result):
+        """``{battery: {shape: survival scale}}`` from the frame."""
+        pivot = result.frame.pivot(
+            "battery", "_shape", "survival_scale", agg="first"
+        )
+        return {
+            battery: dict(zip(pivot.column_labels, pivot.cells[i]))
+            for i, battery in enumerate(pivot.row_labels)
+        }
+
+    def test_guideline1_ranking(self, margins):
+        for model in ("kibam", "diffusion", "stochastic:noise=0.05"):
+            m = margins[model]
             assert m["decreasing"] > m["mixed"] > m["increasing"]
 
-    def test_peukert_flat(self, result):
-        vals = result.margins["Peukert"]
+    def test_peukert_flat(self, margins):
+        vals = list(margins["peukert"].values())
         assert max(vals) - min(vals) < 1e-3
 
     def test_rankings_agree(self, result):
-        assert result.rankings_agree()
+        assert (
+            "kinetic/diffusion/stochastic rankings agree: yes"
+            in result.format()
+        )
 
 
 class TestSurvivalScale:
@@ -203,27 +258,27 @@ class TestSurvivalScale:
 
 class TestAblations:
     def test_estimator_monotone_endpoints(self):
-        res = adapted(
+        res = run(
             plans.ablation_estimator_plan, n_sets=1, n_graphs=3, seed=1
         )
-        e = dict(zip(res.levels, res.metrics["energy (J)"]))
+        e = means(res, "estimator", "energy_j")
         assert e["oracle"] <= e["worst-case"] + 1e-6
 
     def test_feasibility_guarded_clean(self):
-        res = adapted(
+        res = run(
             plans.ablation_feasibility_plan, n_sets=2, n_graphs=3, seed=0
         )
-        m = dict(zip(res.levels, res.metrics["misses"]))
-        assert m["guarded"] == 0.0
+        assert means(res, "scheme", "misses")["BAS-2"] == 0.0
 
     def test_dvs_grid_complete(self):
-        res = adapted(plans.ablation_dvs_plan, n_sets=1, n_graphs=3, seed=0)
-        assert len(res.levels) == 4
-        assert all(v > 0 for v in res.metrics["energy (J)"])
+        res = run(plans.ablation_dvs_plan, n_sets=1, n_graphs=3, seed=0)
+        e = means(res, "scheme", "energy_j")
+        assert len(e) == 4
+        assert all(v > 0 for v in e.values())
 
     def test_freqset_finer_not_worse(self):
-        res = adapted(
+        res = run(
             plans.ablation_freqset_plan, n_sets=1, n_graphs=3, seed=0
         )
-        e = res.metrics["energy (J)"]
+        e = list(means(res, "processor", "energy_j").values())
         assert e[-1] <= e[0] * 1.02  # 9 levels within 2% of 3 levels

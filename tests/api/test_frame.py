@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import ResultFrame
-from repro.campaign.spec import ScenarioResult, ScenarioSpec
+from repro.campaign.spec import ScenarioResult, ScenarioSpec, SurvivalSpec
 from repro.errors import SchedulingError
 
 
@@ -84,6 +84,45 @@ class TestGroupBy:
         assert dict(
             zip(firsts.column("scheme"), firsts.column("energy_j"))
         ) == {"EDF": 4.0, "BAS-2": 2.0}
+
+    def test_min_max_percentile(self):
+        vals = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6]
+        schemes = ["BAS-2", "EDF"] * 3
+        grouped = make_results(
+            [(s, i, {"m": v}) for i, (s, v) in enumerate(zip(schemes, vals))]
+        ).group_by("scheme")
+
+        def by_scheme(reduced):
+            return dict(zip(reduced.column("scheme"), reduced.column("m")))
+
+        assert by_scheme(grouped.min()) == {"BAS-2": 3.0, "EDF": 1.0}
+        assert by_scheme(grouped.max()) == {"BAS-2": 9.0, "EDF": 2.6}
+        # Linear interpolation between the nearest ranks, bit-equal to
+        # numpy.percentile on the group's values.
+        for q in (0.0, 25.0, 50.0, 90.0, 100.0):
+            got = by_scheme(grouped.percentile(q))
+            assert got["BAS-2"] == np.percentile([3.0, 4.0, 9.0], q)
+            assert got["EDF"] == np.percentile([1.0, 1.5, 2.6], q)
+        assert list(grouped.percentile(50.0).column("n")) == [3, 3]
+
+    def test_min_max_percentile_independent_of_row_order(self):
+        def reduce_all(values):
+            grouped = make_results(
+                [("S", i, {"m": v}) for i, v in enumerate(values)]
+            ).group_by("scheme")
+            return [
+                float(reduced.column("m")[0])
+                for reduced in (
+                    grouped.min(), grouped.max(), grouped.percentile(50.0)
+                )
+            ]
+
+        vals = [0.1, 0.7, 1e-17, 0.3, -0.2, 1.1]
+        assert reduce_all(vals) == reduce_all(vals[::-1])
+
+    def test_group_by_on_an_empty_frame_raises(self):
+        with pytest.raises(SchedulingError, match="no column"):
+            ResultFrame.from_results([]).group_by("scheme")
 
     def test_series_helper(self, frame):
         series = frame.group_by("scheme").series("misses")
@@ -181,6 +220,36 @@ class TestSerialization:
         assert clone.column_names == frame.column_names
         for name in frame.column_names:
             assert list(clone.column(name)) == list(frame.column(name))
+
+        # Mixed spec kinds: each row's missing metrics are NaN, and the
+        # other kind's spec fields are None.  Both must survive.
+        mixed = ResultFrame.from_results(
+            [
+                ScenarioResult(
+                    spec=ScenarioSpec(scheme="EDF", seed=0),
+                    metrics={"lifetime_min": 80.0},
+                ),
+                ScenarioResult(
+                    spec=SurvivalSpec(
+                        battery="kibam", durations=(1.0,), currents=(2.0,)
+                    ),
+                    metrics={"survival_scale": 1.5},
+                ),
+            ]
+        )
+        assert np.isnan(mixed.column("survival_scale")[0])
+        clone = ResultFrame.from_json(
+            json.loads(json.dumps(mixed.to_json()))
+        )
+        assert clone.column_names == mixed.column_names
+        for name in mixed.column_names:
+            assert clone.column(name).dtype == mixed.column(name).dtype
+        assert clone.column("horizon")[0] is None
+        assert clone.to_csv() == mixed.to_csv()
+        means = [f.group_by("battery").mean() for f in (mixed, clone)]
+        assert means[1].column_names == means[0].column_names
+        assert "survival_scale" in means[1].column_names
+        assert means[1].to_csv() == means[0].to_csv()
 
     def test_format_renders_table(self, frame):
         out = frame.format()

@@ -1,20 +1,19 @@
 """The campaign engine's determinism guarantees (ISSUE 1 acceptance).
 
 A seeded 20-scenario campaign must produce bit-identical per-scenario
-metrics and aggregates whether run sequentially or across a 2-worker
+metrics and frame aggregates whether run sequentially or across a 2-worker
 pool, and the on-disk cache must hand back identical results on a
 second run.
 """
 
 import pytest
 
+from repro.api import ResultFrame
 from repro.campaign import (
     CampaignRunner,
     ResultCache,
     ScenarioSpec,
-    StreamingAggregator,
     spawn_seeds,
-    summarize,
 )
 
 SCHEMES = ("ccEDF", "BAS-2")
@@ -54,16 +53,28 @@ class TestSequentialVsParallel:
         assert [r.spec for r in parallel.results] == list(specs)
 
     def test_aggregates_bit_identical(self, sequential, parallel):
-        group = {"group_by": lambda r: r.spec.scheme}
-        assert summarize(sequential.results, **group) == summarize(
-            parallel.results, **group
+        frames = [
+            ResultFrame.from_results(c.results) for c in (sequential, parallel)
+        ]
+        assert frames[0].to_csv() == frames[1].to_csv()
+        assert (
+            frames[0].group_by("scheme").mean().to_csv()
+            == frames[1].group_by("scheme").mean().to_csv()
         )
 
     def test_streaming_aggregation_matches_post_hoc(self, specs):
-        agg = StreamingAggregator(group_by=lambda r: r.spec.scheme)
-        campaign = CampaignRunner(2).run(specs, aggregators=[agg])
-        assert agg.summary() == summarize(
-            campaign.results, group_by=lambda r: r.spec.scheme
+        """Results streamed through ``on_result`` in arrival order,
+        re-laid in index order, build the same frame as the returned
+        spec-ordered list."""
+        streamed = {}
+        campaign = CampaignRunner(2).run(
+            specs, on_result=lambda i, r: streamed.setdefault(i, r)
+        )
+        assert sorted(streamed) == list(range(len(specs)))
+        in_order = [streamed[i] for i in range(len(specs))]
+        assert (
+            ResultFrame.from_results(in_order).to_csv()
+            == ResultFrame.from_results(campaign.results).to_csv()
         )
 
 

@@ -6,12 +6,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api import Study, plans
+from repro.api import ResultFrame, Study, plans
 from repro.campaign import (
     CampaignRunner,
     ResultCache,
     ScenarioSpec,
-    StreamingAggregator,
     spawn_seeds,
 )
 from repro.campaign.distributed import (
@@ -76,22 +75,25 @@ class TestDirectoryBackend:
         assert [r.spec for r in dist.results] == specs
 
     def test_aggregators_and_callback_fed_every_result(self, tmp_path):
+        """``on_result`` sees every index once, and the streamed
+        results build the local runner's frame bit for bit."""
         specs = small_specs()
-        agg = StreamingAggregator(group_by=lambda r: r.spec.scheme)
-        seen = []
+        streamed = {}
         runner = DistributedRunner(
             workdir=tmp_path, poll=0.01, result_timeout=TIMEOUT
         )
         with fleet(runner, run_directory_worker, (tmp_path,)):
             runner.run(
-                specs,
-                on_result=lambda i, r: seen.append(i),
-                aggregators=[agg],
+                specs, on_result=lambda i, r: streamed.setdefault(i, r)
             )
-        assert sorted(seen) == list(range(len(specs)))
-        local_agg = StreamingAggregator(group_by=lambda r: r.spec.scheme)
-        CampaignRunner(1).run(specs, aggregators=[local_agg])
-        assert agg.summary() == local_agg.summary()
+        assert sorted(streamed) == list(range(len(specs)))
+        local = CampaignRunner(1).run(specs)
+        assert (
+            ResultFrame.from_results(
+                [streamed[i] for i in range(len(specs))]
+            ).to_csv()
+            == ResultFrame.from_results(local.results).to_csv()
+        )
 
     def test_cache_hits_skip_the_fleet(self, tmp_path):
         specs = small_specs(1)
@@ -236,8 +238,10 @@ class TestSpawnedWorkers:
         assert dist.n_workers == 2
 
 
-def adapted(plan, runner=None):
-    return Study(plan, runner=runner).run().adapted()
+def report_and_frame(plan, runner=None):
+    """The rendered report and the frame CSV of one study run."""
+    res = Study(plan, runner=runner).run()
+    return res.format(), res.frame.to_csv()
 
 
 class TestDriverAcceptance:
@@ -246,7 +250,7 @@ class TestDriverAcceptance:
 
     def test_table2_identical(self, tmp_path):
         plan = plans.table2_plan(n_sets=1, n_graphs=2, seed=0)
-        local = adapted(plan)
+        local = report_and_frame(plan)
         runner = DistributedRunner(
             workdir=tmp_path,
             poll=0.01,
@@ -254,12 +258,12 @@ class TestDriverAcceptance:
             result_timeout=TIMEOUT,
         )
         with fleet(runner, run_directory_worker, (tmp_path,)):
-            dist = adapted(plan, runner)
-        assert dist == local  # dataclass equality: every float bit-equal
+            dist = report_and_frame(plan, runner)
+        assert dist == local  # every rendered byte and frame float
 
     def test_fig6_identical(self, tmp_path):
         plan = plans.fig6_plan(graph_counts=(2,), sets_per_point=1, seed=0)
-        local = adapted(plan)
+        local = report_and_frame(plan)
         runner = DistributedRunner(
             workdir=tmp_path,
             poll=0.01,
@@ -267,5 +271,5 @@ class TestDriverAcceptance:
             result_timeout=TIMEOUT,
         )
         with fleet(runner, run_directory_worker, (tmp_path,)):
-            dist = adapted(plan, runner)
+            dist = report_and_frame(plan, runner)
         assert dist == local

@@ -4,11 +4,11 @@ suffix-only execution of ``extend()``."""
 import pytest
 
 import repro.campaign.runner as runner_mod
+from repro.api import ResultFrame
 from repro.campaign import (
     CampaignRunner,
     ResultCache,
     ScenarioSpec,
-    StreamingAggregator,
     spawn_seeds,
 )
 from repro.errors import SchedulingError
@@ -133,14 +133,28 @@ class TestExtend:
         assert len(campaign.results) == 10
 
     def test_aggregator_threaded_through_grow_steps(self):
+        """One ``on_result`` callback threaded through every grow step
+        collects the full campaign once, and its frame equals a
+        one-shot run's."""
         runner = CampaignRunner(1)
-        agg = StreamingAggregator(group_by=lambda r: r.spec.scheme)
-        runner.run_campaign(template, 2, aggregators=[agg])
-        grown = runner.extend(2, aggregators=[agg])
-        assert len(agg) == len(grown.results) == 8
-        one_shot = StreamingAggregator(group_by=lambda r: r.spec.scheme)
-        CampaignRunner(1).run_campaign(template, 4, aggregators=[one_shot])
-        assert agg.summary() == one_shot.summary()
+        streamed = {}
+
+        def collect(index, result):
+            assert index not in streamed
+            streamed[index] = result
+
+        runner.run_campaign(template, 2, on_result=collect)
+        grown = runner.extend(2, on_result=collect)
+        assert sorted(streamed) == list(range(len(grown.results)))
+        assert len(grown.results) == 8
+        one_shot = CampaignRunner(1).run_campaign(template, 4)
+        assert (
+            ResultFrame.from_results(
+                [streamed[i] for i in range(8)]
+            ).to_csv()
+            == ResultFrame.from_results(grown.results).to_csv()
+            == ResultFrame.from_results(one_shot.results).to_csv()
+        )
 
     def test_on_result_sees_global_indices(self):
         runner = CampaignRunner(1)

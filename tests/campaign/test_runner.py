@@ -1,4 +1,4 @@
-"""Runner, registry, cache and aggregator behaviour (single-process)."""
+"""Runner, registry and cache behaviour (single-process)."""
 
 import pytest
 
@@ -6,15 +6,12 @@ from repro.campaign import (
     NEAR_OPTIMAL,
     CampaignRunner,
     ResultCache,
-    ScenarioResult,
     ScenarioSpec,
-    StreamingAggregator,
     build_scheme,
     resolve_battery,
     resolve_estimator,
     resolve_processor,
     run_spec,
-    summarize,
 )
 from repro.campaign.spec import OneShotSpec, SurvivalSpec
 from repro.errors import SchedulingError
@@ -193,56 +190,6 @@ class TestCache:
         assert second.cache_hits == len(specs)
         assert second.results == first.results
         assert all(r.cached for r in second.results)
-
-
-class TestAggregator:
-    def _fake(self, value):
-        return ScenarioResult(
-            spec=ScenarioSpec(scheme="EDF", seed=int(value)),
-            metrics={"m": float(value)},
-        )
-
-    def test_summary_independent_of_arrival_order(self):
-        values = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6]
-        ordered = StreamingAggregator()
-        shuffled = StreamingAggregator()
-        for i, v in enumerate(values):
-            ordered.add(i, self._fake(v))
-        for i in (4, 0, 5, 2, 1, 3):
-            shuffled.add(i, self._fake(values[i]))
-        assert ordered.summary() == shuffled.summary()
-
-    def test_statistics(self):
-        agg = StreamingAggregator(percentiles=(50.0,))
-        for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-            agg.add(i, self._fake(v))
-        stats = agg.summary()["all"]["m"]
-        assert stats.count == 4
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.percentiles[50.0] == pytest.approx(2.5)
-
-    def test_duplicate_index_rejected(self):
-        agg = StreamingAggregator()
-        agg.add(0, self._fake(1.0))
-        with pytest.raises(SchedulingError):
-            agg.add(0, self._fake(2.0))
-
-    def test_group_by(self):
-        results = [
-            ScenarioResult(
-                spec=ScenarioSpec(scheme=s, seed=i), metrics={"m": float(i)}
-            )
-            for i, s in enumerate(["EDF", "BAS-2", "EDF", "BAS-2"])
-        ]
-        stats = summarize(results, group_by=lambda r: r.spec.scheme)
-        assert set(stats) == {"EDF", "BAS-2"}
-        assert stats["EDF"]["m"].count == 2
-
-    def test_bad_percentile_rejected(self):
-        with pytest.raises(SchedulingError):
-            StreamingAggregator(percentiles=(101.0,))
 
 
 class TestRunnerValidation:

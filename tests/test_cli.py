@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -153,13 +154,87 @@ class TestMain:
         assert main(["fig5"]) == 0
         assert "Figure 5" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["fig4", "fig5"])
-    def test_worked_examples_match_golden_bytes(self, command, capsys):
-        """The full stdout of the two worked examples is pinned, not
-        just its headline (``tests/golden/cli_<command>.txt``)."""
-        assert main([command]) == 0
-        golden = Path(__file__).parent / "golden" / f"cli_{command}.txt"
-        assert capsys.readouterr().out == golden.read_text()
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            pytest.param(["fig4"], "cli_fig4.txt", id="fig4"),
+            pytest.param(["fig5"], "cli_fig5.txt", id="fig5"),
+            pytest.param(
+                ["table1", "--sizes", "5", "6", "--graphs-per-size", "1"],
+                "cli_table1.txt",
+                id="table1",
+            ),
+            pytest.param(
+                ["table2", "--sets", "1", "--graphs", "2"],
+                "cli_table2.txt",
+                id="table2",
+            ),
+            pytest.param(
+                ["fig6", "--counts", "2", "3", "--sets", "1"],
+                "cli_fig6.txt",
+                id="fig6",
+            ),
+            pytest.param(["coherence"], "cli_coherence.txt", id="coherence"),
+            pytest.param(
+                ["ratecapacity"], "cli_ratecapacity.txt", id="ratecapacity"
+            ),
+            *[
+                pytest.param(
+                    [
+                        "study", "run", f"ablation-{name}",
+                        "--arg", "n_sets=1", "--arg", "n_graphs=2",
+                    ],
+                    f"cli_ablation_{name}.txt",
+                    id=f"ablation-{name}",
+                )
+                for name in ("estimator", "freqset", "dvs", "feasibility")
+            ],
+            pytest.param(
+                [
+                    "campaign", "--scenarios", "2", "--graphs", "2",
+                    "--no-cache", "--no-footer",
+                ],
+                "cli_campaign.txt",
+                id="campaign",
+            ),
+        ],
+    )
+    def test_worked_examples_match_golden_bytes(self, argv, golden, capsys):
+        """The full stdout of every paper artifact at a small scale is
+        pinned, not just its headline (``tests/golden/<golden>``)."""
+        assert main(argv) == 0
+        expected = Path(__file__).parent / "golden" / golden
+        assert capsys.readouterr().out == expected.read_text()
+
+    @pytest.mark.parametrize(
+        "indices, golden",
+        [
+            pytest.param(
+                [0, 5], "cli_campaign_quarantine_edf.txt", id="edf-row"
+            ),
+            pytest.param(
+                None, "cli_campaign_quarantine_all.txt", id="every-row"
+            ),
+        ],
+    )
+    def test_campaign_quarantine_drops_rows_golden_bytes(
+        self, indices, golden, capsys, tmp_path
+    ):
+        """A scheme whose every scenario is quarantined has no row; when
+        all are quarantined the table keeps its headers only."""
+        rule = {"point": "spec.execute", "kind": "error"}
+        if indices is not None:
+            rule["indices"] = indices
+        plan = tmp_path / "faults.json"
+        plan.write_text(json.dumps({"seed": 0, "rules": [rule]}))
+        argv = [
+            "campaign", "--scenarios", "2", "--graphs", "2",
+            "--no-cache", "--no-footer", "--on-error", "quarantine",
+            "--inject-faults", str(plan),
+        ]
+        assert main(argv) == 0
+        expected = Path(__file__).parent / "golden" / golden
+        assert capsys.readouterr().out == expected.read_text()
 
     def test_table2_tiny(self, capsys):
         assert main(["table2", "--sets", "1", "--graphs", "2"]) == 0
