@@ -30,6 +30,7 @@ from a JSON plan file (``study export`` writes one).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -52,67 +53,32 @@ from .campaign.distributed import (
 )
 
 
+def _run_plans(args, *plans) -> str:
+    """Run builtin study plans on the command's runner and render the
+    paper's rows."""
+    with _runner(args) as runner:
+        return "\n\n".join(
+            plan.run(runner=runner).format() for plan in plans
+        )
+
+
 def _cmd_table1(args) -> str:
-    return _run_plan_cmd(
+    return _run_plans(
         args,
-        study_plans.table1_plan,
-        sizes=tuple(args.sizes),
-        graphs_per_size=args.graphs_per_size,
-        seed=args.seed,
+        study_plans.table1_plan(
+            sizes=tuple(args.sizes),
+            graphs_per_size=args.graphs_per_size,
+            seed=args.seed,
+        ),
     )
-
-
-def _driver_runner(args, cache=None):
-    """A distributed runner for a sweep driver, or ``None`` for local.
-
-    Lets ``table2``/``fig6``/``study run`` run on a worker fleet
-    (``--backend dist --dist-dir DIR [--spawn-workers K]``) — the
-    nightly paper-scale CI job byte-diffs their output against the
-    local backend.  ``cache`` is consulted/filled broker-side.
-    """
-    if getattr(args, "backend", "local") == "local":
-        return None
-    if args.dist_dir is None:
-        raise SystemExit("error: --backend dist needs --dist-dir")
-    if args.spawn_workers == 0 and args.result_timeout is None:
-        print(
-            "note: no --spawn-workers and no --result-timeout; the "
-            "broker will wait indefinitely for external workers to "
-            "attach",
-            file=sys.stderr,
-        )
-    return DistributedRunner(
-        workdir=args.dist_dir,
-        cache=cache,
-        n_local_workers=args.spawn_workers,
-        result_timeout=args.result_timeout,
-        max_retries=getattr(args, "max_retries", 0),
-        on_error=getattr(args, "on_error", "raise"),
-        spec_timeout=getattr(args, "spec_timeout", None),
-    )
-
-
-def _run_plan_cmd(args, builder, **kwargs) -> str:
-    """Run a builtin study plan for a classic subcommand and render
-    the paper's rows."""
-    runner = _driver_runner(args)
-    try:
-        result = builder(**kwargs).run(
-            runner=runner, workers=getattr(args, "workers", 1)
-        )
-        return result.format()
-    finally:
-        if runner is not None:
-            runner.close()
 
 
 def _cmd_table2(args) -> str:
-    return _run_plan_cmd(
+    return _run_plans(
         args,
-        study_plans.table2_plan,
-        n_sets=args.sets,
-        n_graphs=args.graphs,
-        seed=args.seed,
+        study_plans.table2_plan(
+            n_sets=args.sets, n_graphs=args.graphs, seed=args.seed
+        ),
     )
 
 
@@ -125,34 +91,37 @@ def _cmd_fig5(args) -> str:
 
 
 def _cmd_fig6(args) -> str:
-    return _run_plan_cmd(
+    return _run_plans(
         args,
-        study_plans.fig6_plan,
-        graph_counts=tuple(args.counts),
-        sets_per_point=args.sets,
-        seed=args.seed,
-        utilization=args.utilization,
+        study_plans.fig6_plan(
+            graph_counts=tuple(args.counts),
+            sets_per_point=args.sets,
+            seed=args.seed,
+            utilization=args.utilization,
+        ),
     )
 
 
 def _cmd_ratecapacity(args) -> str:
-    return _run_plan_cmd(args, study_plans.rate_capacity_plan)
+    return _run_plans(args, study_plans.rate_capacity_plan())
 
 
 def _cmd_coherence(args) -> str:
-    return _run_plan_cmd(args, study_plans.model_coherence_plan)
+    return _run_plans(args, study_plans.model_coherence_plan())
 
 
 def _cmd_ablations(args) -> str:
-    builders = (
-        study_plans.ablation_estimator_plan,
-        study_plans.ablation_freqset_plan,
-        study_plans.ablation_dvs_plan,
-        study_plans.ablation_feasibility_plan,
-    )
-    return "\n\n".join(
-        _run_plan_cmd(args, builder, seed=args.seed)
-        for builder in builders
+    return _run_plans(
+        args,
+        *(
+            builder(seed=args.seed)
+            for builder in (
+                study_plans.ablation_estimator_plan,
+                study_plans.ablation_freqset_plan,
+                study_plans.ablation_dvs_plan,
+                study_plans.ablation_feasibility_plan,
+            )
+        ),
     )
 
 
@@ -187,9 +156,7 @@ def _parse_autoscale(text):
 def _arm_cli_faults(args) -> bool:
     """Arm the ``--inject-faults`` plan, if the command carries one.
 
-    Returns whether a plan was installed (the caller uninstalls in its
-    ``finally`` so one CLI invocation never leaks an armed plan into
-    library callers of :func:`main`).
+    Returns whether a plan was installed (the caller uninstalls it).
     """
     path = getattr(args, "inject_faults", None)
     if not path:
@@ -203,41 +170,86 @@ def _arm_cli_faults(args) -> bool:
     return True
 
 
-def _make_campaign_runner(args, cache):
-    """The runner `campaign` should use: local pool or distributed broker."""
+#: Runner settings of a command that has no flag for them: the
+#: library defaults.
+_RUNNER_DEFAULTS = dict(
+    workers=1,
+    backend="local",
+    dist_dir=None,
+    listen=None,
+    spawn_workers=0,
+    autoscale=None,
+    lease_timeout=60.0,
+    heartbeat=15.0,
+    chunk=1,
+    resume=False,
+    result_timeout=None,
+    max_retries=0,
+    spec_timeout=None,
+    on_error="raise",
+)
+
+
+@contextlib.contextmanager
+def _runner(args, cache=None):
+    """The runner a sweep command executes on, closed afterwards.
+
+    Every sweep subcommand and ``study run`` build their runner here:
+    a local pool of ``--workers`` or, with ``--backend dist``, the
+    broker of a worker fleet attached over ``--dist-dir`` or
+    ``--listen``.  ``cache`` is consulted and filled by either.  The
+    containment flags configure either backend, and an
+    ``--inject-faults`` plan stays armed only while the runner is open,
+    so one CLI invocation never leaks it into library callers of
+    :func:`main`.
+    """
+    opts = argparse.Namespace(**{**_RUNNER_DEFAULTS, **vars(args)})
     containment = dict(
-        max_retries=args.max_retries,
-        on_error=args.on_error,
-        spec_timeout=args.spec_timeout,
+        max_retries=opts.max_retries,
+        on_error=opts.on_error,
+        spec_timeout=opts.spec_timeout,
     )
-    if args.backend == "local":
-        for flag in ("resume", "autoscale"):
-            if getattr(args, flag):
-                raise SystemExit(
-                    f"error: --{flag} needs --backend dist"
-                )
-        return CampaignRunner(args.workers, cache=cache, **containment)
-    if (args.dist_dir is None) == (args.listen is None):
+    armed = _arm_cli_faults(args)
+    try:
+        if opts.backend == "local":
+            for flag in ("resume", "autoscale"):
+                if getattr(opts, flag):
+                    raise SystemExit(f"error: --{flag} needs --backend dist")
+            runner = CampaignRunner(opts.workers, cache=cache, **containment)
+        else:
+            runner = _dist_runner(opts, cache, containment)
+        try:
+            yield runner
+        finally:
+            if isinstance(runner, DistributedRunner):
+                runner.close()
+    finally:
+        if armed:
+            faults.uninstall()
+
+
+def _dist_runner(opts, cache, containment) -> DistributedRunner:
+    if (opts.dist_dir is None) == (opts.listen is None):
         raise SystemExit(
             "error: --backend dist needs exactly one of --dist-dir/--listen"
         )
-    if args.resume and args.dist_dir is None:
+    if opts.resume and opts.dist_dir is None:
         raise SystemExit(
             "error: --resume needs --dist-dir (the ledger lives in "
             "the work directory)"
         )
     transport = (
-        {"workdir": args.dist_dir}
-        if args.dist_dir is not None
-        else {"listen": _parse_endpoint(args.listen)}
+        {"workdir": opts.dist_dir}
+        if opts.dist_dir is not None
+        else {"listen": _parse_endpoint(opts.listen)}
     )
     autoscale = (
-        _parse_autoscale(args.autoscale) if args.autoscale else None
+        _parse_autoscale(opts.autoscale) if opts.autoscale else None
     )
     if (
-        args.spawn_workers == 0
+        opts.spawn_workers == 0
         and autoscale is None
-        and args.result_timeout is None
+        and opts.result_timeout is None
     ):
         print(
             "note: no --spawn-workers/--autoscale and no "
@@ -247,13 +259,13 @@ def _make_campaign_runner(args, cache):
         )
     return DistributedRunner(
         cache=cache,
-        n_local_workers=args.spawn_workers,
+        n_local_workers=opts.spawn_workers,
         autoscale=autoscale,
-        lease_timeout=args.lease_timeout,
-        heartbeat=args.heartbeat,
-        chunk_size=args.chunk,
-        resume=args.resume,
-        result_timeout=args.result_timeout,
+        lease_timeout=opts.lease_timeout,
+        heartbeat=opts.heartbeat,
+        chunk_size=opts.chunk,
+        resume=opts.resume,
+        result_timeout=opts.result_timeout,
         **containment,
         **transport,
     )
@@ -301,15 +313,8 @@ def _cmd_campaign(args) -> str:
         for scheme in args.schemes
     ]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    armed = _arm_cli_faults(args)
-    runner = _make_campaign_runner(args, cache)
-    try:
+    with _runner(args, cache) as runner:
         campaign = runner.run(specs)
-    finally:
-        if isinstance(runner, DistributedRunner):
-            runner.close()
-        if armed:
-            faults.uninstall()
     rows = []
     if campaign.results:  # empty when every spec was quarantined
         grouped = ResultFrame.from_results(campaign.results).group_by(
@@ -490,23 +495,8 @@ def _cmd_study_run(args) -> str:
     cache = (
         ResultCache(args.cache_dir) if args.cache_dir is not None else None
     )
-    armed = _arm_cli_faults(args)
-    runner = _driver_runner(args, cache=cache)
-    try:
-        result = Study(
-            plan,
-            runner=runner,
-            workers=args.workers,
-            cache=cache,
-            max_retries=args.max_retries,
-            spec_timeout=args.spec_timeout,
-            on_error=args.on_error,
-        ).run()
-    finally:
-        if runner is not None:
-            runner.close()
-        if armed:
-            faults.uninstall()
+    with _runner(args, cache) as runner:
+        result = Study(plan, runner=runner).run()
     if args.format == "csv":
         return result.frame.to_csv().rstrip("\n")
     if args.format == "json":
@@ -617,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_driver_backend(p) -> None:
-        """Distributed-backend flags shared by table2/fig6."""
+        """Distributed-backend flags shared by every fleet-capable
+        sweep command."""
         p.add_argument(
             "--backend", choices=("local", "dist"), default="local",
             help="run the sweep on a local pool or a distributed fleet",
@@ -755,21 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-cache", action="store_true", help="disable the result cache"
     )
-    p.add_argument(
-        "--backend", choices=("local", "dist"), default="local",
-        help="local multiprocessing pool, or distributed broker/worker",
-    )
-    p.add_argument(
-        "--dist-dir", default=None,
-        help="dist backend: shared work-queue directory for the fleet",
-    )
+    add_driver_backend(p)
     p.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
         help="dist backend: TCP endpoint to serve workers on",
-    )
-    p.add_argument(
-        "--spawn-workers", type=int, default=0,
-        help="dist backend: worker subprocesses to fork on this host",
     )
     p.add_argument(
         "--lease-timeout", type=float, default=60.0,
@@ -797,10 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--autoscale", default=None, metavar="MIN:MAX",
         help="dist backend: grow/shrink the local worker fleet with "
         "the backlog (overrides --spawn-workers)",
-    )
-    p.add_argument(
-        "--result-timeout", type=float, default=None,
-        help="dist backend: fail if no result arrives for this long",
     )
     p.add_argument(
         "--no-footer", action="store_true",

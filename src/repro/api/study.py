@@ -219,11 +219,11 @@ class Study:
         Pool size for the default local runner.
     cache:
         Optional result cache for the default local runner.
-    max_retries / spec_timeout / on_error:
-        Fault-containment knobs for the default local runner (see
-        :class:`~repro.campaign.runner.CampaignRunner`); ignored when
-        an explicit ``runner`` is supplied (configure that runner
-        directly instead).
+
+    Fault containment (retries, spec deadlines, quarantine) is a
+    runner setting: pass a :class:`~repro.campaign.runner.CampaignRunner`
+    or :class:`~repro.campaign.distributed.DistributedRunner` built
+    with the knobs you need.
     """
 
     def __init__(
@@ -233,22 +233,11 @@ class Study:
         runner: Optional[SpecRunner] = None,
         workers: int = 1,
         cache: Optional[ResultCache] = None,
-        max_retries: int = 0,
-        spec_timeout: Optional[float] = None,
-        on_error: str = "raise",
     ) -> None:
         self.plan = plan
-        self.runner = (
-            runner
-            if runner is not None
-            else CampaignRunner(
-                workers,
-                cache=cache,
-                max_retries=max_retries,
-                spec_timeout=spec_timeout,
-                on_error=on_error,
-            )
-        )
+        if runner is None:
+            runner = CampaignRunner(workers, cache=cache)
+        self.runner = runner
 
     def run(self) -> StudyResult:
         """Expand the sweep, execute, build the frame, apply post ops."""

@@ -67,11 +67,11 @@ from ... import faults
 from ...errors import SchedulingError, SpecTimeout
 from ...locks import assert_held, contract_lock
 from ..failures import (
+    QUARANTINED,
+    RETRY,
     FailureInfo,
     FailureReport,
-    QuarantinedSpec,
-    backoff_delay,
-    validate_on_error,
+    RetryBudget,
 )
 from ..spec import ScenarioResult, Spec, content_hash
 from .protocol import (
@@ -179,7 +179,6 @@ class Broker:
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
         health_threshold: Optional[int] = None,
     ) -> None:
         if poll <= 0:
@@ -190,31 +189,17 @@ class Broker:
             )
         if chunk_size < 1:
             raise SchedulingError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_retries < 0:
-            raise SchedulingError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        if spec_timeout is not None and spec_timeout <= 0:
-            raise SchedulingError(
-                f"spec_timeout must be positive, got {spec_timeout}"
-            )
         if health_threshold is not None and health_threshold < 1:
             raise SchedulingError(
                 f"health_threshold must be >= 1, got {health_threshold}"
             )
-        validate_on_error(on_error)
+        self.budget = RetryBudget(max_retries, spec_timeout, on_error)
         self._transport = transport
         self.poll = float(poll)
         self.lease_timeout = float(lease_timeout)
         self.result_timeout = result_timeout
         self.chunk_size = int(chunk_size)
         self.ledger_path = Path(ledger_path) if ledger_path else None
-        self.max_retries = int(max_retries)
-        self.on_error = on_error
-        self.spec_timeout = (
-            float(spec_timeout) if spec_timeout is not None else None
-        )
-        self.backoff_base = float(backoff_base)
         self.health_threshold = health_threshold
         # Listing leases reads every claimed chunk on a shared
         # filesystem, and expiry only needs a fraction of the lease
@@ -225,11 +210,11 @@ class Broker:
         #: twice that plus a second, so it only acts where the watchdog
         #: could not (worker thread, non-POSIX host, wedged C code).
         self._grace: Optional[float] = None
-        if self.spec_timeout is not None:
+        if self.budget.spec_timeout is not None:
             self.scan_interval = min(
-                self.scan_interval, self.spec_timeout / 2.0
+                self.scan_interval, self.budget.spec_timeout / 2.0
             )
-            self._grace = 2.0 * self.spec_timeout + 1.0
+            self._grace = 2.0 * self.budget.spec_timeout + 1.0
         self._reset()
 
     def _reset(self) -> None:
@@ -306,7 +291,7 @@ class Broker:
             self.job,
             todo,
             chunk_size=self.chunk_size,
-            timeout=self.spec_timeout,
+            timeout=self.budget.spec_timeout,
         )
 
     # ------------------------------------------------------------------
@@ -550,7 +535,7 @@ class Broker:
             self.job,
             [(index, self._items[index])],
             chunk_size=1,
-            timeout=self.spec_timeout,
+            timeout=self.budget.spec_timeout,
         )
 
     def _on_expire(self, now: float, key: object) -> None:
@@ -577,7 +562,7 @@ class Broker:
         self._spec_failed(
             index,
             SpecTimeout(
-                f"spec {index} exceeded its {self.spec_timeout:.3g}s "
+                f"spec {index} exceeded its {self.budget.spec_timeout:.3g}s "
                 "deadline (broker backstop; worker still holds the "
                 "lease)",
                 exc_type="SpecTimeout",
@@ -664,46 +649,33 @@ class Broker:
     def _spec_failed(
         self, index: int, exc: SchedulingError, now: float, worker: str = ""
     ) -> None:
-        """Charge one failed execution against ``index``'s budget.
+        """Charge one failed execution to the :class:`RetryBudget`.
 
-        Within budget: arm a deterministic-backoff retry.  Budget
-        exhausted: quarantine (policy ``"quarantine"``) or raise (the
-        default — same first-failure abort as before this layer, down
-        to the message the pinned tests match).
+        A granted retry becomes a timer at its backoff delay; a
+        quarantine resolves the unit without a result; an exhausted
+        budget raises (the default — same first-failure abort as before
+        this layer, down to the message the pinned tests match).
         """
         self._note_worker(worker, 1)
-        failure = FailureInfo.from_exception(exc)
-        if isinstance(exc, SpecTimeout):
-            self.failure_report.timeouts += 1
-        attempts = self._attempts.get(index, 0) + 1
-        self._attempts[index] = attempts
-        if attempts <= self.max_retries:
-            self.failure_report.retries += 1
-            seed = int(getattr(self._items.get(index), "seed", 0) or 0)
-            delay = backoff_delay(seed, attempts, base=self.backoff_base)
+        verdict = self.budget.charge(
+            self.failure_report,
+            self._attempts,
+            index,
+            self._items.get(index),
+            FailureInfo.from_exception(exc),
+        )
+        if verdict.kind == RETRY:
             self._retries_pending += 1
-            self._arm(now + delay, "retry", index)
-            return
-        if self.on_error == "quarantine":
-            spec = self._items.get(index)
-            self.failure_report.quarantined.append(
-                QuarantinedSpec(
-                    index=index,
-                    spec_hash=(
-                        content_hash(spec) if spec is not None else ""
-                    ),
-                    attempts=attempts,
-                    failure=failure,
-                )
-            )
+            self._arm(now + verdict.delay, "retry", index)
+        elif verdict.kind == QUARANTINED:
             # Quarantine resolves the unit (without a result) so the
             # campaign can finish; it is never journaled, so a resumed
             # run gets a fresh chance at the spec.
             self._resolved.add(index)
-            return
-        raise SchedulingError(
-            f"worker failed executing scenario {index}: {exc}"
-        )
+        else:
+            raise SchedulingError(
+                f"worker failed executing scenario {index}: {exc}"
+            )
 
     def _note_worker(self, worker: str, weight: int) -> None:
         """Add ``weight`` to a worker's failure score; retire at the

@@ -1,9 +1,12 @@
 """Drop-in distributed campaign runner (broker side).
 
-:class:`DistributedRunner` mirrors the
-:class:`~repro.campaign.runner.CampaignRunner` interface — ``run``,
-``run_campaign``/``extend``, optional result cache, the streaming
-``on_result`` callback — but executes specs on a fleet of worker processes
+:class:`DistributedRunner` shares the
+:class:`~repro.campaign.runner.CampaignRunner` front end —
+:func:`~repro.campaign.runner.cached_run` serves ``run`` (optional
+result cache, the streaming ``on_result`` callback, the one
+:class:`~repro.campaign.runner.CampaignResult` assembly) and
+``run_campaign``/``extend`` come from the same mixin — and differs
+only in its executor: specs run on a fleet of worker processes
 attached over one of two transports:
 
 ``workdir=PATH``
@@ -40,14 +43,15 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ... import faults
 from ...errors import SchedulingError
 from ..cache import ResultCache
+from ..failures import FailureReport
 from ..growth import GrowableRunnerMixin
 from ..registry import PLUGINS_ENV, plugin_snapshot
-from ..runner import CampaignResult, OnResult
+from ..runner import CampaignResult, Executed, OnResult, cached_run
 from ..spec import ScenarioResult, Spec
 from .broker import DirectoryBroker, TCPBroker, campaign_hash
 
@@ -108,15 +112,16 @@ class DistributedRunner(GrowableRunnerMixin):
         Fail the campaign if no outcome arrives for this many seconds
         (``None`` waits forever) — the guard against running
         broker-only with no fleet attached.
-    max_retries / on_error / spec_timeout / backoff_base:
-        Fault-containment knobs, mirroring
-        :class:`~repro.campaign.runner.CampaignRunner`: failed specs
-        are retried up to ``max_retries`` times with deterministic
-        seeded backoff; a spec exhausting its budget is quarantined
-        into the result's FailureReport (``on_error="quarantine"``)
-        or aborts the campaign (``"raise"``, the default);
-        ``spec_timeout`` rides inside task payloads so workers arm an
-        execution watchdog, backstopped by the broker's lease clock.
+    max_retries / on_error / spec_timeout:
+        The broker's :class:`~repro.campaign.failures.RetryBudget`, the
+        same policy :class:`~repro.campaign.runner.CampaignRunner`
+        applies: failed specs are retried up to ``max_retries`` times
+        with deterministic seeded backoff; a spec exhausting its budget
+        is quarantined into the result's FailureReport
+        (``on_error="quarantine"``) or aborts the campaign
+        (``"raise"``, the default); ``spec_timeout`` rides inside task
+        payloads so workers arm an execution watchdog, backstopped by
+        the broker's lease clock.
     health_threshold:
         Retire (blacklist) a worker whose failure score — error
         outcome +1, crash or stale lease +2, corrupt payload +2 —
@@ -144,7 +149,6 @@ class DistributedRunner(GrowableRunnerMixin):
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
         health_threshold: Optional[int] = None,
     ) -> None:
         if (workdir is None) == (listen is None):
@@ -184,7 +188,6 @@ class DistributedRunner(GrowableRunnerMixin):
             max_retries=max_retries,
             on_error=on_error,
             spec_timeout=spec_timeout,
-            backoff_base=backoff_base,
             health_threshold=health_threshold,
         )
         if workdir is not None:
@@ -225,27 +228,16 @@ class DistributedRunner(GrowableRunnerMixin):
         # same-thread by API contract (the scaler never touches it)
         if self._closed:
             raise SchedulingError("runner is closed")
-        # repro: noqa[DET002] -- wall-time telemetry bracket; the
-        # value lands only in CampaignResult.wall_time_s
-        start = time.perf_counter()
-        results: List[Optional[ScenarioResult]] = [None] * len(specs)
-        cache_hits = 0
+        return cached_run(self, specs, on_result)
 
-        def emit(index: int, result: ScenarioResult) -> None:
-            results[index] = result
-            if on_result is not None:
-                on_result(index, result)
-
-        pending: List[Tuple[int, Spec]] = []
-        for index, spec in enumerate(specs):
-            hit = self.cache.get(spec) if self.cache is not None else None
-            if hit is not None:
-                cache_hits += 1
-                emit(index, hit)
-            else:
-                pending.append((index, spec))
-
-        replayed = 0
+    def _execute(
+        self,
+        specs: Sequence[Spec],
+        pending: List[int],
+        absorb: Callable[[int, ScenarioResult], None],
+    ) -> Executed:
+        """Submit ``pending`` to the broker and absorb its outcomes;
+        the executor of :func:`~repro.campaign.runner.cached_run`."""
         # resume applies to the restart moment only: a later run() on
         # this runner (e.g. an extend() suffix) is a new submission
         # whose hash would never match the ledger — consume the flag
@@ -255,43 +247,31 @@ class DistributedRunner(GrowableRunnerMixin):
         resume = self.resume
         self.resume = False  # repro: noqa[RACE001] -- same as above:
         # consumed on the submitting thread before the fleet starts
-        if pending:
-            # The ledger header must identify the *full* campaign, not
-            # the cache-filtered subset submitted below: cache state
-            # differs between a crashed run and its resume (collected
-            # results were cached), and must not change the hash.
-            self._broker.submit(
-                pending,
-                resume=resume,
-                campaign=campaign_hash(list(enumerate(specs))),
-            )
-            replayed = self._broker.replayed
-            if not self._broker.done:
-                self._start_fleet()
-            try:
-                for index, result in self._broker.outcomes():
-                    if self.cache is not None:
-                        self.cache.put(result)
-                    emit(index, result)
-            finally:
-                self._stop_autoscaler()
-
-        counters = self._broker.telemetry
-        report = self._broker.failure_report
-        return CampaignResult(
-            results=[r for r in results if r is not None],
-            # repro: noqa[DET002] -- telemetry field only
-            wall_time_s=time.perf_counter() - start,
-            n_workers=self.n_workers,
-            cache_hits=cache_hits,
-            executed=len(pending) - replayed,
-            replayed=replayed,
-            requeued=counters["requeued"],
-            stolen=counters["stolen"],
-            retried=counters.get("retried", 0),
-            quarantined=counters.get("quarantined", 0),
-            failures=report if report else None,
+        if not pending:
+            return FailureReport(), {}
+        # The ledger header must identify the *full* campaign, not the
+        # cache-filtered subset submitted below: cache state differs
+        # between a crashed run and its resume (collected results were
+        # cached), and must not change the hash.
+        self._broker.submit(
+            [(index, specs[index]) for index in pending],
+            resume=resume,
+            campaign=campaign_hash(list(enumerate(specs))),
         )
+        replayed = self._broker.replayed  # drained by outcomes() below
+        if not self._broker.done:
+            self._start_fleet()
+        try:
+            for index, result in self._broker.outcomes():
+                absorb(index, result)
+        finally:
+            self._stop_autoscaler()
+        counters = self._broker.telemetry
+        return self._broker.failure_report, {
+            "replayed": replayed,
+            "requeued": counters["requeued"],
+            "stolen": counters["stolen"],
+        }
 
     # ------------------------------------------------------------------
     # repro: noqa[RACE001] -- scaler handle rebinding is confined to

@@ -9,6 +9,10 @@ campaign completes with partial results.  Under the default
 ``on_error="raise"`` the first failure still propagates, byte-for-byte
 compatible with the pre-existing behavior.
 
+:class:`RetryBudget` is that policy, defined once: the local runner
+and the distributed broker both charge every failed attempt to it and
+keep only their own scheduling of the retry it grants.
+
 Also home to the local worker's execution watchdog
 (:func:`spec_deadline`), which interrupts a spec that runs past its
 deadline with a retryable :class:`~repro.errors.SpecTimeout`.
@@ -23,29 +27,26 @@ import threading
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import SchedulingError, SpecFailure, SpecTimeout
+from .spec import Spec, content_hash
 
 __all__ = [
     "FailureInfo",
     "FailureReport",
     "QuarantinedSpec",
+    "RetryBudget",
     "backoff_delay",
     "spec_deadline",
 ]
 
 ON_ERROR_POLICIES = ("raise", "quarantine")
 
-
-def validate_on_error(policy: str) -> str:
-    if policy not in ON_ERROR_POLICIES:
-        raise SchedulingError(
-            f"on_error must be one of {ON_ERROR_POLICIES}, got {policy!r}"
-        )
-    return policy
+#: First-retry backoff in seconds; each further attempt doubles it.
+BACKOFF_BASE = 0.05
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def backoff_delay(
     seed: int,
     attempt: int,
     *,
-    base: float = 0.05,
+    base: float = BACKOFF_BASE,
     cap: float = 5.0,
 ) -> float:
     """Deterministic exponential backoff with jitter.
@@ -214,6 +215,96 @@ def backoff_delay(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFF, int(attempt)])
     )
     return raw * (0.5 + 0.5 * float(rng.random()))
+
+
+#: :meth:`RetryBudget.charge` verdicts.
+RETRY, QUARANTINED, EXHAUSTED = "retry", "quarantined", "exhausted"
+
+
+class Verdict(NamedTuple):
+    """What one failed attempt leads to: ``kind`` is :data:`RETRY`
+    (after ``delay`` seconds), :data:`QUARANTINED` or
+    :data:`EXHAUSTED`."""
+
+    kind: str
+    delay: float = 0.0
+
+
+@dataclass(frozen=True)
+class RetryBudget:
+    """The retry-or-quarantine-or-raise policy of a campaign.
+
+    ``max_retries`` re-executions per spec, each after its
+    :func:`backoff_delay`; ``spec_timeout`` seconds of execution per
+    attempt (``None`` disables the watchdog); ``on_error`` decides what
+    an exhausted budget means.  Validated once, at construction.
+    """
+
+    max_retries: int = 0
+    spec_timeout: Optional[float] = None
+    on_error: str = "raise"
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise SchedulingError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.spec_timeout is not None and self.spec_timeout <= 0:
+            raise SchedulingError(
+                f"spec_timeout must be positive, got {self.spec_timeout}"
+            )
+        if self.on_error not in ON_ERROR_POLICIES:
+            raise SchedulingError(
+                f"on_error must be one of {ON_ERROR_POLICIES}, "
+                f"got {self.on_error!r}"
+            )
+        if self.spec_timeout is not None:
+            object.__setattr__(self, "spec_timeout", float(self.spec_timeout))
+        object.__setattr__(self, "max_retries", int(self.max_retries))
+
+    @property
+    def contained(self) -> bool:
+        """Whether any knob departs from abort-on-first-failure."""
+        return (
+            self.max_retries > 0
+            or self.spec_timeout is not None
+            or self.on_error != "raise"
+        )
+
+    def charge(
+        self,
+        report: FailureReport,
+        attempts: Dict[int, int],
+        index: int,
+        spec: Optional[Spec],
+        failure: FailureInfo,
+    ) -> Verdict:
+        """Charge one failed attempt of spec ``index`` to ``report``.
+
+        ``attempts`` is the run's per-index attempt count, bumped here.
+        Within budget the verdict is :data:`RETRY` after a delay that is
+        a pure function of (spec seed, attempt); past it the spec is
+        recorded in ``report`` (:data:`QUARANTINED`) or the caller
+        raises its own error (:data:`EXHAUSTED`).
+        """
+        attempt = attempts[index] = attempts.get(index, 0) + 1
+        if failure.exc_type == "SpecTimeout":
+            report.timeouts += 1
+        if attempt <= self.max_retries:
+            report.retries += 1
+            seed = int(getattr(spec, "seed", 0) or 0)
+            return Verdict(RETRY, backoff_delay(seed, attempt))
+        if self.on_error != "quarantine":
+            return Verdict(EXHAUSTED)
+        report.quarantined.append(
+            QuarantinedSpec(
+                index=index,
+                spec_hash=content_hash(spec) if spec is not None else "",
+                attempts=attempt,
+                failure=failure,
+            )
+        )
+        return Verdict(QUARANTINED)
 
 
 @contextlib.contextmanager

@@ -21,11 +21,16 @@ asked for the enlarged campaign re-executes nothing but the suffix.
     template = lambda seed, i: ScenarioSpec(scheme="BAS-2", seed=seed)
     campaign = runner.run_campaign(template, 50, root_seed=0)
     bigger = runner.extend(25)       # executes only scenarios 50..74
+
+Each grow step returns the suffix run's own
+:class:`~repro.campaign.runner.CampaignResult` with ``results``
+swapped for the merged list, so every counter and the failure report
+read exactly as a plain ``run`` of the suffix specs would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -74,6 +79,7 @@ class _GrowthState:
     template: SpecTemplate
     root_seed: int
     n_scenarios: int
+    n_specs: int
     results: List  # ScenarioResult accumulated over every grow step
 
 
@@ -124,7 +130,7 @@ class GrowableRunnerMixin:
             raise SchedulingError(
                 f"n_scenarios must be >= 1, got {n_scenarios}"
             )
-        self._growth = _GrowthState(template, int(root_seed), 0, [])
+        self._growth = _GrowthState(template, int(root_seed), 0, 0, [])
         return self._grow(n_scenarios, on_result)
 
     def extend(
@@ -136,9 +142,10 @@ class GrowableRunnerMixin:
         """Grow the last :meth:`run_campaign` by ``n_more`` scenarios.
 
         Only the new suffix is executed (the prefix's specs are not
-        even rebuilt); the returned result covers the *whole* enlarged
-        campaign, with ``executed`` / ``cache_hits`` counting the
-        suffix run alone.  ``on_result`` sees the suffix results
+        even rebuilt); the returned result's ``results`` cover the
+        *whole* enlarged campaign, while every counter and the
+        ``failures`` report (indices relative to the suffix) describe
+        the suffix run alone.  ``on_result`` sees the suffix results
         under their global spec indices, so a callback threaded
         through ``run_campaign`` and every ``extend`` receives each
         result of the full campaign exactly once.
@@ -157,8 +164,6 @@ class GrowableRunnerMixin:
         n_total: int,
         on_result: Optional[Callable],
     ) -> "CampaignResult":
-        from .runner import CampaignResult  # deferred: import cycle
-
         state = self._growth
         assert state is not None
         seeds = spawn_seeds(state.root_seed, n_total)
@@ -166,7 +171,7 @@ class GrowableRunnerMixin:
         for index in range(state.n_scenarios, n_total):
             suffix_specs.extend(_expand(state.template, seeds[index], index))
 
-        offset = len(state.results)
+        offset = state.n_specs
 
         def emit(local_index: int, result) -> None:
             if on_result is not None:
@@ -175,13 +180,5 @@ class GrowableRunnerMixin:
         suffix = self.run(suffix_specs, on_result=emit)
         state.results.extend(suffix.results)
         state.n_scenarios = n_total
-        return CampaignResult(
-            results=list(state.results),
-            wall_time_s=suffix.wall_time_s,
-            n_workers=suffix.n_workers,
-            cache_hits=suffix.cache_hits,
-            executed=suffix.executed,
-            replayed=suffix.replayed,
-            requeued=suffix.requeued,
-            stolen=suffix.stolen,
-        )
+        state.n_specs += len(suffix_specs)
+        return replace(suffix, results=list(state.results))

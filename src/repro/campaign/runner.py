@@ -55,12 +55,12 @@ from ..taskgraph.tgff import random_dag
 from ..workloads.generator import UniformActuals, paper_task_set
 from .cache import ResultCache
 from .failures import (
+    EXHAUSTED,
+    RETRY,
     FailureInfo,
     FailureReport,
-    QuarantinedSpec,
-    backoff_delay,
+    RetryBudget,
     spec_deadline,
-    validate_on_error,
 )
 from .growth import GrowableRunnerMixin
 from .registry import (
@@ -79,7 +79,7 @@ from .spec import (
     ScenarioSpec,
     Spec,
     SurvivalSpec,
-    content_hash,
+    content_hash,  # noqa: F401 - perfbench's tracer patches this binding
 )
 
 __all__ = [
@@ -506,21 +506,79 @@ class CampaignResult:
 
 OnResult = Callable[[int, ScenarioResult], None]
 
+#: What a runner's executor reports besides its results: the failure
+#: report and its own :class:`CampaignResult` counters.
+Executed = Tuple[FailureReport, Dict[str, int]]
+
+
+def cached_run(
+    runner, specs: Sequence[Spec], on_result: Optional[OnResult]
+) -> CampaignResult:
+    """The one runner front end: cache, execute, cache, result.
+
+    Serves every cached spec from ``runner.cache``, hands the rest to
+    ``runner._execute(specs, pending, absorb)`` — the runner's own
+    executor, which feeds each fresh ``(index, result)`` to ``absorb``
+    and returns :data:`Executed` — stores each fresh result back and
+    streams every result to ``on_result`` (cache hits first, then in
+    arrival order).  ``executed`` counts the pending specs that no
+    ``replayed`` ledger entry covered.
+    """
+    # repro: noqa[DET002] -- wall-time telemetry bracket; the
+    # value lands only in CampaignResult.wall_time_s
+    start = time.perf_counter()
+    cache = runner.cache
+    results: List[Optional[ScenarioResult]] = [None] * len(specs)
+    cache_hits = 0
+
+    def emit(index: int, result: ScenarioResult) -> None:
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+
+    pending: List[int] = []
+    for index, spec in enumerate(specs):
+        hit = cache.get(spec) if cache is not None else None
+        if hit is not None:
+            cache_hits += 1
+            emit(index, hit)
+        else:
+            pending.append(index)
+
+    def absorb(index: int, result: ScenarioResult) -> None:
+        if cache is not None:
+            cache.put(result)
+        emit(index, result)
+
+    report, counters = runner._execute(specs, pending, absorb)
+    return CampaignResult(
+        results=[r for r in results if r is not None],
+        # repro: noqa[DET002] -- telemetry field only
+        wall_time_s=time.perf_counter() - start,
+        n_workers=runner.n_workers,
+        cache_hits=cache_hits,
+        executed=len(pending) - counters.get("replayed", 0),
+        retried=report.retries,
+        quarantined=len(report.quarantined),
+        failures=report if report else None,
+        **counters,
+    )
+
 
 class CampaignRunner(GrowableRunnerMixin):
     """Executes spec lists, optionally in parallel and cached.
 
     One execution pipeline: :meth:`run` cuts the pending (uncached)
     specs into units and maps them over one pool.  Periodic scenarios
-    other than the near-optimal reference run lock-step on the vector
-    engine through :func:`run_scenario_batch` (falling back per
-    scenario to the scalar engine), one batch per worker of at most
-    :data:`MAX_UNIT` scenarios, when each worker's share reaches
-    :data:`MIN_LANES`.  Every other spec is a unit of its own, run
-    through :func:`run_spec` and scheduled dynamically.  Either way
-    the results are bit-identical to ``[run_spec(s) for s in specs]``.
-    A unit's results reach the cache and ``on_result`` when the whole
-    unit is done.
+    run lock-step on the vector engine through
+    :func:`run_scenario_batch` (falling back per scenario to the scalar
+    engine), one batch per worker of at most :data:`MAX_UNIT`
+    scenarios, when each worker's share reaches :data:`MIN_LANES`.
+    Every other spec is a unit of its own, run through
+    :func:`run_spec` and scheduled dynamically.  Either way the results
+    are bit-identical to ``[run_spec(s) for s in specs]``.  A unit's
+    results reach the cache and ``on_result`` when the whole unit is
+    done.
 
     Parameters
     ----------
@@ -539,24 +597,16 @@ class CampaignRunner(GrowableRunnerMixin):
         every start method — the pool initializer replays the plugin
         snapshot in each worker — while live-callable entries still
         need ``fork`` to be inherited.
-    max_retries:
-        Failed specs are re-executed up to this many times before the
-        ``on_error`` policy applies.  Retries back off with
-        deterministic seeded exponential delays
-        (:func:`~repro.campaign.failures.backoff_delay`).
-    spec_timeout:
-        Wall-clock seconds one spec may execute before the worker-side
-        watchdog interrupts it with a retryable
-        :class:`~repro.errors.SpecTimeout` (``None`` disables).
-    on_error:
-        ``"raise"`` (default) propagates the first failure that
-        exhausts its retry budget — byte-identical to historical
-        behavior at the other defaults.  ``"quarantine"`` records it
-        in the result's :class:`~repro.campaign.failures.
-        FailureReport` instead and lets the campaign complete with
-        partial results.
-    backoff_base:
-        First-retry backoff in seconds (doubles per attempt, capped).
+    max_retries / spec_timeout / on_error:
+        The :class:`~repro.campaign.failures.RetryBudget`: failed specs
+        are re-executed up to ``max_retries`` times after deterministic
+        seeded backoff delays; ``spec_timeout`` seconds arm a
+        worker-side watchdog that interrupts a spec with a retryable
+        :class:`~repro.errors.SpecTimeout`; a spec that exhausts its
+        budget raises (``"raise"``, the default) or is quarantined into
+        the result's :class:`~repro.campaign.failures.FailureReport`
+        (``"quarantine"``) so the campaign completes with partial
+        results.
 
     Fault containment (any of the above knobs non-default, or a
     :mod:`repro.faults` plan armed) cuts one spec per unit, so
@@ -574,19 +624,10 @@ class CampaignRunner(GrowableRunnerMixin):
         max_retries: int = 0,
         spec_timeout: Optional[float] = None,
         on_error: str = "raise",
-        backoff_base: float = 0.05,
     ) -> None:
         if n_workers < 1:
             raise SchedulingError(f"n_workers must be >= 1, got {n_workers}")
-        if max_retries < 0:
-            raise SchedulingError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        if spec_timeout is not None and spec_timeout <= 0:
-            raise SchedulingError(
-                f"spec_timeout must be positive, got {spec_timeout}"
-            )
-        validate_on_error(on_error)
+        self.budget = RetryBudget(max_retries, spec_timeout, on_error)
         if start_method is not None:
             known = multiprocessing.get_all_start_methods()
             if start_method not in known:
@@ -597,21 +638,6 @@ class CampaignRunner(GrowableRunnerMixin):
         self.n_workers = int(n_workers)
         self.cache = cache
         self.start_method = start_method
-        self.max_retries = int(max_retries)
-        self.spec_timeout = (
-            float(spec_timeout) if spec_timeout is not None else None
-        )
-        self.on_error = on_error
-        self.backoff_base = float(backoff_base)
-
-    def _contained(self) -> bool:
-        """Whether the fault-containment execution path is active."""
-        return (
-            self.max_retries > 0
-            or self.spec_timeout is not None
-            or self.on_error != "raise"
-            or faults.active_plan() is not None
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -627,44 +653,7 @@ class CampaignRunner(GrowableRunnerMixin):
         reduce the returned, spec-ordered ``results`` rather than the
         arrival order.
         """
-        # repro: noqa[DET002] -- wall-time telemetry bracket; the
-        # value lands only in CampaignResult.wall_time_s
-        start = time.perf_counter()
-        results: List[Optional[ScenarioResult]] = [None] * len(specs)
-        cache_hits = 0
-
-        def emit(index: int, result: ScenarioResult) -> None:
-            results[index] = result
-            if on_result is not None:
-                on_result(index, result)
-
-        pending: List[int] = []
-        for index, spec in enumerate(specs):
-            hit = self.cache.get(spec) if self.cache is not None else None
-            if hit is not None:
-                cache_hits += 1
-                emit(index, hit)
-            else:
-                pending.append(index)
-
-        def absorb(index: int, result: ScenarioResult) -> None:
-            if self.cache is not None:
-                self.cache.put(result)
-            emit(index, result)
-
-        report, demoted = self._execute(specs, pending, absorb)
-        return CampaignResult(
-            results=[r for r in results if r is not None],
-            # repro: noqa[DET002] -- telemetry field only
-            wall_time_s=time.perf_counter() - start,
-            n_workers=self.n_workers,
-            cache_hits=cache_hits,
-            executed=len(pending),
-            retried=report.retries,
-            quarantined=len(report.quarantined),
-            demoted=demoted,
-            failures=report if report else None,
-        )
+        return cached_run(self, specs, on_result)
 
     def _units(self, specs: Sequence[Spec], pending: List[int]) -> List[_Unit]:
         """Cut ``pending`` into units, vector batches first.
@@ -676,7 +665,9 @@ class CampaignRunner(GrowableRunnerMixin):
         Every other spec, and every spec of a contained run, is a unit
         of its own and is scheduled dynamically.
         """
-        contain = self._contained()
+        contain = (
+            self.budget.contained or faults.active_plan() is not None
+        )
         vector = [i for i in pending if _vectorizable(specs[i])]
         if contain or -(-len(vector) // self.n_workers) < MIN_LANES:
             vector = []
@@ -687,7 +678,7 @@ class CampaignRunner(GrowableRunnerMixin):
         ]
         batched = set(vector)
         return batches + [
-            _Unit(((i, specs[i]),), contain, self.spec_timeout)
+            _Unit(((i, specs[i]),), contain, self.budget.spec_timeout)
             for i in pending
             if i not in batched
         ]
@@ -697,21 +688,22 @@ class CampaignRunner(GrowableRunnerMixin):
         specs: Sequence[Spec],
         pending: List[int],
         absorb: Callable[[int, ScenarioResult], None],
-    ) -> Tuple[FailureReport, int]:
-        """Run ``pending`` in rounds; returns the failure report and
-        the numeric-demotion count.
+    ) -> Executed:
+        """Run ``pending`` in pool rounds; the executor of
+        :func:`cached_run`.
 
-        Only contained runs have failures to charge: every failure
-        counts against its spec's retry budget, specs with budget
-        left come back as the next round (in index order, each
-        carrying its backoff delay, a pure function of (spec seed,
-        attempt)), and an exhausted budget quarantines or raises per
-        ``on_error``.  Default units raise straight through instead.
+        Only contained runs have failures to charge: each goes to the
+        :class:`RetryBudget`, specs granted a retry come back as the
+        next round (in index order, each unit sleeping out its backoff
+        delay), and an exhausted budget raises the spec's
+        :class:`~repro.errors.SpecFailure`.  Default units raise
+        straight through instead.
         """
         report = FailureReport()
         demoted = 0
         attempts: Dict[int, int] = {}
         units = self._units(specs, pending)
+        timeout = self.budget.spec_timeout
         with self._pool(len(units)) as imap:
             while units:
                 retry: List[Tuple[int, float]] = []
@@ -721,33 +713,18 @@ class CampaignRunner(GrowableRunnerMixin):
                         if failure is None:
                             absorb(index, result)
                             continue
-                        attempts[index] = attempts.get(index, 0) + 1
-                        if failure.exc_type == "SpecTimeout":
-                            report.timeouts += 1
-                        if attempts[index] <= self.max_retries:
-                            report.retries += 1
-                            delay = backoff_delay(
-                                int(getattr(specs[index], "seed", 0) or 0),
-                                attempts[index],
-                                base=self.backoff_base,
-                            )
-                            retry.append((index, delay))
-                        elif self.on_error == "quarantine":
-                            report.quarantined.append(
-                                QuarantinedSpec(
-                                    index=index,
-                                    spec_hash=content_hash(specs[index]),
-                                    attempts=attempts[index],
-                                    failure=failure,
-                                )
-                            )
-                        else:
+                        verdict = self.budget.charge(
+                            report, attempts, index, specs[index], failure
+                        )
+                        if verdict.kind == RETRY:
+                            retry.append((index, verdict.delay))
+                        elif verdict.kind == EXHAUSTED:
                             raise failure.to_exception()
                 units = [
-                    _Unit(((i, specs[i]),), True, self.spec_timeout, delay)
+                    _Unit(((i, specs[i]),), True, timeout, delay)
                     for i, delay in sorted(retry)
                 ]
-        return report, demoted
+        return report, {"demoted": demoted}
 
     @contextlib.contextmanager
     def _pool(self, n_units: int) -> Iterator[Callable]:

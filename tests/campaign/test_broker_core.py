@@ -112,7 +112,11 @@ class TestBackstop:
 class TestRetryAndStall:
     def test_error_outcome_retried_after_its_backoff(self):
         from repro.campaign.distributed.protocol import error_payload
-        from repro.campaign.failures import FailureInfo, backoff_delay
+        from repro.campaign.failures import (
+            BACKOFF_BASE,
+            FailureInfo,
+            backoff_delay,
+        )
 
         broker, wire = submitted(1, max_retries=1)
         wire.lease("L")
@@ -127,7 +131,7 @@ class TestRetryAndStall:
         )
         run(broker, 0.0)
         assert wire.queue == []
-        due = backoff_delay(specs(1)[0].seed, 1, base=broker.backoff_base)
+        due = backoff_delay(specs(1)[0].seed, 1, base=BACKOFF_BASE)
         run(broker, due * 0.99)
         assert wire.queue == []
         run(broker, due)

@@ -251,6 +251,48 @@ class TestBackoff:
         assert backoff_delay(7, 0) == 0.0
 
 
+class TestRetryBudget:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(max_retries=-1),
+            dict(spec_timeout=0),
+            dict(on_error="bogus"),
+        ],
+        ids=["max_retries", "spec_timeout", "on_error"],
+    )
+    @pytest.mark.parametrize("backend", ["local", "dist"])
+    def test_bad_knobs_rejected_at_construction(
+        self, tmp_path, backend, knobs
+    ):
+        with pytest.raises(SchedulingError):
+            if backend == "local":
+                CampaignRunner(**knobs)
+            else:
+                DistributedRunner(workdir=tmp_path, **knobs)
+
+    @pytest.mark.parametrize(
+        "on_error, last",
+        [("raise", "exhausted"), ("quarantine", "quarantined")],
+    )
+    def test_charge_retries_then_gives_its_verdict(self, on_error, last):
+        from repro.campaign.failures import RETRY, RetryBudget
+
+        spec = make_specs(1)[0]
+        late = FailureInfo(exc_type="SpecTimeout", message="late")
+        budget = RetryBudget(max_retries=1, on_error=on_error)
+        report, attempts = FailureReport(), {}
+        first = budget.charge(report, attempts, 3, spec, late)
+        assert first.kind == RETRY
+        assert first.delay == backoff_delay(spec.seed, 1)
+        assert budget.charge(report, attempts, 3, spec, late).kind == last
+        assert attempts == {3: 2}
+        assert (report.retries, report.timeouts) == (1, 2)
+        assert report.quarantined_indices == (
+            (3,) if on_error == "quarantine" else ()
+        )
+
+
 class TestSpecDeadline:
     def test_interrupts_overdue_block(self):
         with pytest.raises(SpecTimeout, match="deadline"):

@@ -4,6 +4,7 @@ suffix-only execution of ``extend()``."""
 import pytest
 
 import repro.campaign.runner as runner_mod
+from repro import faults
 from repro.api import ResultFrame
 from repro.campaign import (
     CampaignRunner,
@@ -164,6 +165,58 @@ class TestExtend:
         )
         runner.extend(1, on_result=lambda i, r: seen.append(i))
         assert sorted(seen) == list(range(6))
+
+
+@pytest.fixture
+def poison_index_1():
+    """Every spec at run index 1 raises at ``spec.execute``."""
+    faults.install(
+        faults.FaultPlan(
+            rules=(
+                faults.FaultRule(
+                    point="spec.execute", kind="error", indices=(1,)
+                ),
+            ),
+        )
+    )
+    yield
+    faults.uninstall()
+
+
+class TestGrowthKeepsContainment:
+    def test_grow_steps_report_what_run_reports(self, poison_index_1):
+        """``run_campaign`` and ``extend`` return the suffix run's
+        retry, quarantine and failure accounting, not just its
+        results."""
+        knobs = dict(max_retries=1, on_error="quarantine")
+        seeds = spawn_seeds(0, 5)
+        specs = [s for i, seed in enumerate(seeds) for s in template(seed, i)]
+
+        def accounting(campaign):
+            return (
+                campaign.retried,
+                campaign.quarantined,
+                campaign.failures.quarantined_indices,
+            )
+
+        runner = CampaignRunner(1, **knobs)
+        seen = []
+        grown = [
+            runner.run_campaign(template, 3),
+            runner.extend(2, on_result=lambda i, r: seen.append(i)),
+        ]
+        plain = [
+            CampaignRunner(1, **knobs).run(part)
+            for part in (specs[:6], specs[6:])
+        ]
+        assert [accounting(c) for c in grown] == (
+            [accounting(c) for c in plain]
+        )
+        assert accounting(grown[0]) == (1, 1, (1,))
+        assert len(grown[1].results) == len(specs) - 2
+        # Suffix results keep their global spec indices past the
+        # quarantined prefix spec.
+        assert sorted(seen) == [6, 8, 9]
 
 
 class TestDistributedGrowth:
