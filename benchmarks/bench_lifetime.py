@@ -11,14 +11,16 @@ scalar reference loop.  Results are verified equivalent (relative
 1e-9) before speedups are reported, and written machine-readable to
 ``BENCH_lifetime.json`` at the repo root.
 
-The stochastic model has no kernel by design (its RNG draw order *is*
-its semantics), so it reports the scalar fallback at ~1x — included
-for coverage, not glory.
+The stochastic model has no kernel (the order of its draws within one
+cell *is* its semantics); its fast path is the block-drawn slot walk,
+which must match the per-slot reference bit for bit, so each path gets
+a fresh cell with the same seed and the row asserts exact equality.
 
 Also runnable standalone (the CI smoke test)::
 
     PYTHONPATH=src python benchmarks/bench_lifetime.py \\
-        --segments 200 --min-diffusion-speedup 10
+        --segments 200 --min-diffusion-speedup 10 \\
+        --min-stochastic-speedup 2
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _models():
+    """Cell factories by name: every timed path gets a fresh cell."""
     kib = paper_cell_kibam()
     return {
-        "diffusion": paper_cell_diffusion(),
-        "kibam": kib,
-        "peukert": PeukertBattery(
+        "diffusion": paper_cell_diffusion,
+        "kibam": paper_cell_kibam,
+        "peukert": lambda: PeukertBattery(
             kib.capacity, exponent=1.2, i_ref=2.0
         ),
-        "stochastic": paper_cell_stochastic(seed=0),
+        "stochastic": lambda: paper_cell_stochastic(seed=0),
     }
 
 
@@ -74,23 +77,24 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def bench_model(name, cell, n_segments, seed):
+def bench_model(name, make_cell, n_segments, seed):
     """One model's run_profile + survival_scale scalar-vs-fast row."""
     # Tiled-to-death lifetime: short segments so the hyperperiod tiles
     # through many periods before exhaustion (the Table 2 shape).
     life_prof = _schedule_profile(n_segments, 0.1, seed)
-    # StochasticKiBaM walks 1 s slots per segment; the same profile is
-    # valid but the scalar cost is dominated by slots, not segments.
+    fast_cell, scalar_cell = make_cell(), make_cell()
     fast_report, t_fast = _timed(
-        lambda: evaluate_lifetime(life_prof, cell, max_time=1e7)
+        lambda: evaluate_lifetime(life_prof, fast_cell, max_time=1e7)
     )
     scalar_report, t_scalar = _timed(
         lambda: evaluate_lifetime(
-            life_prof, cell, max_time=1e7, fast=False
+            life_prof, scalar_cell, max_time=1e7, fast=False
         )
     )
     f_run, s_run = fast_report.run, scalar_report.run
-    if name != "stochastic":  # stochastic shares one RNG across runs
+    if name == "stochastic":  # an exact walk, not a closed form
+        assert s_run == f_run, (s_run, f_run)
+    else:
         assert s_run.died == f_run.died
         assert abs(s_run.lifetime - f_run.lifetime) <= (
             1e-9 * max(1.0, s_run.lifetime)
@@ -104,13 +108,16 @@ def bench_model(name, cell, n_segments, seed):
     surv_prof = _schedule_profile(
         n_segments, 6000.0 / n_segments, seed + 1
     )
+    fast_cell, scalar_cell = make_cell(), make_cell()
     scale_fast, ts_fast = _timed(
-        lambda: survival_scale(cell, surv_prof)
+        lambda: survival_scale(fast_cell, surv_prof)
     )
     scale_scalar, ts_scalar = _timed(
-        lambda: survival_scale(cell, surv_prof, fast=False)
+        lambda: survival_scale(scalar_cell, surv_prof, fast=False)
     )
-    if name != "stochastic":
+    if name == "stochastic":
+        assert scale_fast == scale_scalar, (scale_fast, scale_scalar)
+    else:
         assert abs(scale_fast - scale_scalar) <= 1e-6 * scale_scalar, (
             scale_fast, scale_scalar,
         )
@@ -155,21 +162,26 @@ def main(argv=None) -> int:
         "below this floor — the CI smoke threshold",
     )
     ap.add_argument(
+        "--min-stochastic-speedup", type=float, default=None,
+        help="fail (exit 1) if the stochastic run_profile speedup is "
+        "below this floor — the CI smoke threshold",
+    )
+    ap.add_argument(
         "--skip", nargs="*", default=(),
         help="model names to skip (e.g. stochastic on slow machines)",
     )
     args = ap.parse_args(argv)
 
     results = []
-    for name, cell in _models().items():
+    for name, make_cell in _models().items():
         if name in args.skip:
             continue
-        # The stochastic scalar walk is ~1 s slots; cap its size so the
-        # smoke stays fast (it has no fast path to measure anyway).
+        # Both stochastic paths walk every 1 s slot of the cell's life;
+        # cap the profile so the smoke stays fast.
         n = args.segments if name != "stochastic" else min(
             args.segments, 200
         )
-        row = bench_model(name, cell, n, args.seed)
+        row = bench_model(name, make_cell, n, args.seed)
         results.append(row)
         rp, sv = row["run_profile"], row["survival_scale"]
         print(
@@ -191,22 +203,25 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    if args.min_diffusion_speedup is not None:
-        diff_rows = [r for r in results if r["model"] == "diffusion"]
-        if not diff_rows:
-            print("diffusion row missing; cannot enforce threshold")
+    floors = (
+        ("diffusion", args.min_diffusion_speedup),
+        ("stochastic", args.min_stochastic_speedup),
+    )
+    for model, floor in floors:
+        if floor is None:
+            continue
+        rows = [r for r in results if r["model"] == model]
+        if not rows:
+            print(f"{model} row missing; cannot enforce threshold")
             return 1
-        speedup = diff_rows[0]["run_profile"]["speedup"]
-        if speedup < args.min_diffusion_speedup:
+        speedup = rows[0]["run_profile"]["speedup"]
+        if speedup < floor:
             print(
-                f"FAIL: diffusion speedup {speedup:.1f}x below floor "
-                f"{args.min_diffusion_speedup:.1f}x"
+                f"FAIL: {model} speedup {speedup:.1f}x below floor "
+                f"{floor:.1f}x"
             )
             return 1
-        print(
-            f"ok: diffusion speedup {speedup:.1f}x >= "
-            f"{args.min_diffusion_speedup:.1f}x floor"
-        )
+        print(f"ok: {model} speedup {speedup:.1f}x >= {floor:.1f}x floor")
     return 0
 
 

@@ -86,6 +86,9 @@ class BatteryRun:
 class BatteryModel(abc.ABC):
     """Abstract base for charge-delivery battery models."""
 
+    #: The generator a run draws from; ``None`` for deterministic models.
+    rng: Optional[np.random.Generator] = None
+
     @abc.abstractmethod
     def fresh_state(self) -> Any:
         """The fully-charged internal state."""
@@ -113,11 +116,11 @@ class BatteryModel(abc.ABC):
         Analytic models override this to return a
         :class:`~repro.battery.kernels.PeriodKernel` that advances one
         profile period as a closed-form affine map (and tiled cycles in
-        log time).  Models whose semantics live in the per-step scalar
-        path (e.g. the RNG-driven stochastic model, where draw order
-        matters) keep the default ``None`` and the scalar driver.
-        ``durations``/``currents`` must already be validated by
-        :func:`as_segments`.
+        log time).  Models whose state is not affine keep the default
+        ``None``: the RNG-driven stochastic model, whose draws must stay
+        in slot order within one cell, has its own fast path instead
+        (:meth:`_run_profile_fast`).  ``durations``/``currents`` must
+        already be validated by :func:`as_segments`.
         """
         return None
 
@@ -168,8 +171,9 @@ class BatteryModel(abc.ABC):
             an undying profile under ``repeat=None`` is almost always a
             calibration bug the caller should hear about).
         fast:
-            Use the model's vectorized period kernel when it has one
-            (results match the scalar path to float noise; see
+            Use the model's fast path (:meth:`_run_profile_fast`: the
+            vectorized period kernel when it has one, whose results
+            match the scalar path to float noise, see
             ``repro.battery.kernels``).  ``False`` forces the scalar
             per-segment reference path — benchmarks and the
             equivalence suite compare the two.
@@ -178,9 +182,22 @@ class BatteryModel(abc.ABC):
         if repeat is not None and repeat < 1:
             raise BatteryError(f"repeat must be >= 1 or None, got {repeat}")
         if fast:
-            kernel = self.period_kernel(d, i)
-            if kernel is not None:
-                return kernel.run(repeat=repeat, max_time=max_time)
+            return self._run_profile_fast(d, i, repeat, max_time)
+        return self._run_profile_scalar(d, i, repeat, max_time)
+
+    def _run_profile_fast(
+        self,
+        d: np.ndarray,
+        i: np.ndarray,
+        repeat: Optional[int],
+        max_time: float,
+    ) -> BatteryRun:
+        """The ``fast=True`` driver (pre-validated): the model's period
+        kernel, or the scalar driver when it has none.  Models with a
+        faster exact walk of their own override this."""
+        kernel = self.period_kernel(d, i)
+        if kernel is not None:
+            return kernel.run(repeat=repeat, max_time=max_time)
         return self._run_profile_scalar(d, i, repeat, max_time)
 
     def _run_profile_scalar(

@@ -204,8 +204,18 @@ def calibrate_kibam_two_anchors(
 
 @lru_cache(maxsize=None)
 def paper_cell_kibam() -> KiBaM:
-    """The calibrated AAA NiMH cell as an analytic KiBaM (cached)."""
-    return calibrate_kibam_two_anchors()
+    """The calibrated AAA NiMH cell as an analytic KiBaM (cached).
+
+    The constants are :func:`calibrate_kibam_two_anchors` at its
+    defaults (the :data:`PAPER_ANCHORS` fit), shipped as literals so no
+    process pays for the nested root-finding.  ``TestPaperCells::
+    test_paper_cell_kibam_is_the_fit`` in
+    ``tests/battery/test_calibrate.py`` re-fits them and pins them bit
+    for bit.
+    """
+    return KiBaM(
+        PAPER_MAX_CAPACITY_C, 0.6580173354242722, 0.0003216604795681329
+    )
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +229,8 @@ def paper_cell_stochastic(
 ) -> StochasticKiBaM:
     """The calibrated cell as a stochastic KiBaM (Table 2's model).
 
-    Kinetic parameters come from the cached KiBaM calibration; only the
-    stochastic layer (slot length, noise, seed) is chosen here.
+    Kinetic parameters are :func:`paper_cell_kibam`'s fitted constants;
+    only the stochastic layer (slot length, noise, seed) is chosen here.
     """
     base = paper_cell_kibam()
     return StochasticKiBaM(

@@ -26,9 +26,11 @@ periods into its K-th power:
 Concrete kernels live next to their models
 (:class:`~repro.battery.diffusion.DiffusionPeriodKernel`,
 :class:`~repro.battery.kibam.KiBaMPeriodKernel`,
-:class:`~repro.battery.peukert.PeukertPeriodKernel`); models without a
-kernel (the RNG-driven stochastic model, where draw order *is* the
-semantics) keep the scalar loop, which remains the universal fallback.
+:class:`~repro.battery.peukert.PeukertPeriodKernel`).  The RNG-driven
+stochastic model has no kernel: the order of its draws within one cell
+*is* its semantics, so its fast path is an exact slot walk of its own
+(:meth:`~repro.battery.stochastic.StochasticKiBaM._run_profile_fast`).
+The scalar loop remains the universal fallback.
 
 Numerical contract: kernel results match the scalar path to floating
 point noise (relative ``~1e-9``; verified by the property suite in
@@ -126,11 +128,15 @@ def run_profile_batch(
     ``delivered_charge`` comes back NaN/inf is re-evaluated through
     the scalar per-segment loop (the authority on the numerics) and
     counted under ``stats["numeric_demotions"]`` when a ``stats``
-    dict is supplied.
+    dict is supplied.  A model that draws from a generator
+    (:attr:`~repro.battery.base.BatteryModel.rng`) is re-evaluated
+    from the generator state the fast run started from.
     """
     runs = []
     demotions = 0
     for model, durations, currents in loads:
+        rng = model.rng if fast else None
+        entry = rng.bit_generator.state if rng is not None else None
         run = model.run_profile(
             durations, currents,
             repeat=repeat, max_time=max_time, fast=fast,
@@ -139,6 +145,8 @@ def run_profile_batch(
             np.isfinite(run.lifetime)
             and np.isfinite(run.delivered_charge)
         ):
+            if rng is not None:
+                rng.bit_generator.state = entry
             run = model.run_profile(
                 durations, currents,
                 repeat=repeat, max_time=max_time, fast=False,

@@ -73,6 +73,13 @@ class TestPaperCells:
     def test_kibam_cached(self):
         assert paper_cell_kibam() is paper_cell_kibam()
 
+    def test_paper_cell_kibam_is_the_fit(self):
+        """The shipped constants are the two-anchor fit, bit for bit."""
+        fit = calibrate_kibam_two_anchors()
+        cell = paper_cell_kibam()
+        got = (cell.capacity, cell.c, cell.kp)
+        assert got == (fit.capacity, fit.c, fit.kp)
+
     def test_stochastic_shares_kinetics(self):
         base = paper_cell_kibam()
         sto = paper_cell_stochastic(seed=0)

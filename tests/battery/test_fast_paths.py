@@ -203,8 +203,10 @@ class TestSurvivalScaleEquivalence:
         # bracket.
         assert fast == pytest.approx(slow, rel=1e-6)
 
-    def test_fallback_model_unchanged(self):
-        """Models without a kernel take the scalar path either way."""
+    def test_stochastic_matches_scalar_bisection(self):
+        """The stochastic model has no kernel: its probes run the
+        block-drawn slot walk, which matches the per-slot path bit for
+        bit, so both bisections land on the same scale."""
         from repro.analysis.lifetime import survival_scale
         from repro.battery import StochasticKiBaM
         from repro.sim.profile import CurrentProfile
