@@ -4,10 +4,10 @@ Times a 256-scenario EDF/ccEDF campaign (paper task sets, fixed
 worst-case-fraction actuals so the workload is job-invariant) through
 two engines that produce bit-identical results:
 
-* ``scalar`` — every scenario through its own
-  ``Simulator.run(fast=True)``, the scalar reference engine;
-* ``vector`` — the same scenarios through
-  :func:`repro.sim.vector.run_vectorized`, which advances all
+* ``scalar`` — every scenario through its own ``Simulator.run``,
+  the scalar reference engine;
+* ``vector`` — the same scenarios through one
+  :class:`repro.sim.vector.VectorEngine`, which advances all
   array-expressible scenarios lock-step in struct-of-arrays form.
 
 Three rows are reported: the pure simulation phase on the EDF/ccEDF
@@ -46,7 +46,7 @@ if __name__ == "__main__":  # allow standalone runs without PYTHONPATH
 from repro.campaign.runner import _build_scenario_sim
 from repro.campaign.spec import ScenarioSpec
 from repro.sim.batch import BatchItem, ScenarioBatch
-from repro.sim.vector import VectorEngine, run_vectorized
+from repro.sim.vector import VectorEngine
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +104,7 @@ def _assert_equivalent(vec, scalar, context):
 
 def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
               schemes=SCHEMES, stochastic=False):
-    """Pure simulation phase: run_vectorized vs the scalar loop."""
+    """Pure simulation phase: the vector engine vs the scalar loop."""
     scal = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed,
                             schemes, stochastic)
     vect = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed,
@@ -118,9 +118,9 @@ def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
         "scalar-vs-scalar"
     )
     sres, t_scalar = _timed(
-        lambda: [sim.run(h, fast=True) for sim, h in scal]
+        lambda: [sim.run(h) for sim, h in scal]
     )
-    vres, t_vector = _timed(lambda: run_vectorized(vect, fast=True))
+    vres, t_vector = _timed(lambda: VectorEngine(vect).run())
     for k, (v, s) in enumerate(zip(vres, sres)):
         _assert_equivalent(v, s, f"scenario {k}")
     return {
@@ -133,11 +133,11 @@ def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
 
 
 def _scalar_loop(scenarios):
-    """Each scenario alone: ``Simulator.run(fast=True)`` plus the
+    """Each scenario alone: ``Simulator.run`` plus the
     profile reduction a batch performs."""
     out = []
     for sim, h in scenarios:
-        res = sim.run(h, fast=True)
+        res = sim.run(h)
         res.profile()
         out.append(res)
     return out
@@ -151,7 +151,7 @@ def bench_batch(n_scenarios, n_graphs, hyperperiods, seed):
     vout, t_vector = _timed(
         lambda: ScenarioBatch(
             [BatchItem(sim, h) for sim, h in vect]
-        ).run(fast=True)
+        ).run()
     )
     for k, (v, s) in enumerate(zip(vout, sres)):
         _assert_equivalent(v.result, s, f"scenario {k}")

@@ -5,11 +5,10 @@ A campaign of many small simulations is the repo's hot loop: Table 2
 runs hundreds of scenarios per scheme.  This example times the same
 five-scheme sweep two ways —
 
-* scalar: every scenario through its own
-  ``Simulator.run(fast=True)`` event loop;
-* vector: one ``ScenarioBatch(...).run(fast=True)``, which advances
-  all scenarios lock-step as struct-of-arrays numpy state
-  (`repro.sim.vector.VectorEngine`) —
+* scalar: every scenario through its own ``Simulator.run`` event
+  loop;
+* vector: one ``VectorEngine(...).run()``, which advances all
+  scenarios lock-step as struct-of-arrays numpy state —
 
 then proves the point of the design: the outcomes are *bit-identical*,
 the vector engine is just faster.  The whole Table 2 grid is eligible
@@ -32,8 +31,7 @@ import numpy as np
 
 from repro.campaign import ScenarioSpec
 from repro.campaign.runner import _build_scenario_sim
-from repro.sim import BatchItem, ScenarioBatch
-from repro.sim.vector import unsupported_reason
+from repro.sim.vector import VectorEngine, unsupported_reason
 
 SMOKE = os.environ.get("REPRO_EXAMPLE_SCALE") == "smoke"
 N_SCENARIOS = 16 if SMOKE else 256
@@ -41,11 +39,11 @@ HYPERPERIODS = 2 if SMOKE else 4
 SCHEMES = ("EDF", "ccEDF", "laEDF", "BAS-1", "BAS-2")
 
 
-def build_items():
+def build_scenarios():
     """Round-robin over all five Table 2 schemes with the paper's
     stochastic 20-100% actuals (hash-keyed per job, so the vector
     engine can pre-draw them)."""
-    items = []
+    scenarios = []
     for k in range(N_SCENARIOS):
         spec = ScenarioSpec(
             scheme=SCHEMES[k % len(SCHEMES)],
@@ -56,8 +54,8 @@ def build_items():
         )
         sim, _ = _build_scenario_sim(spec)
         horizon = HYPERPERIODS * sim.task_set.hyperperiod()
-        items.append(BatchItem(sim, horizon))
-    return items
+        scenarios.append((sim, horizon))
+    return scenarios
 
 
 def main() -> None:
@@ -66,21 +64,17 @@ def main() -> None:
           f"{HYPERPERIODS} hyperperiods each\n")
 
     # Eligibility first: every scheme row compiles to array form.
-    for sim, horizon in ((i.simulator, i.horizon)
-                         for i in build_items()[:len(SCHEMES)]):
+    for sim, horizon in build_scenarios()[:len(SCHEMES)]:
         assert unsupported_reason(sim, horizon) is None
     print("eligibility: all five Table 2 schemes vectorize "
           "(zero fallbacks)\n")
 
     t0 = time.perf_counter()
-    scalar = [
-        item.simulator.run(item.horizon, fast=True)
-        for item in build_items()
-    ]
+    scalar = [sim.run(horizon) for sim, horizon in build_scenarios()]
     t_scalar = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vector = ScenarioBatch(build_items()).run(fast=True)
+    vector = VectorEngine(build_scenarios()).run()
     t_vector = time.perf_counter() - t0
 
     print(f"scalar engine: {t_scalar:7.3f} s")
@@ -89,11 +83,11 @@ def main() -> None:
 
     # Identical means identical: every trace column, byte for byte.
     for s, v in zip(scalar, vector):
-        ts, tv = s.trace, v.result.trace
+        ts, tv = s.trace, v.trace
         assert len(ts) == len(tv)
         for col in ("starts", "durations", "speeds", "currents"):
             assert np.array_equal(getattr(ts, col), getattr(tv, col))
-        assert s.misses == v.result.misses
+        assert s.misses == v.misses
     print(f"checked: all {N_SCENARIOS} scenario traces bit-identical\n")
 
     # The fallback contract: anything the engine cannot express in
@@ -119,12 +113,12 @@ def main() -> None:
     horizon = HYPERPERIODS * odd_sim().task_set.hyperperiod()
     reason = unsupported_reason(odd_sim(), horizon)
     print(f"call-order-dependent provider falls back: {reason!r}")
-    mixed = ScenarioBatch(
-        build_items()[:2] + [BatchItem(odd_sim(), horizon)]
-    ).run(fast=True)
-    solo = odd_sim().run(horizon, fast=True)
-    assert mixed[2].result.completed_jobs == solo.completed_jobs
-    assert mixed[2].result.charge == solo.charge
+    mixed = VectorEngine(
+        build_scenarios()[:2] + [(odd_sim(), horizon)]
+    ).run()
+    solo = odd_sim().run(horizon)
+    assert mixed[2].completed_jobs == solo.completed_jobs
+    assert mixed[2].charge == solo.charge
     print("mixed batch: fallback scenario matches its solo run")
 
 

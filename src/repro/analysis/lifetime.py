@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..battery.base import BatteryModel, BatteryRun, as_segments
+from ..battery.kernels import run_profile_batch
 from ..errors import BatteryError, SchedulingError
 from ..sim.engine import SimulationResult
 from ..sim.profile import CurrentProfile
@@ -78,6 +79,11 @@ def evaluate_lifetime(
         raises instead of looping forever.
     fast:
         ``False`` forces the scalar per-segment reference path.
+
+    The load goes through :func:`~repro.battery.kernels.
+    run_profile_batch` as a batch of one, so a non-finite fast-path
+    run is re-evaluated on the scalar path exactly as in a scenario
+    batch.
     """
     if isinstance(source, SimulationResult):
         profile = source.profile()
@@ -90,8 +96,8 @@ def evaluate_lifetime(
         )
     if rebin is not None:
         profile = profile.rebinned(rebin)
-    run = battery.run_profile(
-        profile.durations, profile.currents, repeat=None,
+    (run,) = run_profile_batch(
+        [(battery, profile.durations, profile.currents)],
         max_time=max_time, fast=fast,
     )
     return LifetimeReport(

@@ -72,9 +72,9 @@ KERNEL_VERSIONS = {
     "peukert": 1,
     "scalar": 1,  # the per-segment reference loop in BatteryModel
     # The simulator generation: exact release clock, scale-relative
-    # epsilon and deadline-miss semantics landed together with the
-    # steady-state fast path; results of edge-case cached scenarios
-    # can differ from the previous engine at float-dust level.
+    # epsilon and deadline-miss semantics landed together; results of
+    # edge-case cached scenarios can differ from the previous engine
+    # at float-dust level.
     # v2: wcet-relative actuals validation tolerance and zero-speed
     # laEDF hypothetical semantics (affects large-WCET and idle-
     # lookahead edge cases only).

@@ -1,7 +1,7 @@
 """``repro check`` — the determinism & concurrency static analyzer.
 
-Every fast path in this repository (kernels, hyperperiod tiling, the
-vector engine, distributed campaigns) is sold on one promise: results
+Every fast path in this repository (battery kernels, the vector
+engine, distributed campaigns) is sold on one promise: results
 byte-identical to the sequential scalar reference.  That promise
 rests on repo-specific conventions — SeedSequence-only RNG
 discipline, no wall-clock reads in deterministic code, version bumps

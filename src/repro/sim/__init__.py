@@ -11,7 +11,7 @@ from .engine import (
 from .profile import CurrentProfile
 from .state import Candidate, GraphStatus, JobState, SchedulerView
 from .trace import IDLE, ExecutionTrace, TraceSegment
-from .vector import VectorEngine, run_vectorized
+from .vector import VectorEngine
 
 __all__ = [
     "Simulator",
@@ -21,7 +21,6 @@ __all__ = [
     "BatchOutcome",
     "ScenarioBatch",
     "VectorEngine",
-    "run_vectorized",
     "ActualsProvider",
     "worst_case_actuals",
     "CurrentProfile",

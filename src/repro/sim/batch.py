@@ -16,12 +16,10 @@ drives that pipeline for many scenarios at once:
   battery side a few large vector ops per scenario instead of a
   per-segment scalar walk.
 
-The batch is *semantics-preserving*: by default each scenario's
-outcome is bit-identical to running it alone (the vector engine
-replays the scalar engine's arithmetic; the battery hand-off is
-bit-identical to the per-scenario call).  ``run(fast=True)`` opts into
-the engine's steady-state fast-forward, which keeps counts and labels
-exact but charge and energy only float-dust-equal.  The campaign layer
+The batch is *semantics-preserving*: each scenario's outcome is
+bit-identical to running it alone (the vector engine replays the
+scalar engine's arithmetic; the battery hand-off is bit-identical to
+the per-scenario call).  The campaign layer
 (:class:`repro.campaign.runner.CampaignRunner`, through
 :func:`repro.campaign.runner.run_scenario_batch`) batches the periodic
 scenarios of each work unit; this module stays campaign-agnostic so
@@ -80,7 +78,7 @@ class ScenarioBatch:
     items:
         The scenarios; at least one is required (the battery hand-off
         needs a non-empty batch — for a pure simulation sweep that may
-        be empty, call :func:`repro.sim.vector.run_vectorized`).
+        be empty, use :class:`repro.sim.vector.VectorEngine`).
 
     The vector engine advances every array-expressible scenario — the
     full Table 2 grid, stochastic hash-keyed actuals included — and
@@ -101,21 +99,11 @@ class ScenarioBatch:
         #: any reason.  Empty until :meth:`run` is called.
         self.last_stats: Dict[str, int] = {}
 
-    def run(
-        self,
-        *,
-        fast: bool = False,
-        max_time: float = 1e7,
-        battery_fast: bool = True,
-    ) -> List[BatchOutcome]:
+    def run(self) -> List[BatchOutcome]:
         """Run every scenario; outcomes come back in item order.
 
-        ``fast`` opts into the engine's steady-state fast-forward
-        (counts and labels exact, charge and energy float-dust-equal;
-        see :meth:`Simulator.run`).  ``max_time`` and
-        ``battery_fast`` are forwarded to the battery evaluation and
-        match :func:`~repro.analysis.lifetime.evaluate_lifetime`
-        defaults.
+        The battery pass uses the
+        :func:`~repro.analysis.lifetime.evaluate_lifetime` defaults.
         """
         stats: Dict[str, int] = {
             "numeric_demotions": 0,
@@ -124,7 +112,7 @@ class ScenarioBatch:
         vec = VectorEngine(
             [(item.simulator, item.horizon) for item in self.items]
         )
-        results = vec.run(fast=fast)
+        results = vec.run()
         stats["numeric_demotions"] += vec.numeric_demotions
         stats["vector_fallbacks"] = vec.n_fallback
         profiles = [res.profile() for res in results]
@@ -136,13 +124,7 @@ class ScenarioBatch:
             p = prof.rebinned(item.rebin) if item.rebin is not None else prof
             loads.append((item.battery, p.durations, p.currents))
             load_pos.append(k)
-        runs = run_profile_batch(
-            loads,
-            repeat=None,
-            max_time=max_time,
-            fast=battery_fast,
-            stats=stats,
-        )
+        runs = run_profile_batch(loads, stats=stats)
         self.last_stats = stats
         by_item = dict(zip(load_pos, runs))
         return [

@@ -18,29 +18,10 @@ Actual (as opposed to worst-case) cycle demands come from an
 *actuals provider* ``(graph, node, job_index, wcet) -> cycles``,
 defaulting to worst case; the paper's 20-100 % uniform workload lives
 in :mod:`repro.workloads`.
-
-Steady-state fast-forward
--------------------------
-Periodic task sets repeat: once the scheduler state at a hyperperiod
-boundary equals the state one hyperperiod earlier *and* the two
-hyperperiods dispatched the same cycle, every later hyperperiod is that
-same cycle time-shifted.  ``run(horizon, fast=True)`` detects this by
-fingerprinting the scheduler stack (per-graph job progress, DVS
-internal state, priority/estimator state) at each boundary and, on
-convergence, synthesizes the remaining full hyperperiods by tiling the
-detected cycle's columnar trace segments instead of re-simulating them
-— the same steady-state insight :mod:`repro.battery.kernels` exploits
-for the battery ODEs, applied to the schedule itself.  The fast path
-silently falls back to the naive event loop whenever it cannot be
-exact: stochastic (job-dependent) actuals, non-zero phases, a
-hyperperiod that floats cannot tile exactly, or fingerprints that never
-converge (e.g. random priorities whose RNG state advances forever).
 """
 
 from __future__ import annotations
 
-import types
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -70,17 +51,13 @@ __all__ = [
 #: seconds and the same set quoted in microseconds or hours.
 _EPS = 1e-9
 
-#: How many hyperperiods ``run(fast=True)`` simulates while probing for
-#: a steady state before giving up and finishing naively.
-_DETECT_LIMIT = 64
-
 ActualsProvider = Callable[[str, str, int, float], float]
 """``(graph, node, job_index, wcet) -> cycles``.
 
 Providers may additionally expose a ``job_invariant`` attribute
 (truthy when the returned cycles do not depend on ``job_index``); the
-steady-state fast path is only eligible when the provider declares it,
-since tiling a detected cycle replays its per-job actuals verbatim.
+vector engine then pre-draws one actual per node instead of one per
+job the horizon can release.
 
 A second opt-in, ``job_keyed``, declares that each draw is a pure
 function of the ``(graph, node, job_index, wcet)`` key — independent
@@ -100,8 +77,7 @@ def worst_case_actuals(
     return wc
 
 
-#: Worst-case demands are the same for every job of a node, so the
-#: steady-state fast path may tile them.
+#: Worst-case demands are the same for every job of a node.
 worst_case_actuals.job_invariant = True
 
 
@@ -136,14 +112,9 @@ class SimulationResult:
     task_set: TaskGraphSet
     processor: Processor
     release_times: Tuple[float, ...]
-    #: Hyperperiods synthesized by the steady-state fast path (0 when
-    #: the run was fully simulated).
+    #: Always 0: every run simulates its whole horizon.  Kept only
+    #: because ``perfbench/tracer.py`` (``_engine_after``) reads it.
     tiled_cycles: int = 0
-
-    @property
-    def fast_forwarded(self) -> bool:
-        """True when part of the horizon was tiled, not simulated."""
-        return self.tiled_cycles > 0
 
     def profile(self, *, merge: bool = True) -> CurrentProfile:
         return self.trace.to_profile(merge=merge)
@@ -241,63 +212,9 @@ class _DVSOracle:
         return self._dvs.hypothetical_speed(self._view, cand, estimate)
 
 
-def _freeze(obj: object, depth: int = 0) -> object:
-    """Deterministic snapshot of scheduler-stack state for equality.
-
-    Recursively converts the mutable containers the DVS algorithms,
-    priority functions and estimators actually hold (dicts, deques,
-    numpy arrays, ``Generator`` bit states, plain attribute objects)
-    into comparable tuples.  Anything it cannot faithfully freeze maps
-    to a fresh sentinel that never compares equal — which makes the
-    fast path *fall back to the naive loop* rather than tile a cycle
-    whose state it could not verify.
-    """
-    if depth > 10:
-        return object()  # too deep to verify: never equal
-    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
-        return obj
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return ("ndarray", obj.shape, obj.dtype.str, obj.tobytes())
-    if isinstance(obj, np.random.Generator):
-        return ("rng", _freeze(obj.bit_generator.state, depth + 1))
-    if isinstance(obj, dict):
-        return (
-            "dict",
-            tuple(
-                (repr(k), _freeze(v, depth + 1))
-                for k, v in sorted(obj.items(), key=lambda kv: repr(kv[0]))
-            ),
-        )
-    if isinstance(obj, (list, tuple, deque)):
-        return ("seq", tuple(_freeze(v, depth + 1) for v in obj))
-    if isinstance(obj, (set, frozenset)):
-        return (
-            "set",
-            tuple(sorted(repr(_freeze(v, depth + 1)) for v in obj)),
-        )
-    if isinstance(
-        obj,
-        (types.FunctionType, types.BuiltinFunctionType, types.MethodType),
-    ):
-        return ("fn", getattr(obj, "__module__", ""), obj.__qualname__)
-    if isinstance(obj, type):
-        return ("type", obj.__module__, obj.__qualname__)
-    attrs = getattr(obj, "__dict__", None)
-    if attrs is not None:
-        return (
-            type(obj).__module__,
-            type(obj).__qualname__,
-            _freeze(attrs, depth + 1),
-        )
-    return object()  # opaque (e.g. __slots__) state: never equal
-
-
 @dataclass
 class _RunState:
-    """Mutable state of one run, shared by the naive event loop, the
-    steady-state detector and the tiling fast-forward."""
+    """Mutable state of one run of the event loop."""
 
     t: float
     eps: float
@@ -383,13 +300,7 @@ class Simulator:
         return SchedulerView(self.task_set, t, statuses)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        horizon: float,
-        *,
-        fast: bool = False,
-        detect_limit: int = _DETECT_LIMIT,
-    ) -> SimulationResult:
+    def run(self, horizon: float) -> SimulationResult:
         """Simulate ``[0, horizon)``.
 
         Parameters
@@ -397,30 +308,17 @@ class Simulator:
         horizon:
             Simulated time span; must be ``> 0``.  Releases due
             exactly at the horizon are not released.
-        fast:
-            Look for a steady-state dispatch cycle at hyperperiod
-            boundaries and tile it across the remaining horizon (see
-            the module docstring).  The fast path is opportunistic:
-            it requires job-invariant actuals, zero phases and a
-            converging state fingerprint, and degrades to the plain
-            event loop whenever it cannot guarantee equivalence — so
-            ``fast=True`` is always safe to request.
-        detect_limit:
-            How many hyperperiods are probed for convergence before
-            the fast path gives up (``< 2`` disables it).
 
         Returns
         -------
         SimulationResult
             The columnar trace plus counts, misses, release instants
-            and derived charge/energy; ``fast_forwarded`` and
-            ``tiled_cycles`` report whether/how much the fast path
-            engaged.
+            and derived charge/energy.
 
         For many independent scenarios, consider the lock-step
-        struct-of-arrays engine (:func:`repro.sim.vector.
-        run_vectorized` / :class:`~repro.sim.batch.ScenarioBatch`), which
-        produces bit-identical results per scenario.
+        struct-of-arrays engine (:class:`~repro.sim.vector.VectorEngine`
+        / :class:`~repro.sim.batch.ScenarioBatch`), which produces
+        bit-identical results per scenario.
         """
         if not (horizon > 0):
             raise SchedulingError(f"horizon must be > 0, got {horizon}")
@@ -436,9 +334,6 @@ class Simulator:
             jobs={},
         )
         self.dvs.on_sim_start(self._view(st, 0.0))
-        tiled = (
-            self._fast_forward(st, horizon, detect_limit) if fast else 0
-        )
         self._advance(st, horizon)
         return SimulationResult(
             trace=st.trace,
@@ -450,7 +345,6 @@ class Simulator:
             task_set=self.task_set,
             processor=self.processor,
             release_times=tuple(st.release_times),
-            tiled_cycles=tiled,
         )
 
     # ------------------------------------------------------------------
@@ -578,188 +472,3 @@ class Simulator:
                 # Window exhausted: land exactly on the event boundary to
                 # avoid drift.
                 st.t = t_next
-
-    # -- steady-state fast-forward -------------------------------------
-    def _fast_eligible(
-        self, horizon: float
-    ) -> Optional[Tuple[float, Dict[str, int]]]:
-        """The (hyperperiod, releases-per-cycle) pair, or ``None``.
-
-        Tiling is exact only when (a) actuals declare themselves
-        job-invariant, (b) all phases are zero so every hyperperiod
-        boundary is a release instant for every graph (the event loop
-        then never splits a segment at a boundary), and (c) each
-        period tiles the hyperperiod exactly in float arithmetic, so
-        shifted release instants stay bit-identical to the naive
-        release clock.
-        """
-        if not getattr(self.actuals, "job_invariant", False):
-            return None
-        if any(g.phase != 0.0 for g in self.task_set):
-            return None
-        hyper = float(self.task_set.hyperperiod())
-        if not (np.isfinite(hyper) and hyper > 0):
-            return None
-        per_cycle: Dict[str, int] = {}
-        for g in self.task_set:
-            k = int(round(hyper / g.period))
-            if k < 1 or k * g.period != hyper:
-                return None
-            per_cycle[g.name] = k
-        if horizon < 3.0 * hyper:
-            return None  # nothing to gain: detect needs 2, tile needs 1
-        return hyper, per_cycle
-
-    def _fingerprint(
-        self, st: _RunState, boundary: float
-    ) -> Tuple[object, ...]:
-        """Scheduler-stack state at ``boundary``, time-shifted to it."""
-        releases = tuple(
-            (name, st.next_release[name] - boundary)
-            for name in sorted(st.next_release)
-        )
-        jobs = tuple(
-            (
-                name,
-                st.jobs[name].job_index - st.job_counter[name],
-                st.jobs[name].release - boundary,
-                st.jobs[name].abs_deadline - boundary,
-                _freeze(st.jobs[name].executed),
-                _freeze(st.jobs[name].completed),
-                _freeze(st.jobs[name].actual),
-            )
-            for name in sorted(st.jobs)
-        )
-        return (
-            releases,
-            jobs,
-            _freeze(self.dvs),
-            _freeze(self.policy),
-        )
-
-    @staticmethod
-    def _cycles_match(
-        trace: ExecutionTrace,
-        prev: Tuple[int, int],
-        cur: Tuple[int, int],
-        eps: float,
-    ) -> bool:
-        """Did two consecutive hyperperiods dispatch the same cycle?
-
-        Labels, speeds, operating points and currents must match
-        bitwise; starts (relative to the cycle) and durations are
-        allowed ulp-level dust, because the same subtraction
-        ``t_next - t`` rounds differently at different absolute times.
-        """
-        a0, a1 = prev
-        b0, b1 = cur
-        if a1 - a0 != b1 - b0 or a1 == a0:
-            return False
-        ids = trace.label_ids
-        if not np.array_equal(ids[a0:a1], ids[b0:b1]):
-            return False
-        for col in (trace.speeds, trace.voltages, trace.currents):
-            if not np.array_equal(col[a0:a1], col[b0:b1]):
-                return False
-        da, db = trace.durations[a0:a1], trace.durations[b0:b1]
-        if not np.allclose(da, db, rtol=1e-9, atol=eps):
-            return False
-        sa, sb = trace.starts[a0:a1], trace.starts[b0:b1]
-        return bool(
-            np.allclose(sa - sa[0], sb - sb[0], rtol=1e-9, atol=eps)
-        )
-
-    def _fast_forward(
-        self, st: _RunState, horizon: float, detect_limit: int
-    ) -> int:
-        """Detect a steady-state hyperperiod and tile it; returns the
-        number of hyperperiods synthesized (0 = fell back to naive)."""
-        if detect_limit < 2:
-            return 0  # convergence needs at least two observed cycles
-        eligible = self._fast_eligible(horizon)
-        if eligible is None:
-            return 0
-        hyper, per_cycle = eligible
-        prev_fp: Optional[Tuple[object, ...]] = None
-        prev_seg: Optional[Tuple[int, int]] = None
-        for k in range(1, detect_limit + 1):
-            boundary = k * hyper
-            if boundary > horizon - hyper + st.eps:
-                return 0  # no full hyperperiod left to tile
-            marks = (
-                len(st.trace),
-                len(st.misses),
-                len(st.release_times),
-                st.released,
-                st.completed_jobs,
-                st.completed_nodes,
-            )
-            self._advance(st, boundary)
-            if abs(st.t - boundary) > st.eps:
-                # The event loop stopped well short of the boundary
-                # (it only ever does within tolerance); cycle cuts are
-                # not aligned here, so restart detection.
-                prev_fp = prev_seg = None
-                continue
-            seg = (marks[0], len(st.trace))
-            fp = self._fingerprint(st, boundary)
-            if (
-                prev_fp is not None
-                and prev_seg is not None
-                and fp == prev_fp
-                and self._cycles_match(st.trace, prev_seg, seg, st.eps)
-            ):
-                copies = int((horizon - boundary) / hyper)
-                while boundary + (copies + 1) * hyper <= horizon:
-                    copies += 1
-                while copies > 0 and boundary + copies * hyper > horizon:
-                    copies -= 1
-                if copies < 1:
-                    return 0
-                self._tile(st, boundary, copies, hyper, per_cycle, marks)
-                return copies
-            prev_fp, prev_seg = fp, seg
-        return 0
-
-    def _tile(
-        self,
-        st: _RunState,
-        boundary: float,
-        copies: int,
-        hyper: float,
-        per_cycle: Dict[str, int],
-        marks: Tuple[int, int, int, int, int, int],
-    ) -> None:
-        """Replay the detected cycle ``copies`` times by bookkeeping."""
-        seg0, miss0, rel0, released0, cjobs0, cnodes0 = marks
-        st.trace.extend_tiled(seg0, copies, hyper)
-        cycle_misses = st.misses[miss0:]
-        cycle_releases = st.release_times[rel0:]
-        for m in range(1, copies + 1):
-            shift = m * hyper
-            st.misses.extend(
-                DeadlineMiss(
-                    x.graph,
-                    x.job_index + m * per_cycle[x.graph],
-                    x.time + shift,
-                    x.detected + shift,
-                )
-                for x in cycle_misses
-            )
-            st.release_times.extend(r + shift for r in cycle_releases)
-        st.released += copies * (st.released - released0)
-        st.completed_jobs += copies * (st.completed_jobs - cjobs0)
-        st.completed_nodes += copies * (st.completed_nodes - cnodes0)
-        # In-flight jobs and release clocks jump forward by whole
-        # cycles; recomputing from the exact release formula keeps them
-        # bit-identical to what the naive loop would hold here.
-        for name, job in st.jobs.items():
-            job.job_index += copies * per_cycle[name]
-            job.release = job.ptg.release_time(job.job_index)
-            job.abs_deadline = job.release + job.ptg.deadline
-        for g in self.task_set:
-            st.job_counter[g.name] += copies * per_cycle[g.name]
-            st.next_release[g.name] = g.release_time(
-                st.job_counter[g.name]
-            )
-        st.t = boundary + copies * hyper

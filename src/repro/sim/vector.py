@@ -35,38 +35,25 @@ Supported configurations (everything expressible as array ops):
 
 Anything else — subclassed components, custom power models or
 estimators, non-zero phases, actuals providers with call-order state —
-falls back *per scenario* to the scalar engine, exactly like the
-opportunistic ``fast=True`` pattern: requesting the vector engine is
-always safe.
+falls back *per scenario* to the scalar engine, so requesting the
+vector engine is always safe.
 A scenario may also be demoted mid-run (e.g. a deadline miss under
 ``on_miss='raise'``); demoted scenarios are re-run scalar from scratch
 in item order, so exceptions propagate exactly as a scalar batch would
 raise them.
-
-The hyperperiod fast-forward composes: pre-convergence cycles are
-simulated vectorized, steady state is detected per scenario with the
-same fingerprint/cycle-match rules as the scalar engine, and the
-remaining horizon is tiled from the converged cycle's columnar trace.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import (
-    _DETECT_LIMIT,
-    _EPS,
-    DeadlineMiss,
-    SimulationResult,
-    Simulator,
-)
+from .engine import _EPS, DeadlineMiss, SimulationResult, Simulator
 from .trace import IDLE, ExecutionTrace
 
-__all__ = ["VectorEngine", "run_vectorized", "unsupported_reason"]
+__all__ = ["VectorEngine", "unsupported_reason"]
 
 # DVS kind codes (per-scenario dispatch without isinstance per round).
 _DVS_NODVS = 0
@@ -369,18 +356,6 @@ class _Columns:
         self.n = need
 
 
-@dataclass
-class _Probe:
-    """Per-scenario steady-state detection state (fast path)."""
-
-    k: int  # boundary index the scenario is advancing toward
-    marks: Tuple[int, int, int, int, int, int, int]
-    # marks = (rows, misses, releases, released, completed_jobs,
-    #          completed_nodes, global_buffer_rows) at boundary k-1.
-    prev_fp: Optional[tuple] = None
-    prev_span: Optional[Tuple[int, int]] = None  # global buffer range
-
-
 class VectorEngine:
     """Run N ``(Simulator, horizon)`` scenarios in lock-step SoA form.
 
@@ -424,30 +399,19 @@ class VectorEngine:
     def n_fallback(self) -> int:
         return len(self.fallback_reasons) - self.n_vectorized
 
-    def run(
-        self,
-        *,
-        fast: bool = True,
-        detect_limit: int = _DETECT_LIMIT,
-    ) -> List[SimulationResult]:
+    def run(self) -> List[SimulationResult]:
         """Simulate every scenario; returns results in item order.
 
-        ``fast``/``detect_limit`` mirror :meth:`Simulator.run`: with
-        ``fast=True`` each vectorized scenario independently probes for
-        a steady-state hyperperiod and tiles the remainder.  Fallback
-        scenarios re-run the scalar engine with the same flags, in item
-        order, so any exception (e.g. ``DeadlineMissError`` under
-        ``on_miss='raise'``) surfaces exactly as a scalar loop over the
-        items would raise it.
+        Fallback scenarios run the scalar engine in item order, so any
+        exception (e.g. ``DeadlineMissError`` under ``on_miss='raise'``)
+        surfaces exactly as a scalar loop over the items would raise it.
         """
         n = len(self.scenarios)
         results: List[Optional[SimulationResult]] = [None] * n
         reasons = list(self.fallback_reasons)
         vec_ids = [i for i in range(n) if reasons[i] is None]
         if vec_ids:
-            vrun = _VectorRun(
-                self.scenarios, vec_ids, self._actuals, fast, detect_limit
-            )
+            vrun = _VectorRun(self.scenarios, vec_ids, self._actuals)
             vec_results, demoted = vrun.execute()
             for i, res in vec_results.items():
                 results[i] = res
@@ -459,29 +423,8 @@ class VectorEngine:
         for i in range(n):
             if results[i] is None:
                 sim, horizon = self.scenarios[i]
-                results[i] = sim.run(
-                    horizon, fast=fast, detect_limit=detect_limit
-                )
+                results[i] = sim.run(horizon)
         return results  # type: ignore[return-value]
-
-
-def run_vectorized(
-    scenarios: Sequence[Tuple[Simulator, float]],
-    *,
-    fast: bool = True,
-    detect_limit: int = _DETECT_LIMIT,
-) -> List[SimulationResult]:
-    """Convenience wrapper: ``VectorEngine(scenarios).run(...)``.
-
-    An empty scenario sequence returns an empty list (unlike
-    :class:`~repro.sim.batch.ScenarioBatch`, which needs at least one
-    item because it also orchestrates a battery pass).
-    """
-    if not scenarios:
-        return []
-    return VectorEngine(scenarios).run(
-        fast=fast, detect_limit=detect_limit
-    )
 
 
 class _VectorRun:
@@ -492,14 +435,10 @@ class _VectorRun:
         scenarios: Sequence[Tuple[Simulator, float]],
         vec_ids: List[int],
         actuals: Sequence[Optional[List[np.ndarray]]],
-        fast: bool,
-        detect_limit: int,
     ) -> None:
         self.items = scenarios
         self.vec_ids = vec_ids
         self.actuals_cache = actuals
-        self.fast = fast
-        self.detect_limit = detect_limit
         self.demoted: Dict[int, str] = {}  # item index -> reason
         self._compile()
 
@@ -532,7 +471,6 @@ class _VectorRun:
         self.util = np.zeros((V, G))
         self.name_rank = np.full((V, G), _BIG_RANK, dtype=np.int64)
         self.n_nodes = np.zeros((V, G), dtype=np.int64)
-        self.per_cycle = np.zeros((V, G), dtype=np.int64)
         self.wcet = np.zeros((V, G, M))
         self.actual = np.ones((V, G, M))
         self.exists = np.zeros((V, G, M), dtype=bool)
@@ -561,15 +499,9 @@ class _VectorRun:
         self.on_raise = np.zeros(V, dtype=bool)
         self.eps = np.zeros(V)
         self.horizon = np.zeros(V)
-        self.ff_ok = np.zeros(V, dtype=bool)
-        self.hyper = np.zeros(V)
-        self._hyper_py: List[float] = [0.0] * V
-        self._horizon_py: List[float] = [0.0] * V
-        self._eps_py: List[float] = [0.0] * V
         self._rngs: List[Optional[np.random.Generator]] = [None] * V
         self._graph_names: List[List[str]] = []
         self._node_names: List[List[List[str]]] = []
-        self._per_cycle_by_name: List[Dict[str, int]] = []
 
         for v, i in enumerate(self.vec_ids):
             sim, horizon = self.items[i]
@@ -580,7 +512,6 @@ class _VectorRun:
             order = {n: r for r, n in enumerate(sorted(names))}
             self._graph_names.append(names)
             node_lists: List[List[str]] = []
-            per_cycle_names: Dict[str, int] = {}
             for g_idx, g in enumerate(ts):
                 self.present[v, g_idx] = True
                 self.period[v, g_idx] = g.period
@@ -675,23 +606,8 @@ class _VectorRun:
             self.rl_all[v] = sim.policy.ready_list is ALL_RELEASED
             self.feas_on[v] = bool(sim.policy.enforce_feasibility)
             self.on_raise[v] = sim.on_miss == "raise"
-            eps = sim._time_eps()
-            self.eps[v] = eps
-            self._eps_py[v] = eps
-            h = float(horizon)
-            self.horizon[v] = h
-            self._horizon_py[v] = h
-            if self.fast and self.detect_limit >= 2:
-                eligible = sim._fast_eligible(h)
-                if eligible is not None:
-                    hyper, per_cycle = eligible
-                    self.ff_ok[v] = True
-                    self.hyper[v] = hyper
-                    self._hyper_py[v] = hyper
-                    per_cycle_names = per_cycle
-                    for g_idx, g in enumerate(ts):
-                        self.per_cycle[v, g_idx] = per_cycle[g.name]
-            self._per_cycle_by_name.append(per_cycle_names)
+            self.eps[v] = sim._time_eps()
+            self.horizon[v] = float(horizon)
 
         # Derived per-scenario masks ---------------------------------
         self.is_cc = (self.dvs_kind == _DVS_CCEDF_NODE) | (
@@ -724,7 +640,6 @@ class _VectorRun:
 
         # Mutable lock-step state ------------------------------------
         self.t = np.zeros(V)
-        self.until = self.horizon.copy()
         self.active = np.ones(V, dtype=bool)
         # next_release starts at release_time(0) = phase + 0*period = 0
         # (phases are zero by eligibility).
@@ -742,237 +657,23 @@ class _VectorRun:
         self.released = np.zeros(V, dtype=np.int64)
         self.completed_jobs = np.zeros(V, dtype=np.int64)
         self.completed_nodes = np.zeros(V, dtype=np.int64)
-        self.tiled = np.zeros(V, dtype=np.int64)
-        self.n_rows = np.zeros(V, dtype=np.int64)
-        self.n_miss = np.zeros(V, dtype=np.int64)
-        self.n_rel = np.zeros(V, dtype=np.int64)
 
         self.cols = _Columns()
         self._miss_log: List[tuple] = []  # (scen, g, jidx, time, det)
         self._rel_log: List[tuple] = []  # (scen, time)
-        self._probe: Dict[int, _Probe] = {}
-        self._tiles: Dict[int, tuple] = {}
-        # Which scenarios currently probe for a steady state; lets the
-        # per-round boundary pass skip the Python loop entirely until a
-        # probing scenario actually reaches its boundary.
-        self.probing = np.zeros(V, dtype=bool)
-        for v in range(V):
-            if self.ff_ok[v]:
-                self._start_probe(v, 1)
-
-    # -- fast-forward probes -------------------------------------------
-    def _marks(self, v: int) -> Tuple[int, int, int, int, int, int, int]:
-        return (
-            int(self.n_rows[v]),
-            int(self.n_miss[v]),
-            int(self.n_rel[v]),
-            int(self.released[v]),
-            int(self.completed_jobs[v]),
-            int(self.completed_nodes[v]),
-            self.cols.n,
-        )
-
-    def _start_probe(self, v: int, k: int) -> None:
-        """Aim scenario ``v`` at boundary ``k`` (or give up on tiling)."""
-        hyper = self._hyper_py[v]
-        boundary = k * hyper
-        if (
-            k > self.detect_limit
-            or boundary > self._horizon_py[v] - hyper + self._eps_py[v]
-        ):
-            self._probe.pop(v, None)
-            self.probing[v] = False
-            self.until[v] = self.horizon[v]
-            return
-        probe = self._probe.get(v)
-        if probe is None:
-            probe = _Probe(k=k, marks=self._marks(v))
-            self._probe[v] = probe
-        else:
-            probe.k = k
-            probe.marks = self._marks(v)
-        self.probing[v] = True
-        self.until[v] = boundary
-
-    def _fingerprint(self, v: int, boundary: float) -> tuple:
-        """Scheduler-stack state at ``boundary``, shifted to it.
-
-        Equality between consecutive boundaries here coincides with the
-        scalar engine's ``_fingerprint`` equality: both cover release
-        clocks, in-flight job progress, DVS budgets and the priority
-        RNG state (actuals are job-invariant, hence constant).
-        """
-        pres = self.present[v]
-        inj = self.in_jobs[v] & pres
-        exec_fp = np.where(inj[:, None], self.executed[v], 0.0)
-        done_fp = self.done[v] & inj[:, None]
-        parts = [
-            (self.next_release[v] - boundary)[pres].tobytes(),
-            inj[pres].tobytes(),
-            np.where(inj, self.job_index[v] - self.job_counter[v], 0)[
-                pres
-            ].tobytes(),
-            np.where(inj, self.job_release[v] - boundary, 0.0)[
-                pres
-            ].tobytes(),
-            np.where(inj, self.job_deadline[v] - boundary, 0.0)[
-                pres
-            ].tobytes(),
-            exec_fp[pres].tobytes(),
-            done_fp[pres].tobytes(),
-        ]
-        kind = int(self.dvs_kind[v])
-        if kind in (_DVS_CCEDF_NODE, _DVS_CCEDF_GRAPH):
-            parts.append(self.budget[v][pres].tobytes())
-            parts.append(self.acc[v][pres].tobytes())
-        if int(self.prio_kind[v]) == _PRIO_RANDOM:
-            parts.append(repr(self._rngs[v].bit_generator.state))
-        if self.hist_rows[v]:
-            # Estimator history joins the fingerprint for PUBS+history
-            # rows, mirroring _freeze(self.policy) in the scalar
-            # engine: equal (len, entries) per node coincides with
-            # equal frozen deques.
-            ex = self.exists[v]
-            ln = self.hist_len[v]
-            w = self.hist.shape[3]
-            mask = np.arange(w)[None, None, :] < ln[:, :, None]
-            parts.append(ln[ex].tobytes())
-            parts.append(
-                np.where(mask, self.hist[v], 0.0)[ex].tobytes()
-            )
-        return tuple(parts)
-
-    def _cycle_rows(self, v: int, span: Tuple[int, int]) -> tuple:
-        g0, g1 = span
-        sel = np.flatnonzero(self.cols.scen[g0:g1] == v) + g0
-        return (
-            self.cols.key[sel],
-            self.cols.start[sel],
-            self.cols.dur[sel],
-            self.cols.speed[sel],
-            self.cols.volt[sel],
-            self.cols.cur[sel],
-        )
-
-    def _cycles_match(
-        self, v: int, prev: Tuple[int, int], cur: Tuple[int, int]
-    ) -> bool:
-        """The scalar engine's ``_cycles_match`` over buffer spans."""
-        ka, sa, da, pa, va, ia = self._cycle_rows(v, prev)
-        kb, sb, db, pb, vb, ib = self._cycle_rows(v, cur)
-        if ka.size != kb.size or ka.size == 0:
-            return False
-        if not np.array_equal(ka, kb):
-            return False
-        for a, b in ((pa, pb), (va, vb), (ia, ib)):
-            if not np.array_equal(a, b):
-                return False
-        eps = self._eps_py[v]
-        if not np.allclose(da, db, rtol=1e-9, atol=eps):
-            return False
-        return bool(
-            np.allclose(sa - sa[0], sb - sb[0], rtol=1e-9, atol=eps)
-        )
-
-    def _apply_tile(self, v: int, boundary: float, probe: _Probe) -> bool:
-        horizon = self._horizon_py[v]
-        hyper = self._hyper_py[v]
-        copies = int((horizon - boundary) / hyper)
-        while boundary + (copies + 1) * hyper <= horizon:
-            copies += 1
-        while copies > 0 and boundary + copies * hyper > horizon:
-            copies -= 1
-        if copies < 1:
-            return False
-        rows0, miss0, rel0, released0, cjobs0, cnodes0, _ = probe.marks
-        self._tiles[v] = (
-            int(self.n_rows[v]),  # tail starts after this many rows
-            rows0,  # first row of the tiled cycle
-            copies,
-            hyper,
-            miss0,
-            int(self.n_miss[v]),
-            rel0,
-            int(self.n_rel[v]),
-        )
-        self.released[v] += copies * (int(self.released[v]) - released0)
-        self.completed_jobs[v] += copies * (
-            int(self.completed_jobs[v]) - cjobs0
-        )
-        self.completed_nodes[v] += copies * (
-            int(self.completed_nodes[v]) - cnodes0
-        )
-        self.tiled[v] = copies
-        pres = self.present[v]
-        inj = self.in_jobs[v] & pres
-        self.job_index[v][inj] += copies * self.per_cycle[v][inj]
-        # release_time(j) = phase + j*period with phase == 0.
-        self.job_release[v][inj] = (
-            self.job_index[v] * self.period[v]
-        )[inj]
-        self.job_deadline[v][inj] = (
-            self.job_release[v] + self.period[v]
-        )[inj]
-        self.job_counter[v][pres] += copies * self.per_cycle[v][pres]
-        self.next_release[v][pres] = (
-            self.job_counter[v] * self.period[v]
-        )[pres]
-        self.t[v] = boundary + copies * hyper
-        self.until[v] = self.horizon[v]
-        return True
-
-    def _boundary_pass(self) -> None:
-        """Handle every probing scenario that reached its boundary."""
-        if not self.probing.any():
-            return
-        hit = self.probing & (self.t >= self.until - self.eps)
-        for v in np.flatnonzero(hit):
-            v = int(v)
-            if not self.active[v]:
-                del self._probe[v]
-                self.probing[v] = False
-                continue
-            probe = self._probe[v]
-            t = float(self.t[v])
-            boundary = probe.k * self._hyper_py[v]
-            if abs(t - boundary) > self._eps_py[v]:
-                # Stopped short of the boundary: cycle cuts are not
-                # aligned, restart detection (scalar does the same).
-                probe.prev_fp = None
-                probe.prev_span = None
-            else:
-                span = (probe.marks[6], self.cols.n)
-                fp = self._fingerprint(v, boundary)
-                if (
-                    probe.prev_fp is not None
-                    and probe.prev_span is not None
-                    and fp == probe.prev_fp
-                    and self._cycles_match(v, probe.prev_span, span)
-                ):
-                    self._probe.pop(v, None)
-                    self.probing[v] = False
-                    if not self._apply_tile(v, boundary, probe):
-                        self.until[v] = self.horizon[v]
-                    continue
-                probe.prev_fp = fp
-                probe.prev_span = span
-            self._start_probe(v, probe.k + 1)
 
     # -- logging -------------------------------------------------------
     def _demote(self, vs: np.ndarray, why: str) -> None:
         for v in np.atleast_1d(vs):
             v = int(v)
             self.active[v] = False
-            self._probe.pop(v, None)
-            self.probing[v] = False
             self.demoted[self.vec_ids[v]] = why
 
     # -- the lock-step loop --------------------------------------------
     def execute(self) -> Tuple[Dict[int, SimulationResult], Dict[int, str]]:
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
-                self._boundary_pass()
-                live = self.active & (self.t < self.until - self.eps)
+                live = self.active & (self.t < self.horizon - self.eps)
                 idx = np.flatnonzero(live)
                 if idx.size == 0:
                     break
@@ -1026,7 +727,6 @@ class _VectorRun:
                                 t[have].copy(),
                             )
                         )
-                        self.n_miss[gi] += 1
                         self.in_jobs[gi, g] = False  # abandon late job
                 if not due.any():
                     continue
@@ -1041,7 +741,6 @@ class _VectorRun:
                 self.done[gi, g, :] = False
                 self.in_jobs[gi, g] = True
                 self._rel_log.append((gi.copy(), relv.copy()))
-                self.n_rel[gi] += 1
                 self.released[gi] += 1
                 self.next_release[gi, g] = (j + 1) * self.period[gi, g]
                 if self._any_stoch:
@@ -1074,9 +773,10 @@ class _VectorRun:
             t_plus = t + eps
 
         pres = self.present[idx]  # (n, G)
-        until = self.until[idx]
         # next_release is inf for absent graphs, so no masking needed.
-        t_next = np.minimum(self.next_release[idx].min(axis=1), until)
+        t_next = np.minimum(
+            self.next_release[idx].min(axis=1), self.horizon[idx]
+        )
 
         # --- 2. pending work, speed selection, the two-level mix ------
         in_jobs = self.in_jobs[idx]
@@ -1273,7 +973,6 @@ class _VectorRun:
                 gi, idle_key, t[idle_rows], window[idle_rows],
                 zeros, zeros, self.idle_cur[gi],
             )
-            self.n_rows[gi] += 1
 
         key = gsel * (self.M + 1) + msel
         if p0.any():
@@ -1282,7 +981,6 @@ class _VectorRun:
                 gi, key[p0], t[p0], dur0[p0],
                 speed0[p0], volt0[p0], cur0[p0],
             )
-            self.n_rows[gi] += 1
         if p1.any():
             gi = idx[p1]
             start1 = t + dur0
@@ -1290,7 +988,6 @@ class _VectorRun:
                 gi, key[p1], start1[p1], dur1[p1],
                 speed1[p1], volt1[p1], cur1[p1],
             )
-            self.n_rows[gi] += 1
 
         # advance the selected node, chunk by chunk (clamp per chunk,
         # exactly like JobState.advance_node)
@@ -1679,26 +1376,12 @@ class _VectorRun:
                 self.demoted[self.vec_ids[v]] = _NONFINITE_REASON
                 continue
             trace = ExecutionTrace()
-            tile = self._tiles.get(v)
-            keys = cols.key[sel]
-            names = self._key_names(v)
-            if tile is None:
-                trace.extend_columns(
-                    starts, durs, speeds, volts, curs, keys, names
-                )
-            else:
-                split, first, copies, hyper = tile[:4]
-                trace.extend_columns(
-                    starts[:split], durs[:split], speeds[:split],
-                    volts[:split], curs[:split], keys[:split], names,
-                )
-                trace.extend_tiled(first, copies, hyper)
-                trace.extend_columns(
-                    starts[split:], durs[split:], speeds[split:],
-                    volts[split:], curs[split:], keys[split:], names,
-                )
-            misses = self._misses_for(v, miss_by_scen[v], tile)
-            releases = self._releases_for(v, rel_by_scen[v], tile)
+            trace.extend_columns(
+                starts, durs, speeds, volts, curs, cols.key[sel],
+                self._key_names(v),
+            )
+            misses = self._misses_for(v, miss_by_scen[v])
+            releases = tuple(float(r) for r in rel_by_scen[v][0])
             sim, horizon = self.items[self.vec_ids[v]]
             results[self.vec_ids[v]] = SimulationResult(
                 trace=trace,
@@ -1710,7 +1393,6 @@ class _VectorRun:
                 task_set=sim.task_set,
                 processor=sim.processor,
                 release_times=releases,
-                tiled_cycles=int(self.tiled[v]),
             )
         return results
 
@@ -1750,47 +1432,12 @@ class _VectorRun:
         names.append((IDLE, ""))  # key G*(M+1): the idle sentinel
         return names
 
-    def _misses_for(
-        self, v: int, cols: tuple, tile: Optional[tuple]
-    ) -> Tuple[DeadlineMiss, ...]:
+    def _misses_for(self, v: int, cols: tuple) -> Tuple[DeadlineMiss, ...]:
         g_arr, j_arr, t_arr, d_arr = cols
         gnames = self._graph_names[v]
-        base = [
+        return tuple(
             DeadlineMiss(
                 gnames[int(g)], int(j), float(tt), float(dd)
             )
             for g, j, tt, dd in zip(g_arr, j_arr, t_arr, d_arr)
-        ]
-        if tile is None:
-            return tuple(base)
-        _, _, copies, hyper, miss0, miss1, _, _ = tile
-        per_cycle = self._per_cycle_by_name[v]
-        cycle = base[miss0:miss1]
-        expanded: List[DeadlineMiss] = []
-        for m in range(1, copies + 1):
-            shift = m * hyper
-            expanded.extend(
-                DeadlineMiss(
-                    x.graph,
-                    x.job_index + m * per_cycle[x.graph],
-                    x.time + shift,
-                    x.detected + shift,
-                )
-                for x in cycle
-            )
-        return tuple(base[:miss1] + expanded + base[miss1:])
-
-    def _releases_for(
-        self, v: int, cols: tuple, tile: Optional[tuple]
-    ) -> Tuple[float, ...]:
-        (times,) = cols
-        base = [float(r) for r in times]
-        if tile is None:
-            return tuple(base)
-        _, _, copies, hyper, _, _, rel0, rel1 = tile
-        cycle = base[rel0:rel1]
-        expanded: List[float] = []
-        for m in range(1, copies + 1):
-            shift = m * hyper
-            expanded.extend(r + shift for r in cycle)
-        return tuple(base[:rel1] + expanded + base[rel1:])
+        )

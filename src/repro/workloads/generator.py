@@ -185,9 +185,9 @@ class UniformActuals:
         """Whether draws are independent of ``job_index``.
 
         Only true for the degenerate ``low == high`` provider (every
-        job gets ``low * wcet`` exactly); the genuinely stochastic
-        workload opts out of the engine's steady-state fast path,
-        which may only tile cycles whose per-job actuals repeat.
+        job gets ``low * wcet`` exactly).  The vector engine then
+        pre-draws one actual per node; for the genuinely stochastic
+        workload it pre-draws one per job the horizon can release.
         """
         return self.low == self.high
 

@@ -3,15 +3,13 @@ identity guarantees.
 
 Every campaign path — vector batches inside a unit, one-spec units,
 contained (retrying) units, pools of any size — must reproduce
-``[run_spec(s) for s in specs]`` bit for bit.  The engine's opt-in
-fast-forward (``Simulator.run(fast=True)``,
-``ScenarioBatch.run(fast=True)``) is the one documented exception:
-counts are exact, charge and energy equal to float dust.
+``[run_spec(s) for s in specs]`` bit for bit.
 """
+
+import math
 
 import pytest
 
-from repro.analysis.lifetime import evaluate_lifetime
 from repro.api.plans import fig6_plan, table2_plan
 from repro.campaign import (
     CampaignRunner,
@@ -22,9 +20,7 @@ from repro.campaign import (
 )
 from repro.campaign import runner
 from repro.campaign.registry import NEAR_OPTIMAL
-from repro.campaign.runner import _build_scenario_sim, _scenario_battery
 from repro.campaign.spec import OneShotSpec
-from repro.sim.batch import BatchItem, ScenarioBatch
 
 SPECS = [
     ScenarioSpec(scheme="BAS-1", n_graphs=2, seed=3),
@@ -33,34 +29,10 @@ SPECS = [
 ]
 
 
-def assert_metrics_equal(a, b, *, exact=True):
+def assert_metrics_equal(a, b):
     assert set(a.metrics) == set(b.metrics)
     for key, val in a.metrics.items():
-        if exact:
-            assert b.metrics[key] == val, key
-        else:
-            assert b.metrics[key] == pytest.approx(val, rel=1e-9), key
-
-
-def batch_items(specs):
-    """Fresh batch items for ``specs``, as the campaign builds them."""
-    return [
-        BatchItem(
-            *_build_scenario_sim(spec),
-            battery=_scenario_battery(spec),
-            rebin=spec.rebin,
-        )
-        for spec in specs
-    ]
-
-
-def fast_singles(specs):
-    """Each spec alone through ``Simulator.run(fast=True)``."""
-    out = []
-    for spec in specs:
-        sim, horizon = _build_scenario_sim(spec)
-        out.append(sim.run(horizon, fast=True))
-    return out
+        assert b.metrics[key] == val, key
 
 
 class TestRunScenarioBatch:
@@ -69,37 +41,27 @@ class TestRunScenarioBatch:
         for (index, result), spec in zip(got, SPECS):
             assert_metrics_equal(result, run_spec(spec))
 
-    def test_fast_batch_equals_fast_run_spec(self):
-        """ScenarioBatch.run(fast=True) == Simulator.run(fast=True),
-        scenario by scenario."""
-        outcomes = ScenarioBatch(batch_items(SPECS)).run(fast=True)
-        for out, single in zip(outcomes, fast_singles(SPECS)):
-            assert out.result.released_jobs == single.released_jobs
-            assert out.result.completed_nodes == single.completed_nodes
-            assert out.result.tiled_cycles == single.tiled_cycles
-            assert out.result.charge == single.charge
-            assert out.result.energy == single.energy
+    def test_nonfinite_battery_run_is_demoted_on_both_paths(
+        self, monkeypatch
+    ):
+        """A fast battery run that comes back NaN is re-run on the
+        scalar path whether the spec runs alone or in a batch, so the
+        worker count cannot change a scenario's answer."""
+        from repro.battery.base import BatteryModel, BatteryRun
 
-    def test_fast_sim_metrics_match_naive_to_dust(self):
-        """Fast-forward changes nothing the paper's tables would
-        notice, on the engine and on the batch."""
-        for spec, fast in zip(SPECS, fast_singles(SPECS)):
-            sim, horizon = _build_scenario_sim(spec)
-            naive = sim.run(horizon)
-            for key in ("released_jobs", "completed_jobs", "completed_nodes"):
-                assert getattr(fast, key) == getattr(naive, key)
-            assert len(fast.misses) == len(naive.misses)
-            assert fast.charge == pytest.approx(naive.charge, rel=1e-9)
-            assert fast.energy == pytest.approx(naive.energy, rel=1e-9)
-        fast_out = ScenarioBatch(batch_items(SPECS)).run(fast=True)
-        exact_out = ScenarioBatch(batch_items(SPECS)).run()
-        for f, e in zip(fast_out, exact_out):
-            assert f.result.released_jobs == e.result.released_jobs
-            assert f.result.charge == pytest.approx(e.result.charge, rel=1e-9)
-            if e.battery_run is not None:
-                assert f.battery_run.lifetime == pytest.approx(
-                    e.battery_run.lifetime, rel=1e-9
-                )
+        def nan_run(self, d, i, repeat, max_time):
+            nan = float("nan")
+            return BatteryRun(died=True, lifetime=nan, delivered_charge=nan)
+
+        monkeypatch.setattr(BatteryModel, "_run_profile_fast", nan_run)
+        spec = ScenarioSpec(
+            scheme="BAS-2", n_graphs=2, seed=3, battery="kibam"
+        )
+        alone = run_spec(spec)
+        ((_, batched),) = run_scenario_batch([(0, spec)])
+        assert math.isfinite(alone.metrics["lifetime_min"])
+        assert math.isfinite(alone.metrics["delivered_mah"])
+        assert_metrics_equal(alone, batched)
 
 
 class TestRunnerBatching:
@@ -109,19 +71,6 @@ class TestRunnerBatching:
         for a, spec in zip(batched.results, SPECS):
             assert a.spec == spec  # spec order preserved
             assert_metrics_equal(a, run_spec(spec))
-
-    def test_fast_sim_batched_matches_fast_singles(self):
-        """The batch's battery hand-off of fast-forwarded traces equals
-        per-scenario evaluate_lifetime on the same traces."""
-        outcomes = ScenarioBatch(batch_items(SPECS)).run(fast=True)
-        for spec, out, single in zip(SPECS, outcomes, fast_singles(SPECS)):
-            cell = _scenario_battery(spec)
-            if cell is None:
-                assert out.battery_run is None
-                continue
-            run = evaluate_lifetime(single, cell, rebin=spec.rebin).run
-            assert out.battery_run.lifetime == run.lifetime
-            assert out.battery_run.delivered_mah == run.delivered_mah
 
     def test_parallel_batched_matches_sequential(self):
         seq = CampaignRunner(1).run(SPECS)

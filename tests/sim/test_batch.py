@@ -44,7 +44,7 @@ def cell():
 
 class TestBatchEquivalence:
     def test_outcomes_match_solo_runs_bitwise(self, proc):
-        """Batch(fast=False) reproduces each scenario's solo pipeline
+        """The batch reproduces each scenario's solo pipeline
         exactly: same SimulationResult metrics, same battery run."""
         horizon = 80.0
         batch = ScenarioBatch(
@@ -54,7 +54,7 @@ class TestBatchEquivalence:
                           rebin=1.0),
             ]
         )
-        outcomes = batch.run(fast=False)
+        outcomes = batch.run()
         solo = [
             (sim(proc).run(horizon), None),
             (sim(proc, dvs=NoDVS()).run(horizon), 1.0),
@@ -66,32 +66,6 @@ class TestBatchEquivalence:
             ref = evaluate_lifetime(res, cell(), rebin=rebin).run
             assert out.battery_run.lifetime == ref.lifetime
             assert out.battery_run.delivered_charge == ref.delivered_charge
-
-    def test_fast_batch_matches_fast_solo(self, proc):
-        """With fast=True the batch equals the solo fast pipeline."""
-        horizon = 20 * 8.0
-        out = ScenarioBatch(
-            [BatchItem(sim(proc), horizon, battery=cell())]
-        ).run(fast=True)[0]
-        res = sim(proc).run(horizon, fast=True)
-        assert out.result.tiled_cycles == res.tiled_cycles
-        assert out.result.tiled_cycles > 0
-        assert out.result.charge == res.charge
-        ref = evaluate_lifetime(res, cell(), rebin=None).run
-        assert out.battery_run.lifetime == ref.lifetime
-
-    def test_fast_vs_naive_battery_dust_only(self, proc):
-        """Lifetime from a tiled trace agrees with naive to float dust."""
-        horizon = 20 * 8.0
-        fast = ScenarioBatch(
-            [BatchItem(sim(proc), horizon, battery=cell())]
-        ).run(fast=True)[0]
-        naive = ScenarioBatch(
-            [BatchItem(sim(proc), horizon, battery=cell())]
-        ).run(fast=False)[0]
-        assert fast.battery_run.lifetime == pytest.approx(
-            naive.battery_run.lifetime, rel=1e-6
-        )
 
 
 class TestBatchShape:
@@ -106,7 +80,7 @@ class TestBatchShape:
             BatchItem(sim(proc, dvs=NoDVS()), horizon, battery=cell()),
             BatchItem(sim(proc), horizon),  # no battery
         ]
-        outcomes = ScenarioBatch(items).run(fast=False)
+        outcomes = ScenarioBatch(items).run()
         assert len(outcomes) == 3
         assert outcomes[0].battery_run is None
         assert outcomes[1].battery_run is not None
@@ -118,7 +92,7 @@ class TestBatchShape:
         horizon = 40.0
         out = ScenarioBatch(
             [BatchItem(sim(proc), horizon, battery=cell(), rebin=0.5)]
-        ).run(fast=False)[0]
+        ).run()[0]
         ref = sim(proc).run(horizon).profile()
         np.testing.assert_array_equal(out.profile.durations, ref.durations)
         np.testing.assert_array_equal(out.profile.currents, ref.currents)

@@ -243,3 +243,84 @@ class TestGuideline1:
                 assert end in releases or s.end == pytest.approx(
                     res.horizon
                 )
+
+
+def run_ltf(ts, proc, horizon, dvs=None):
+    """NoDVS (or ``dvs``) + LTF, recording misses instead of raising."""
+    return run(
+        ts, proc, dvs, SchedulingPolicy(LTF()), horizon, on_miss="record"
+    )
+
+
+class TestExactReleaseClock:
+    def test_release_times_match_closed_form(self, proc):
+        """Releases are phase + j*period exactly, not an accumulated sum
+        (0.1 summed ten times is 0.9999999999999999, not 1.0)."""
+        ts = single_task_set(wc=0.02, period=0.1)
+        res = run_ltf(ts, proc, 2.0)
+        expected = np.array([j * 0.1 for j in range(20)])
+        got = np.sort(np.asarray(res.release_times))
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)  # bitwise
+
+    def test_no_drift_over_many_jobs(self, proc):
+        ts = single_task_set(wc=0.02, period=0.1)
+        res = run_ltf(ts, proc, 100.0)
+        assert res.released_jobs == 1000
+        assert res.completed_jobs == 1000
+        assert not res.misses
+
+
+class TestEpsilonScale:
+    def test_large_magnitude_periods(self, proc):
+        """At period ~1e8 an absolute 1e-9 epsilon is below one ulp of
+        the time axis; the guards must scale with the task set."""
+        period = 33333333.4  # not exactly representable
+        ts = single_task_set(wc=0.4 * period, period=period)
+        res = run_ltf(ts, proc, 4 * period)
+        assert res.released_jobs == 4
+        assert res.completed_jobs == 4
+        assert not res.misses
+        assert res.trace.end_time == pytest.approx(4 * period, rel=1e-12)
+
+    def test_scale_invariance(self, proc):
+        """The same workload at 1e7x the timescale behaves identically:
+        same counts, proportionally scaled busy time."""
+        scale = 1e7
+
+        def results(s):
+            g1 = TaskGraph("g1", [TaskNode("a", 2.0 * s)])
+            g2 = TaskGraph("g2", [TaskNode("b", 1.0 * s)])
+            ts = TaskGraphSet(
+                [
+                    PeriodicTaskGraph(g1, 8.0 * s),
+                    PeriodicTaskGraph(g2, 4.0 * s),
+                ]
+            )
+            return run_ltf(ts, proc, 5 * 8.0 * s, dvs=CcEDF())
+
+        small, big = results(1.0), results(scale)
+        assert big.released_jobs == small.released_jobs
+        assert big.completed_jobs == small.completed_jobs
+        assert big.misses == small.misses
+        assert big.trace.busy_time() == pytest.approx(
+            small.trace.busy_time() * scale, rel=1e-9
+        )
+
+
+class TestDeadlineMissSemantics:
+    def test_miss_time_is_the_absolute_deadline(self, proc):
+        """DeadlineMiss.time names the deadline that was missed;
+        the detection instant is kept alongside as .detected."""
+        ts = single_task_set(wc=12.0, period=10.0, name="over")
+        res = run_ltf(ts, proc, 40.0)
+        assert res.misses
+        first = res.misses[0]
+        assert first.graph == "over"
+        assert first.job_index == 0
+        assert first.time == 10.0  # job 0's absolute deadline, exactly
+        assert first.detected >= first.time
+        for m in res.misses:
+            # Deadlines are release + period; detection cannot precede.
+            assert m.time == pytest.approx((m.job_index + 1) * 10.0)
+            assert m.detected >= m.time

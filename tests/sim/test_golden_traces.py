@@ -7,6 +7,10 @@ actuals, one hyperperiod) are committed as JSON fixtures under
 *any* dispatched segment — placement, operating point, or current —
 fails these tests instead of silently shifting the paper's numbers.
 
+Every fixture is checked against both engines: the scalar event loop
+(id ``naive``) and the lock-step vector engine that campaigns run (id
+``fast``).
+
 If a change is *intended* to alter schedules, regenerate the fixtures
 and review the diff::
 
@@ -60,7 +64,7 @@ def _small_set():
 def _run(
     scenario: str,
     *,
-    fast: bool = False,
+    vector: bool = False,
     horizon: float = HORIZON,
     on_miss: str = "raise",
 ):
@@ -72,6 +76,7 @@ def _run(
     from repro.dvs.static import StaticUtilization
     from repro.processor.platform import paper_processor
     from repro.sim.engine import Simulator
+    from repro.sim.vector import VectorEngine
 
     dvs = {
         "ccedf": CcEDF,
@@ -86,7 +91,9 @@ def _run(
         SchedulingPolicy(LTF(), MOST_IMMINENT),
         on_miss=on_miss,
     )
-    return sim.run(horizon, fast=fast)
+    if vector:
+        return VectorEngine([(sim, horizon)]).run()[0]
+    return sim.run(horizon)
 
 
 def _trace_json(result) -> dict:
@@ -113,12 +120,12 @@ def _golden_path(scenario: str) -> Path:
     return GOLDEN_DIR / f"{scenario}_small_set.json"
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["naive", "fast"])
+@pytest.mark.parametrize("vector", [False, True], ids=["naive", "fast"])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 class TestGoldenTraces:
-    def test_segment_exact_equality(self, scenario, fast):
+    def test_segment_exact_equality(self, scenario, vector):
         golden = json.loads(_golden_path(scenario).read_text())
-        actual = _trace_json(_run(scenario, fast=fast))
+        actual = _trace_json(_run(scenario, vector=vector))
         assert len(actual["segments"]) == len(golden["segments"])
         for k, (got, want) in enumerate(
             zip(actual["segments"], golden["segments"])
@@ -130,14 +137,14 @@ class TestGoldenTraces:
                 f" want: {want}"
             )
 
-    def test_summary_scalars_exact(self, scenario, fast):
+    def test_summary_scalars_exact(self, scenario, vector):
         golden = json.loads(_golden_path(scenario).read_text())
-        result = _run(scenario, fast=fast)
+        result = _run(scenario, vector=vector)
         assert result.energy == golden["energy_j"]
         assert result.charge == golden["charge_c"]
         assert result.horizon == golden["horizon"]
 
-    def test_schedules_differ_between_dvs(self, scenario, fast):
+    def test_schedules_differ_between_dvs(self, scenario, vector):
         """Sanity: no fixture accidentally equals another (the test
         would then not pin the DVS algorithm at all) — except the one
         *known* coincidence checked separately below."""
@@ -153,21 +160,14 @@ class TestGoldenTraces:
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_tiled_prefix_matches_golden(scenario):
-    """A long fast-forwarded run's first hyperperiod is byte-identical
-    to the golden fixture — tiling reproduces the pinned schedule."""
+    """A run over four golden windows starts with the golden fixture,
+    byte for byte: a longer horizon never changes the first window."""
     golden = json.loads(_golden_path(scenario).read_text())
     # laEDF misses under sustained worst-case actuals (its documented
-    # look-ahead overcommitment), so record misses instead of raising;
-    # its growing backlog also means its cycle never converges, which
-    # must fall back to the naive loop rather than tile wrongly.
-    result = _run(
-        scenario, fast=True, horizon=4 * HORIZON, on_miss="record"
-    )
+    # look-ahead overcommitment), so record misses instead of raising.
+    result = _run(scenario, horizon=4 * HORIZON, on_miss="record")
     if scenario == "laedf":
         assert result.misses
-        assert result.tiled_cycles == 0
-    else:
-        assert result.tiled_cycles > 0
     actual = _trace_json(result)
     prefix = actual["segments"][: len(golden["segments"])]
     assert prefix == golden["segments"]

@@ -8,8 +8,8 @@ misses, same release instants.  These tests pin that contract:
 * every array-expressible configuration (NoDVS/static/ccEDF/laEDF over
   random/LTF/STF/pUBS priorities, either ready list, feasibility on or
   off, job-invariant or job-keyed stochastic actuals — the full Table 2
-  grid) produces byte-for-byte the scalar result, under both ``fast``
-  settings and with steady-state tiling engaged;
+  grid) produces byte-for-byte the scalar result, over one hyperperiod
+  and over several;
 * everything else (subclassed components, phases, call-order-dependent
   actuals providers, custom estimators) falls back per scenario to
   the scalar engine — opportunistically, inside a mixed batch;
@@ -35,9 +35,8 @@ from repro.core.ready_list import ALL_RELEASED
 from repro.dvs import CcEDF, LaEDF, NoDVS
 from repro.dvs.static import StaticUtilization
 from repro.errors import DeadlineMissError, SchedulingError
-from repro.sim import BatchItem, ScenarioBatch, VectorEngine, run_vectorized
+from repro.sim import BatchItem, ScenarioBatch, VectorEngine
 from repro.sim.engine import Simulator
-from repro.sim.trace import ExecutionTrace
 from repro.sim.vector import unsupported_reason
 from repro.taskgraph.graph import TaskGraph, TaskNode
 from repro.taskgraph.periodic import PeriodicTaskGraph, TaskGraphSet
@@ -165,16 +164,16 @@ class TestVectorEquivalence:
         [c[1] for c in VECTOR_CONFIGS],
         ids=[c[0] for c in VECTOR_CONFIGS],
     )
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_harmonic_set_bitwise(self, proc, config, fast):
+    @pytest.mark.parametrize("long_horizon", [False, True])
+    def test_harmonic_set_bitwise(self, proc, config, long_horizon):
         ts = harmonic_set()
-        horizon = 4 * ts.hyperperiod()
+        horizon = (4 if long_horizon else 1) * ts.hyperperiod()
         dvs, prio = config()
         sim = build(proc, ts, dvs, prio)
         assert unsupported_reason(sim, horizon) is None
-        vec = run_vectorized([(sim, horizon)], fast=fast)[0]
+        vec = VectorEngine([(sim, horizon)]).run()[0]
         dvs2, prio2 = config()
-        scalar = build(proc, ts, dvs2, prio2).run(horizon, fast=fast)
+        scalar = build(proc, ts, dvs2, prio2).run(horizon)
         assert_bitwise(vec, scalar)
 
     @settings(max_examples=10, deadline=None)
@@ -209,8 +208,8 @@ class TestVectorEquivalence:
             )
 
         assert unsupported_reason(sim(), horizon) is None
-        vec = run_vectorized([(sim(), horizon)], fast=True)[0]
-        assert_bitwise(vec, sim().run(horizon, fast=True))
+        vec = VectorEngine([(sim(), horizon)]).run()[0]
+        assert_bitwise(vec, sim().run(horizon))
 
     def test_many_scenarios_lock_step(self, proc):
         """A heterogeneous batch (different task sets, DVS kinds and
@@ -233,29 +232,15 @@ class TestVectorEquivalence:
                 )
             return out
 
-        vres = run_vectorized(scenarios(), fast=True)
+        vres = VectorEngine(scenarios()).run()
         for vec, (sim, h) in zip(vres, scenarios()):
-            assert_bitwise(vec, sim.run(h, fast=True))
-
-    def test_tiling_engages_and_matches(self, proc):
-        """At long horizons the vector engine tiles the converged cycle
-        exactly like the scalar fast path (same tiled_cycles, bitwise
-        trace)."""
-        ts = harmonic_set()
-        horizon = 20 * ts.hyperperiod()
-        sim = build(proc, ts, CcEDF(), LTF())
-        vec = run_vectorized([(sim, horizon)], fast=True)[0]
-        scalar = build(proc, ts, CcEDF(), LTF()).run(horizon, fast=True)
-        assert scalar.tiled_cycles > 0
-        assert vec.tiled_cycles == scalar.tiled_cycles
-        assert vec.fast_forwarded
-        assert_bitwise(vec, scalar)
+            assert_bitwise(vec, sim.run(h))
 
     def test_miss_recording_parity(self, proc):
         """Overload: the vector engine records the same misses (graph,
         job, deadline instant, detection instant) as the scalar loop."""
         sim = build(proc, overload_set(), NoDVS(), LTF())
-        vec = run_vectorized([(sim, 40.0)], fast=False)[0]
+        vec = VectorEngine([(sim, 40.0)]).run()[0]
         scalar = build(proc, overload_set(), NoDVS(), LTF()).run(40.0)
         assert len(vec.misses) == 3
         assert_bitwise(vec, scalar)
@@ -266,10 +251,10 @@ class TestVectorEquivalence:
             build(proc, overload_set(), NoDVS(), LTF(),
                   on_miss="raise").run(40.0)
         with pytest.raises(DeadlineMissError) as vector_err:
-            run_vectorized(
+            VectorEngine(
                 [(build(proc, overload_set(), NoDVS(), LTF(),
                         on_miss="raise"), 40.0)]
-            )
+            ).run()
         assert str(vector_err.value) == str(scalar_err.value)
 
     def test_raise_propagates_through_mixed_batch(self, proc):
@@ -281,7 +266,7 @@ class TestVectorEquivalence:
                    on_miss="raise"), 40.0),
         ]
         with pytest.raises(DeadlineMissError):
-            run_vectorized(scens)
+            VectorEngine(scens).run()
 
 
 class TestWideEquivalence:
@@ -317,8 +302,8 @@ class TestWideEquivalence:
             )
 
         assert unsupported_reason(sim(), horizon) is None
-        vec = run_vectorized([(sim(), horizon)], fast=True)[0]
-        assert_bitwise(vec, sim().run(horizon, fast=True))
+        vec = VectorEngine([(sim(), horizon)]).run()[0]
+        assert_bitwise(vec, sim().run(horizon))
 
     def test_feasibility_rejections_bitwise(self, proc):
         """A ready list where LTF's favourite candidate genuinely fails
@@ -359,11 +344,11 @@ class TestWideEquivalence:
 
         methodology.feasibility_check = spy
         try:
-            scalar = sim().run(80.0, fast=True)
+            scalar = sim().run(80.0)
         finally:
             methodology.feasibility_check = orig
         assert rejections[0] > 0  # the guard actually bites here
-        vec = run_vectorized([(sim(), 80.0)], fast=True)[0]
+        vec = VectorEngine([(sim(), 80.0)]).run()[0]
         assert_bitwise(vec, scalar)
 
     def test_paper_scheme_grid_fully_vectorized(self, proc):
@@ -393,8 +378,8 @@ class TestWideEquivalence:
         eng = VectorEngine(scens())
         assert eng.n_fallback == 0
         assert eng.fallback_reasons == [None] * 5
-        for vec, (sim, h) in zip(eng.run(fast=True), scens()):
-            assert_bitwise(vec, sim.run(h, fast=True))
+        for vec, (sim, h) in zip(eng.run(), scens()):
+            assert_bitwise(vec, sim.run(h))
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -423,8 +408,8 @@ class TestWideEquivalence:
             return self._sim(proc, ts, WIDE_CONFIGS[config][1], actuals)
 
         assert unsupported_reason(sim(), horizon) is None
-        vec = run_vectorized([(sim(), horizon)], fast=True)[0]
-        assert_bitwise(vec, sim().run(horizon, fast=True))
+        vec = VectorEngine([(sim(), horizon)]).run()[0]
+        assert_bitwise(vec, sim().run(horizon))
 
 
 class TestFallback:
@@ -544,16 +529,16 @@ class TestFallback:
         assert [r is None for r in eng.fallback_reasons] == [
             True, False, False, True
         ]
-        vres = eng.run(fast=True)
+        vres = eng.run()
         for vec, (sim, h) in zip(vres, scens()):
-            assert_bitwise(vec, sim.run(h, fast=True))
+            assert_bitwise(vec, sim.run(h))
 
 
 class TestShapeAndWiring:
     def test_empty_vector_run_is_empty(self):
-        """run_vectorized([]) is a no-op sweep; the battery-carrying
+        """An empty vector run is a no-op sweep; the battery-carrying
         ScenarioBatch keeps rejecting empty batches."""
-        assert run_vectorized([]) == []
+        assert VectorEngine([]).run() == []
         with pytest.raises(SchedulingError):
             ScenarioBatch([])
 
@@ -601,30 +586,6 @@ class TestShapeAndWiring:
             else:
                 run = evaluate_lifetime(s, item.battery).run
                 assert v.battery_run.lifetime == run.lifetime
-
-    def test_vector_trace_supports_further_tiling(self, proc):
-        """A trace handed off from the vector engine is a first-class
-        ExecutionTrace: its columns can seed a new trace and be tiled
-        onward (the fast-forward primitive) without corruption."""
-        ts = harmonic_set()
-        hyper = ts.hyperperiod()
-        sim = build(proc, ts, CcEDF(), LTF())
-        vec = run_vectorized([(sim, 20 * hyper)], fast=True)[0]
-        assert vec.tiled_cycles > 0
-        src = vec.trace
-        clone = ExecutionTrace()
-        clone.extend_columns(
-            src.starts, src.durations, src.speeds, src.voltages,
-            src.currents, src.label_ids, list(src._names),
-        )
-        n = len(clone)
-        clone.extend_tiled(0, 1, src.end_time)
-        assert len(clone) == 2 * n
-        np.testing.assert_array_equal(
-            clone.starts[n:], src.starts + src.end_time
-        )
-        np.testing.assert_array_equal(clone.durations[n:], src.durations)
-        assert clone.charge() == pytest.approx(2 * src.charge(), rel=1e-12)
 
 
 class TestCampaignWiring:

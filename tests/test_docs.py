@@ -91,14 +91,13 @@ def test_public_api_docstrings_present():
     from repro.api import ResultFrame, Study, Sweep
     from repro.battery.base import BatteryModel
     from repro.sim import ScenarioBatch, Simulator, VectorEngine
-    from repro.sim.vector import run_vectorized
 
     for obj in (
         Simulator.run,
         ScenarioBatch,
         ScenarioBatch.run,
         VectorEngine,
-        run_vectorized,
+        VectorEngine.run,
         Study,
         Sweep,
         ResultFrame,

@@ -49,6 +49,12 @@ class TestUniformActuals:
         ua = UniformActuals(low=1.0, high=1.0, seed=0)
         assert ua("g", "n", 0, 7.0) == pytest.approx(7.0)
 
+    def test_degenerate_uniform_opts_in(self):
+        """Only ``low == high`` declares job-invariant draws (the
+        vector engine then pre-draws one actual per node)."""
+        assert UniformActuals(low=0.5, high=0.5, seed=0).job_invariant
+        assert not UniformActuals(low=0.4, high=0.6, seed=0).job_invariant
+
     @pytest.mark.parametrize("seed", [0, 3, 2**31, 2**32 - 1])
     def test_draw_jobs_bitwise_matches_calls(self, seed):
         """The batched hash pipeline (SeedSequence mixing + PCG64 in
