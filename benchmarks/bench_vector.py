@@ -22,6 +22,10 @@ verified equivalent first — counts and misses exactly, charge/energy
 to relative 1e-9 — and each vector row must have vectorized every
 scenario (zero fallbacks), otherwise the benchmark would partly time
 the scalar engine against itself.
+Each row times the two engines in :data:`PAIRS` alternating pairs
+(scalar, vector, scalar, vector, ...) on freshly built scenarios and
+reports the median pair's ratio, which the floors gate on: one slow
+run on a shared host moves a single pair, not the verdict.
 Results are written machine-readable to ``BENCH_vector.json`` at the
 repo root.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -63,6 +68,9 @@ SCHEMES_MIXED = ("EDF", "ccEDF", "laEDF", "BAS-1", "BAS-2")
 #: rows; the mixed row instead uses the paper's stochastic 20-100%
 #: draws (hash-keyed per job, so the engine pre-draws them).
 ACTUAL_FRACTION = 0.6
+
+#: Alternating scalar/vector timing pairs per row.
+PAIRS = 5
 
 
 def _timed(fn):
@@ -102,34 +110,63 @@ def _assert_equivalent(vec, scalar, context):
         )
 
 
-def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
-              schemes=SCHEMES, stochastic=False):
-    """Pure simulation phase: the vector engine vs the scalar loop."""
-    scal = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed,
-                            schemes, stochastic)
-    vect = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed,
-                            schemes, stochastic)
-    fallbacks = [
-        r for r in VectorEngine(vect).fallback_reasons if r is not None
-    ]
-    assert not fallbacks, (
-        f"{len(fallbacks)} of {n_scenarios} scenarios fell back to the "
-        f"scalar engine (first: {fallbacks[0]!r}) — the timing would be "
-        "scalar-vs-scalar"
-    )
-    sres, t_scalar = _timed(
-        lambda: [sim.run(h) for sim, h in scal]
-    )
-    vres, t_vector = _timed(lambda: VectorEngine(vect).run())
-    for k, (v, s) in enumerate(zip(vres, sres)):
-        _assert_equivalent(v, s, f"scenario {k}")
+def _paired(build, run_scalar, run_vector, check, n_scenarios,
+            hyperperiods, vet=lambda vect: None):
+    """Time ``run_scalar`` and ``run_vector`` in :data:`PAIRS`
+    alternating pairs, each pair on two fresh ``build()`` scenario
+    lists; ``vet(vector_in)`` runs untimed before each pair and
+    ``check(vector_out, scalar_out)`` verifies it.  The row's
+    ``speedup`` is the median pair's ratio."""
+    pairs = []
+    for _ in range(PAIRS):
+        scal, vect = build(), build()
+        vet(vect)
+        sres, t_scalar = _timed(lambda: run_scalar(scal))
+        vres, t_vector = _timed(lambda: run_vector(vect))
+        check(vres, sres)
+        pairs.append((t_scalar, t_vector))
+    speedups = [s / v if v > 0 else float("inf") for s, v in pairs]
     return {
         "scenarios": n_scenarios,
         "hyperperiods": hyperperiods,
-        "scalar_s": t_scalar,
-        "vector_s": t_vector,
-        "speedup": t_scalar / t_vector if t_vector > 0 else float("inf"),
+        "pairs": PAIRS,
+        "scalar_s": statistics.median(s for s, _ in pairs),
+        "vector_s": statistics.median(v for _, v in pairs),
+        "speedups": speedups,
+        "speedup": statistics.median(speedups),
     }
+
+
+def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
+              schemes=SCHEMES, stochastic=False):
+    """Pure simulation phase: the vector engine vs the scalar loop."""
+    def build():
+        return _build_scenarios(n_scenarios, n_graphs, hyperperiods,
+                                seed, schemes, stochastic)
+
+    def vet(vect):
+        fallbacks = [
+            r for r in VectorEngine(vect).fallback_reasons if r is not None
+        ]
+        assert not fallbacks, (
+            f"{len(fallbacks)} of {n_scenarios} scenarios fell back to "
+            f"the scalar engine (first: {fallbacks[0]!r}) — the timing "
+            "would be scalar-vs-scalar"
+        )
+
+    def check(vres, sres):
+        for k, (v, s) in enumerate(zip(vres, sres)):
+            _assert_equivalent(v, s, f"scenario {k}")
+
+    return _paired(
+        build,
+        lambda scal: [sim.run(h) for sim, h in scal],
+        lambda vect: VectorEngine(vect).run(),
+        check,
+        n_scenarios,
+        hyperperiods,
+        vet,
+    )
 
 
 def _scalar_loop(scenarios):
@@ -145,23 +182,21 @@ def _scalar_loop(scenarios):
 
 def bench_batch(n_scenarios, n_graphs, hyperperiods, seed):
     """End-to-end ScenarioBatch vs a per-scenario Simulator.run loop."""
-    scal = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed)
-    vect = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed)
-    sres, t_scalar = _timed(lambda: _scalar_loop(scal))
-    vout, t_vector = _timed(
-        lambda: ScenarioBatch(
+    def check(vout, sres):
+        for k, (v, s) in enumerate(zip(vout, sres)):
+            _assert_equivalent(v.result, s, f"scenario {k}")
+
+    return _paired(
+        lambda: _build_scenarios(n_scenarios, n_graphs, hyperperiods,
+                                 seed),
+        _scalar_loop,
+        lambda vect: ScenarioBatch(
             [BatchItem(sim, h) for sim, h in vect]
-        ).run()
+        ).run(),
+        check,
+        n_scenarios,
+        hyperperiods,
     )
-    for k, (v, s) in enumerate(zip(vout, sres)):
-        _assert_equivalent(v.result, s, f"scenario {k}")
-    return {
-        "scenarios": n_scenarios,
-        "hyperperiods": hyperperiods,
-        "scalar_s": t_scalar,
-        "vector_s": t_vector,
-        "speedup": t_scalar / t_vector if t_vector > 0 else float("inf"),
-    }
 
 
 def main(argv=None) -> int:
@@ -199,7 +234,8 @@ def main(argv=None) -> int:
     print(
         f"    sim: {sim_row['scenarios']} scenarios, scalar "
         f"{sim_row['scalar_s']:8.3f}s -> vector "
-        f"{sim_row['vector_s']:8.4f}s ({sim_row['speedup']:6.2f}x)"
+        f"{sim_row['vector_s']:8.4f}s ({sim_row['speedup']:6.2f}x, "
+        f"median of {PAIRS} pairs)"
     )
     mixed_row = bench_sim(
         args.scenarios, args.n_graphs, args.hyperperiods, args.seed,
@@ -208,7 +244,8 @@ def main(argv=None) -> int:
     print(
         f"  mixed: {mixed_row['scenarios']} scenarios, scalar "
         f"{mixed_row['scalar_s']:8.3f}s -> vector "
-        f"{mixed_row['vector_s']:8.4f}s ({mixed_row['speedup']:6.2f}x)"
+        f"{mixed_row['vector_s']:8.4f}s ({mixed_row['speedup']:6.2f}x, "
+        f"median of {PAIRS} pairs)"
     )
     batch_row = bench_batch(
         args.scenarios, args.n_graphs, args.hyperperiods, args.seed
@@ -216,7 +253,8 @@ def main(argv=None) -> int:
     print(
         f"  batch: {batch_row['scenarios']} scenarios, scalar "
         f"{batch_row['scalar_s']:8.3f}s -> vector "
-        f"{batch_row['vector_s']:8.4f}s ({batch_row['speedup']:6.2f}x)"
+        f"{batch_row['vector_s']:8.4f}s ({batch_row['speedup']:6.2f}x, "
+        f"median of {PAIRS} pairs)"
     )
 
     payload = {

@@ -182,7 +182,6 @@ _RUNNER_DEFAULTS = dict(
     lease_timeout=60.0,
     heartbeat=15.0,
     chunk=1,
-    resume=False,
     result_timeout=None,
     max_retries=0,
     spec_timeout=None,
@@ -212,9 +211,8 @@ def _runner(args, cache=None):
     armed = _arm_cli_faults(args)
     try:
         if opts.backend == "local":
-            for flag in ("resume", "autoscale"):
-                if getattr(opts, flag):
-                    raise SystemExit(f"error: --{flag} needs --backend dist")
+            if opts.autoscale:
+                raise SystemExit("error: --autoscale needs --backend dist")
             runner = CampaignRunner(opts.workers, cache=cache, **containment)
         else:
             runner = _dist_runner(opts, cache, containment)
@@ -232,11 +230,6 @@ def _dist_runner(opts, cache, containment) -> DistributedRunner:
     if (opts.dist_dir is None) == (opts.listen is None):
         raise SystemExit(
             "error: --backend dist needs exactly one of --dist-dir/--listen"
-        )
-    if opts.resume and opts.dist_dir is None:
-        raise SystemExit(
-            "error: --resume needs --dist-dir (the ledger lives in "
-            "the work directory)"
         )
     transport = (
         {"workdir": opts.dist_dir}
@@ -264,7 +257,6 @@ def _dist_runner(opts, cache, containment) -> DistributedRunner:
         lease_timeout=opts.lease_timeout,
         heartbeat=opts.heartbeat,
         chunk_size=opts.chunk,
-        resume=opts.resume,
         result_timeout=opts.result_timeout,
         **containment,
         **transport,
@@ -283,7 +275,9 @@ def _cmd_campaign(args) -> str:
     one command is a self-contained fleet.  Results are cached on disk
     keyed by spec content hash (``--cache-dir``, default
     ``~/.cache/repro/campaign``; disable with ``--no-cache``), so
-    re-running an unchanged campaign is free.  Aggregates are
+    re-running an unchanged campaign is free, and re-running an
+    interrupted one (a crashed broker included) runs only the
+    scenarios the cache does not hold yet.  Aggregates are
     bit-identical for any worker count and either backend.
     """
     if args.scenarios < 1:
@@ -359,8 +353,6 @@ def _cmd_campaign(args) -> str:
         f"{campaign.wall_time_s:.2f}s wall, {campaign.cache_hits} cache "
         f"hit(s)"
     )
-    if campaign.replayed:
-        footer += f", {campaign.replayed} replayed from ledger"
     if campaign.requeued:
         footer += f", {campaign.requeued} requeued"
     if campaign.stolen:
@@ -768,12 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chunk tails)",
     )
     p.add_argument(
-        "--resume", action="store_true",
-        help="dist backend: replay the work directory's result ledger "
-        "from a previous (crashed) broker instead of re-running "
-        "completed scenarios",
-    )
-    p.add_argument(
         "--autoscale", default=None, metavar="MIN:MAX",
         help="dist backend: grow/shrink the local worker fleet with "
         "the backlog (overrides --spawn-workers)",
@@ -816,8 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reconnect-grace", type=float, default=0.0,
         help="TCP only: seconds to keep retrying a refused connection "
-        "after the broker was reached once (lets a restarting "
-        "--resume broker keep its fleet)",
+        "after the broker was reached once (lets a broker restarted "
+        "on the same endpoint keep its fleet)",
     )
     p.add_argument(
         "--inject-faults", default=None, metavar="PLAN.json",

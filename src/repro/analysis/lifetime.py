@@ -30,6 +30,9 @@ class LifetimeReport:
     run: BatteryRun
     mean_current: float
     peak_current: float
+    #: 1 when the fast path's run came back non-finite and ``run`` is
+    #: the scalar path's re-evaluation, else 0.
+    demoted: int = 0
 
     @property
     def lifetime_minutes(self) -> float:
@@ -83,7 +86,7 @@ def evaluate_lifetime(
     The load goes through :func:`~repro.battery.kernels.
     run_profile_batch` as a batch of one, so a non-finite fast-path
     run is re-evaluated on the scalar path exactly as in a scenario
-    batch.
+    batch, and the report's ``demoted`` says so.
     """
     if isinstance(source, SimulationResult):
         profile = source.profile()
@@ -96,14 +99,16 @@ def evaluate_lifetime(
         )
     if rebin is not None:
         profile = profile.rebinned(rebin)
+    stats: dict = {}
     (run,) = run_profile_batch(
         [(battery, profile.durations, profile.currents)],
-        max_time=max_time, fast=fast,
+        max_time=max_time, fast=fast, stats=stats,
     )
     return LifetimeReport(
         run=run,
         mean_current=profile.mean_current,
         peak_current=profile.peak_current,
+        demoted=stats["numeric_demotions"],
     )
 
 

@@ -2,9 +2,12 @@
 
 One JSON file per scenario under the cache root; a hit deserializes to
 a :class:`~repro.campaign.spec.ScenarioResult` flagged ``cached=True``.
-Writes are atomic (tmp file + rename) so a crashed run never leaves a
-truncated entry, and a corrupt/unreadable entry is treated as a miss
-and overwritten on the next store.
+Writes are atomic (tmp file, fsync, rename) so a crashed run never
+leaves a truncated entry and a host crash cannot eat a stored one, and
+a corrupt/unreadable entry is treated as a miss and overwritten on the
+next store.  The cache is also the campaign's crash-recovery store:
+rerunning an interrupted campaign on the same cache executes only the
+specs it does not hold.
 
 The default root is ``$REPRO_CAMPAIGN_CACHE`` if set, else
 ``~/.cache/repro/campaign``.
@@ -69,6 +72,10 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)
+                # A rerun trusts the cache to know what is done, so an
+                # entry must reach the disk before it becomes visible.
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         except BaseException:
             try:

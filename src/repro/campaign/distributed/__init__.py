@@ -9,10 +9,11 @@ Because every spec carries its caller-assigned
 the sequential local runner whatever the fleet looks like.
 
 The backend is fault-tolerant: workers heartbeat their leases (long
-scenarios are never falsely requeued), the broker journals accepted
-results to an append-only ledger (a restarted broker resumes instead
-of re-running), the local fleet can autoscale with the backlog, and
-short scenarios can be leased in splittable, steal-friendly chunks.
+scenarios are never falsely requeued), every accepted result lands in
+the broker's result cache (rerunning a crashed campaign on the same
+cache runs only what it is missing), the local fleet can autoscale
+with the backlog, and short scenarios can be leased in splittable,
+steal-friendly chunks.
 
 Broker side (see :class:`DistributedRunner`)::
 
@@ -29,7 +30,7 @@ Worker side (one per core per host)::
     python -m repro campaign-worker --dir /shared/queue
 """
 
-from .broker import DirectoryBroker, TCPBroker, campaign_hash
+from .broker import DirectoryBroker, TCPBroker
 from .runner import DistributedRunner
 from .worker import execute_payload, run_directory_worker, run_tcp_worker
 from .workdir import WorkDir
@@ -39,7 +40,6 @@ __all__ = [
     "DistributedRunner",
     "TCPBroker",
     "WorkDir",
-    "campaign_hash",
     "execute_payload",
     "run_directory_worker",
     "run_tcp_worker",

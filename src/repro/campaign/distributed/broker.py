@@ -17,11 +17,12 @@ Fault tolerance:
   (in-payload stamps over the directory, ``heartbeat`` messages over
   TCP), so a lease expiring really means a dead worker, and requeue
   timeouts can stay short even with hour-long scenarios.
-* **Resume ledger** — every accepted ``(index, result)`` is journaled
-  to an append-only JSON-lines ledger, headed by the campaign's
-  content hash.  A restarted broker given ``resume=True`` replays the
-  ledger (validated per entry against the resubmitted specs) instead
-  of re-running completed work.
+* **Crash recovery through the result cache** — the broker keeps no
+  journal of its own: the runner front end
+  (:func:`~repro.campaign.runner.cached_run`) stores each accepted
+  result in the runner's :class:`~repro.campaign.cache.ResultCache`
+  (fsynced), so rerunning a crashed campaign on the same cache submits
+  only the uncached complement to a fresh broker.
 * **Chunked leases with stealing** — ``chunk_size > 1`` leases
   index-contiguous runs of tasks; when the queue runs dry and a worker
   asks for work, the broker splits the largest outstanding chunk so
@@ -50,11 +51,8 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import hashlib
 import heapq
 import itertools
-import json
-import os
 import queue
 import socketserver
 import threading
@@ -73,7 +71,7 @@ from ..failures import (
     FailureReport,
     RetryBudget,
 )
-from ..spec import ScenarioResult, Spec, content_hash
+from ..spec import ScenarioResult, Spec
 from .protocol import (
     PROTOCOL_VERSION,
     outcome_worker,
@@ -84,10 +82,7 @@ from .protocol import (
 )
 from .workdir import WorkDir
 
-__all__ = ["Broker", "DirectoryBroker", "TCPBroker", "campaign_hash"]
-
-#: Bumped on incompatible ledger format changes.
-LEDGER_VERSION = 1
+__all__ = ["Broker", "DirectoryBroker", "TCPBroker"]
 
 #: Order in which timers due at the same instant fire.
 _PRIORITY = {
@@ -118,18 +113,12 @@ def _outcome_index(payload) -> Optional[int]:
         return None
 
 
-def campaign_hash(items: List[Tuple[int, Spec]]) -> str:
-    """A stable identity for a submitted ``(index, spec)`` work list.
-
-    Built from the per-spec content hashes in index order, so the same
-    campaign resubmitted after a broker restart hashes identically —
-    and anything else (different sweep, different subset) does not.
-    """
-    blob = json.dumps(
-        [[int(i), content_hash(spec)] for i, spec in items],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+def _outcome_demoted(payload) -> int:
+    """The numeric demotions a result outcome reports (0 if none)."""
+    try:
+        return max(0, int(payload.get("demoted", 0)))
+    except (TypeError, ValueError):
+        return 0
 
 
 @dataclasses.dataclass
@@ -163,8 +152,6 @@ class Broker:
     and ``enqueue`` chunks, list ``leases`` as :data:`LeaseInfo`,
     ``reclaim`` a lease, ``split`` its tail, report ``demand``,
     ``retire`` a worker, and ``pop_outcomes``.
-
-    ``ledger_path=None`` disables journaling (and therefore resume).
     """
 
     def __init__(
@@ -175,7 +162,6 @@ class Broker:
         lease_timeout: float = 60.0,
         result_timeout: Optional[float] = None,
         chunk_size: int = 1,
-        ledger_path: Union[str, Path, None] = None,
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
@@ -199,7 +185,6 @@ class Broker:
         self.lease_timeout = float(lease_timeout)
         self.result_timeout = result_timeout
         self.chunk_size = int(chunk_size)
-        self.ledger_path = Path(ledger_path) if ledger_path else None
         self.health_threshold = health_threshold
         # Listing leases reads every claimed chunk on a shared
         # filesystem, and expiry only needs a fraction of the lease
@@ -225,11 +210,11 @@ class Broker:
         self.retired_workers: Set[str] = set()
         self._expected: Set[int] = set()
         self._resolved: Set[int] = set()
-        self._replayed: List[Tuple[int, ScenarioResult]] = []
         self._items: Dict[int, Spec] = {}
         self._attempts: Dict[int, int] = {}
         self._health: Dict[str, int] = {}
         self._stolen = 0
+        self._demoted = 0
         self._timers: List[Tuple[float, int, int, str, object]] = []
         self._seq = itertools.count()
         self._seen: Dict[object, _Lease] = {}
@@ -239,166 +224,22 @@ class Broker:
         #: first :meth:`step` of the job arms the periodic timers.
         self._progress: Optional[float] = None
 
-    def submit(
-        self,
-        items: List[Tuple[int, Spec]],
-        *,
-        resume: bool = False,
-        campaign: Optional[str] = None,
-    ) -> None:
-        """Start a job and publish its still-to-run work units.
-
-        With ``resume=True`` the ledger's validated entries are marked
-        resolved, queued for :meth:`outcomes` to replay, and not
-        published.
-
-        ``campaign`` is the *full* campaign's content hash.  Callers
-        that submit a filtered subset (the runner strips result-cache
-        hits before submitting) must pass the digest of the unfiltered
-        campaign — otherwise cache-state differences between the
-        crashed run and the resume run would change the hash and
-        defeat the ledger.  Defaults to hashing ``items`` itself.
-        """
+    def submit(self, items: List[Tuple[int, Spec]]) -> None:
+        """Start a job and publish its ``(index, spec)`` work units."""
         if self._expected - self._resolved:
             raise SchedulingError(
                 "broker already has an unfinished campaign"
-            )
-        if resume and self.ledger_path is None:
-            raise SchedulingError(
-                "resume requested but this broker has no ledger: the "
-                "TCP transport only journals when ledger_path= is set"
             )
         self._reset()
         self.job = _fresh_job_id()
         self._expected = {index for index, _spec in items}
         self._items = {int(i): spec for i, spec in items}
-        if self.ledger_path is not None:
-            digest = campaign or campaign_hash(items)
-            try:
-                self._open_ledger(items, resume, digest)
-            except SchedulingError:
-                # A refused resume must not wedge the broker in
-                # "unfinished campaign" state: the caller may retry
-                # submit() (e.g. without resume) on this instance.
-                self._reset()
-                raise
-        todo = [
-            (index, spec)
-            for index, spec in items
-            if index not in self._resolved
-        ]
         self._transport.publish(
             self.job,
-            todo,
+            items,
             chunk_size=self.chunk_size,
             timeout=self.budget.spec_timeout,
         )
-
-    # ------------------------------------------------------------------
-    # Resume ledger
-    # ------------------------------------------------------------------
-    def _open_ledger(
-        self, items: List[Tuple[int, Spec]], resume: bool, digest: str
-    ) -> None:
-        header = {
-            "kind": "header",
-            "version": LEDGER_VERSION,
-            "campaign": digest,
-        }
-        if resume and self.ledger_path.exists():
-            replayed = self._load_ledger(items, digest)
-            if replayed is None:
-                # Never truncate on a failed resume: the journal may
-                # hold hours of another campaign's completed work, and
-                # a fat-fingered rerun must not destroy it silently.
-                raise SchedulingError(
-                    f"--resume: ledger {self.ledger_path} does not "
-                    f"match this campaign (content hash {digest}); "
-                    "check the sweep parameters, or delete the ledger "
-                    "/ rerun without resume to start fresh"
-                )
-            for index, result in sorted(replayed.items()):
-                self._resolved.add(index)
-                self._replayed.append((index, result))
-            return  # keep appending to the validated ledger
-        self.ledger_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.ledger_path, "w") as handle:
-            handle.write(json.dumps(header) + "\n")
-
-    def _load_ledger(
-        self, items: List[Tuple[int, Spec]], digest: str
-    ) -> Optional[Dict[int, ScenarioResult]]:
-        """Validated ``index -> result`` entries, or ``None`` to discard.
-
-        The header must carry this campaign's content hash (a ledger
-        from a *different* sweep in the same directory is ignored) and
-        every entry must match the resubmitted spec at its index — a
-        belt-and-braces check against torn or alien lines.  A torn
-        final line (broker killed mid-append) is skipped, not fatal.
-        """
-        specs = {int(i): spec for i, spec in items}
-        entries: Dict[int, ScenarioResult] = {}
-        try:
-            lines = self.ledger_path.read_text().splitlines()
-        except OSError:
-            return None
-        header_ok = False
-        for lineno, line in enumerate(lines):
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue  # torn append; later lines may still parse
-            if not isinstance(data, dict):
-                continue
-            if lineno == 0:
-                header_ok = (
-                    data.get("kind") == "header"
-                    and data.get("version") == LEDGER_VERSION
-                    and data.get("campaign") == digest
-                )
-                if not header_ok:
-                    return None
-                continue
-            try:
-                index = int(data["index"])
-                spec = specs.get(index)
-                if spec is None:
-                    continue  # not part of this submission
-                if data.get("spec_hash") != content_hash(spec):
-                    continue  # alien entry; do not trust it
-                entries[index] = ScenarioResult.from_json(data["result"])
-            except (KeyError, TypeError, ValueError):
-                continue
-        return entries if header_ok else None
-
-    def _journal(self, index: int, result: ScenarioResult) -> None:
-        if self.ledger_path is None:
-            return
-        line = json.dumps(
-            {
-                "index": int(index),
-                "spec_hash": result.spec_hash,
-                "result": result.to_json(),
-            }
-        )
-        if faults.fire("ledger.append", index) == "corrupt":
-            line = faults.corrupt_text(line)
-        try:
-            with open(self.ledger_path, "a") as handle:
-                handle.write(line + "\n")
-                # fsync each append: a resumed campaign trusts the
-                # ledger to know what is done, so a host crash must
-                # not be able to eat acknowledged results that were
-                # still sitting in the page cache.
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError:
-            pass  # journaling is best-effort; the campaign continues
-
-    @property
-    def replayed(self) -> int:
-        """Results recovered from the ledger by the last ``submit``."""
-        return len(self._replayed)
 
     @property
     def telemetry(self) -> Dict[str, int]:
@@ -410,7 +251,8 @@ class Broker:
         a busy worker's lease for an idle one); ``retried`` counts
         re-executions charged to retry budgets; ``quarantined`` counts
         specs abandoned after exhausting theirs; ``retired`` counts
-        workers blacklisted by health scoring.
+        workers blacklisted by health scoring; ``demoted`` sums the
+        numeric demotions the accepted outcomes report.
         """
         return {
             "requeued": self.requeued_total,
@@ -418,11 +260,8 @@ class Broker:
             "retried": self.failure_report.retries,
             "quarantined": len(self.failure_report.quarantined),
             "retired": len(self.retired_workers),
+            "demoted": self._demoted,
         }
-
-    def _drain_replayed(self) -> Iterator[Tuple[int, ScenarioResult]]:
-        while self._replayed:
-            yield self._replayed.pop(0)
 
     @property
     def worker_health(self) -> Dict[str, int]:
@@ -444,11 +283,9 @@ class Broker:
     def outcomes(self) -> Iterator[Tuple[int, ScenarioResult]]:
         """Yield ``(index, result)`` until every unit is resolved.
 
-        Ledger replays come first; then one :meth:`step` per ``poll``
-        seconds of this host's monotonic clock, the only clock the
-        broker reads.
+        One :meth:`step` per ``poll`` seconds of this host's monotonic
+        clock, the only clock the broker reads.
         """
-        yield from self._drain_replayed()
         while not self.done:
             idle = True
             for accepted in self.step(time.monotonic()):
@@ -643,7 +480,7 @@ class Broker:
             self._spec_failed(index, outcome, now, outcome_worker(payload))
             return None
         self._resolved.add(index)
-        self._journal(index, outcome)
+        self._demoted += _outcome_demoted(payload)
         return index, outcome
 
     def _spec_failed(
@@ -669,8 +506,8 @@ class Broker:
             self._arm(now + verdict.delay, "retry", index)
         elif verdict.kind == QUARANTINED:
             # Quarantine resolves the unit (without a result) so the
-            # campaign can finish; it is never journaled, so a resumed
-            # run gets a fresh chance at the spec.
+            # campaign can finish; it is never cached, so a rerun gets
+            # a fresh chance at the spec.
             self._resolved.add(index)
         else:
             raise SchedulingError(
@@ -699,10 +536,7 @@ class Broker:
 class DirectoryBroker(Broker):
     """Serve a campaign out of a shared work directory.
 
-    ``options`` are :class:`Broker`'s, except ``ledger_path``: the
-    resume ledger lives at ``<root>/ledger.jsonl``; pass
-    ``submit(..., resume=True)`` after a broker crash to re-collect
-    journaled results instead of re-running them.  A lease is a claimed
+    ``options`` are :class:`Broker`'s.  A lease is a claimed
     chunk file; its renewal nonce is the lease stamp inside the payload
     (the file's mtime when the payload carries none), so worker clocks
     never enter an expiry decision.
@@ -710,9 +544,7 @@ class DirectoryBroker(Broker):
 
     def __init__(self, root: Union[str, Path], **options) -> None:
         self.workdir = WorkDir(root)
-        super().__init__(
-            self.workdir, ledger_path=self.workdir.ledger_path, **options
-        )
+        super().__init__(self.workdir, **options)
         self.workdir.ensure_layout()
 
     def close(self) -> None:
@@ -724,7 +556,7 @@ class DirectoryBroker(Broker):
 
         The directory broker holds no live resources — workers keep
         polling the directory and will serve whichever broker
-        publishes (or resumes) next.  Exists for interface symmetry
+        publishes next.  Exists for interface symmetry
         with :meth:`TCPBroker.abort` (crash simulation in tests,
         emergency preemption).
         """
@@ -986,8 +818,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 class TCPBroker(Broker):
     """Serve a campaign over a listening TCP socket.
 
-    ``options`` are :class:`Broker`'s; ``ledger_path`` enables the
-    resume ledger for TCP campaigns.  Binding happens in the
+    ``options`` are :class:`Broker`'s.  Binding happens in the
     constructor, so ``address`` (useful with port 0 for an ephemeral
     port) is known before any worker starts.  The accept loop runs in a
     daemon thread.  A lease belongs to one worker session; its renewal
@@ -1030,7 +861,7 @@ class TCPBroker(Broker):
         Severs the listening socket and every live worker connection,
         as a crashing broker would.  Workers started with a
         ``reconnect_grace`` keep retrying and rejoin a broker
-        restarted on the same port with ``resume=True`` (crash
+        restarted on the same port (crash
         simulation in tests, emergency preemption in production).
         """
         self._server.shutdown()

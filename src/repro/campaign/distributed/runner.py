@@ -23,10 +23,12 @@ and shrinks the local fleet with the observed backlog instead.
 
 Fault tolerance: worker heartbeats renew leases during long scenarios
 (``heartbeat``), crashed workers' chunks are requeued after
-``lease_timeout``, ``resume=True`` replays a previous (crashed)
-broker's result ledger instead of re-running completed scenarios, and
-``chunk_size > 1`` leases short scenarios in splittable,
-steal-friendly chunks.
+``lease_timeout``, and ``chunk_size > 1`` leases short scenarios in
+splittable, steal-friendly chunks.  A crashed broker loses no finished
+work the ``cache`` holds: every accepted result is stored there as it
+arrives, so rerunning the same campaign on the same cache (on this
+host, or on another one when the cache sits on shared storage)
+submits only the scenarios it does not hold yet.
 
 Determinism: specs carry their own ``SeedSequence``-derived seeds and
 results are streamed back index-tagged, so results and aggregates are
@@ -53,7 +55,7 @@ from ..growth import GrowableRunnerMixin
 from ..registry import PLUGINS_ENV, plugin_snapshot
 from ..runner import CampaignResult, Executed, OnResult, cached_run
 from ..spec import ScenarioResult, Spec
-from .broker import DirectoryBroker, TCPBroker, campaign_hash
+from .broker import DirectoryBroker, TCPBroker
 
 __all__ = ["DistributedRunner"]
 
@@ -75,9 +77,9 @@ class DistributedRunner(GrowableRunnerMixin):
         ``(host, port)`` TCP endpoint to listen on.
     cache:
         Optional :class:`ResultCache`, consulted and filled broker-side
-        (workers never touch it; point ``$REPRO_CAMPAIGN_CACHE`` at a
-        shared directory only if you also want worker-side tooling to
-        see it).
+        (workers never touch it).  It is also the crash-recovery
+        store: a rerun on the same cache skips every result a previous
+        broker accepted.
     n_local_workers:
         Worker subprocesses to spawn on this host (0 = the fleet is
         attached externally).  Ignored when ``autoscale`` is given.
@@ -98,16 +100,6 @@ class DistributedRunner(GrowableRunnerMixin):
         Tasks per lease.  >1 amortizes per-claim overhead for very
         short scenarios; the broker splits outstanding chunks when the
         queue runs dry so idle workers steal their tails.
-    resume:
-        Replay the transport's result ledger on the *first*
-        :meth:`run`, skipping scenarios a previous (crashed) broker
-        already collected.  The ledger is validated against the
-        campaign's content hash (a mismatch refuses rather than
-        truncating the journal).  Consumed by that first run: later
-        runs on the same runner (``extend`` suffixes) submit fresh.
-    ledger:
-        Ledger file for the TCP transport (the directory transport
-        always journals to ``<workdir>/ledger.jsonl``).
     result_timeout:
         Fail the campaign if no outcome arrives for this many seconds
         (``None`` waits forever) — the guard against running
@@ -141,8 +133,6 @@ class DistributedRunner(GrowableRunnerMixin):
         lease_timeout: float = 60.0,
         heartbeat: Optional[float] = 15.0,
         chunk_size: int = 1,
-        resume: bool = False,
-        ledger: Union[str, Path, None] = None,
         result_timeout: Optional[float] = None,
         autoscale_interval: float = 0.5,
         autoscale_idle: float = 5.0,
@@ -172,7 +162,6 @@ class DistributedRunner(GrowableRunnerMixin):
         self.autoscale_interval = float(autoscale_interval)
         self.autoscale_idle = float(autoscale_idle)
         self.heartbeat = heartbeat
-        self.resume = bool(resume)
         self.poll = float(poll)
         self._procs: List[subprocess.Popen] = []
         self._procs_lock = threading.Lock()
@@ -195,9 +184,7 @@ class DistributedRunner(GrowableRunnerMixin):
             self._worker_args = ["--dir", str(workdir)]
         else:
             host, port = listen
-            self._broker = TCPBroker(
-                host, int(port), ledger_path=ledger, **options
-            )
+            self._broker = TCPBroker(host, int(port), **options)
             bound_host, bound_port = self._broker.address
             self._worker_args = ["--connect", f"{bound_host}:{bound_port}"]
 
@@ -238,29 +225,10 @@ class DistributedRunner(GrowableRunnerMixin):
     ) -> Executed:
         """Submit ``pending`` to the broker and absorb its outcomes;
         the executor of :func:`~repro.campaign.runner.cached_run`."""
-        # resume applies to the restart moment only: a later run() on
-        # this runner (e.g. an extend() suffix) is a new submission
-        # whose hash would never match the ledger — consume the flag
-        # even when this run is served entirely from cache.
-        # repro: noqa[RACE001] -- submission-state flag; only the
-        # submitting thread reads or writes it
-        resume = self.resume
-        self.resume = False  # repro: noqa[RACE001] -- same as above:
-        # consumed on the submitting thread before the fleet starts
         if not pending:
             return FailureReport(), {}
-        # The ledger header must identify the *full* campaign, not the
-        # cache-filtered subset submitted below: cache state differs
-        # between a crashed run and its resume (collected results were
-        # cached), and must not change the hash.
-        self._broker.submit(
-            [(index, specs[index]) for index in pending],
-            resume=resume,
-            campaign=campaign_hash(list(enumerate(specs))),
-        )
-        replayed = self._broker.replayed  # drained by outcomes() below
-        if not self._broker.done:
-            self._start_fleet()
+        self._broker.submit([(index, specs[index]) for index in pending])
+        self._start_fleet()
         try:
             for index, result in self._broker.outcomes():
                 absorb(index, result)
@@ -268,9 +236,9 @@ class DistributedRunner(GrowableRunnerMixin):
             self._stop_autoscaler()
         counters = self._broker.telemetry
         return self._broker.failure_report, {
-            "replayed": replayed,
             "requeued": counters["requeued"],
             "stolen": counters["stolen"],
+            "demoted": counters["demoted"],
         }
 
     # ------------------------------------------------------------------

@@ -24,9 +24,6 @@ queue.  Layout under the root:
     Health blacklist: the broker writes a worker's token here when its
     failure score crosses the retirement threshold; the worker checks
     before every claim and exits instead of leasing more work.
-``ledger.jsonl``
-    The broker's append-only result journal (see
-    :mod:`~repro.campaign.distributed.broker`); never touched here.
 ``shutdown``
     Marker telling idle workers to exit.
 
@@ -83,7 +80,6 @@ class WorkDir:
         self.results = self.root / "results"
         self.starving = self.root / "starving"
         self.retired = self.root / "retired"
-        self.ledger_path = self.root / "ledger.jsonl"
         self.shutdown_marker = self.root / "shutdown"
 
     def ensure_layout(self) -> None:

@@ -57,7 +57,9 @@ def execute_payload(payload: Dict, *, worker: str = "") -> Dict:
     budgets and quarantine with provenance.  A parsed task runs as a
     contained one-spec unit of the local runner's worker: under the
     task's ``timeout`` watchdog, behind the ``spec.execute`` fault
-    point.  ``worker`` stamps outcomes for broker health scoring.
+    point.  ``worker`` stamps outcomes for broker health scoring, and
+    a result outcome names the battery pass's numeric demotions, when
+    there were any, under ``demoted``.
     """
     job = str(payload.get("job", ""))
     try:
@@ -71,10 +73,13 @@ def execute_payload(payload: Dict, *, worker: str = "") -> Dict:
         return error_payload(
             job, index, FailureInfo.from_exception(exc), worker=worker
         )
-    ((_index, result, failure),), _demoted = _run_unit(unit)
+    ((_index, result, failure),), demoted = _run_unit(unit)
     if failure is not None:
         return error_payload(job, index, failure, worker=worker)
-    return result_payload(job, index, result, worker=worker)
+    payload = result_payload(job, index, result, worker=worker)
+    if demoted:  # optional: a missing key reads as 0
+        payload["demoted"] = demoted
+    return payload
 
 
 class _IdleClock:

@@ -189,11 +189,14 @@ def _run_periodic(spec: ScenarioSpec) -> ScenarioResult:
     res = _simulate(spec)
     profile = res.profile()
     cell = _scenario_battery(spec)
-    battery_run = None
+    battery_run, demoted = None, 0
     if cell is not None:
-        battery_run = evaluate_lifetime(res, cell, rebin=spec.rebin).run
+        report = evaluate_lifetime(res, cell, rebin=spec.rebin)
+        battery_run, demoted = report.run, report.demoted
     return ScenarioResult(
-        spec=spec, metrics=_scenario_metrics(spec, res, profile, battery_run)
+        spec=spec,
+        metrics=_scenario_metrics(spec, res, profile, battery_run),
+        demoted=demoted,
     )
 
 
@@ -420,7 +423,8 @@ def _run_unit(unit: _Unit) -> _UnitOutcome:
 def _execute_unit(items: Tuple[Tuple[int, Spec], ...]) -> _UnitOutcome:
     if len(items) == 1:
         ((index, spec),) = items
-        return [(index, run_spec(spec), None)], 0
+        result = run_spec(spec)
+        return [(index, result, None)], result.demoted
     stats: Dict[str, int] = {}
     batched = run_scenario_batch(items, stats=stats)
     outcomes = [(index, result, None) for index, result in batched]
@@ -444,10 +448,8 @@ class CampaignResult:
 
     ``cache_hits`` counts results served from the on-disk cache;
     ``executed`` counts specs actually run (by a pool worker, the
-    calling process, or a distributed fleet); ``replayed`` counts
-    results a resuming distributed broker recovered from its ledger
-    instead of re-running.  The three sum to ``len(results)`` for a
-    plain :meth:`CampaignRunner.run`, while an
+    calling process, or a distributed fleet).  The two sum to
+    ``len(results)`` for a plain :meth:`CampaignRunner.run`, while an
     :meth:`~repro.campaign.growth.GrowableRunnerMixin.extend` reports
     the suffix run's counts next to the full merged result list.
 
@@ -473,7 +475,6 @@ class CampaignResult:
     n_workers: int
     cache_hits: int
     executed: int = 0
-    replayed: int = 0
     requeued: int = 0
     stolen: int = 0
     retried: int = 0
@@ -491,7 +492,6 @@ class CampaignResult:
             "scenarios": len(self.results),
             "executed": self.executed,
             "cache_hits": self.cache_hits,
-            "replayed": self.replayed,
             "requeued": self.requeued,
             "stolen": self.stolen,
             "retried": self.retried,
@@ -521,8 +521,10 @@ def cached_run(
     executor, which feeds each fresh ``(index, result)`` to ``absorb``
     and returns :data:`Executed` — stores each fresh result back and
     streams every result to ``on_result`` (cache hits first, then in
-    arrival order).  ``executed`` counts the pending specs that no
-    ``replayed`` ledger entry covered.
+    arrival order).  A fresh result reaches the cache before
+    ``on_result`` sees it, so a run cut short (a crash, or an
+    ``on_result`` that raises) reruns on the same cache from where it
+    stopped.
     """
     # repro: noqa[DET002] -- wall-time telemetry bracket; the
     # value lands only in CampaignResult.wall_time_s
@@ -557,7 +559,7 @@ def cached_run(
         wall_time_s=time.perf_counter() - start,
         n_workers=runner.n_workers,
         cache_hits=cache_hits,
-        executed=len(pending) - counters.get("replayed", 0),
+        executed=len(pending),
         retried=report.retries,
         quarantined=len(report.quarantined),
         failures=report if report else None,

@@ -240,13 +240,16 @@ class ScenarioResult:
 
     ``metrics`` values are plain floats (counts included), so results
     serialize losslessly and aggregate uniformly.  ``cached`` marks
-    results served from the on-disk cache rather than recomputed.
+    results served from the on-disk cache rather than recomputed;
+    ``demoted`` counts the numeric demotions ``run_spec`` took
+    computing it (a vector batch counts its own instead).
     """
 
     spec: Spec
     metrics: Dict[str, float]
     # Provenance only — a cache hit equals the freshly-computed result.
     cached: bool = field(default=False, compare=False)
+    demoted: int = field(default=0, compare=False)
 
     @property
     def spec_hash(self) -> str:

@@ -27,9 +27,6 @@ Fault-point catalog (see :data:`FAULT_POINTS`):
 ``cache.put``
     As a result-cache entry is written.  Kind: ``corrupt`` (the
     stored JSON is scrambled; the cache treats it as a miss later).
-``ledger.append``
-    As a resume-ledger line is journaled.  Kind: ``corrupt`` (the
-    line is scrambled; resume validation skips it).
 
 Determinism: every rule draws its probability stream from
 ``SeedSequence([plan.seed, rule_position])``, so a plan replays the
@@ -99,10 +96,6 @@ FAULT_POINTS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         "as a result-cache entry is written",
         ("corrupt",),
     ),
-    "ledger.append": (
-        "as a resume-ledger line is journaled",
-        ("corrupt",),
-    ),
 }
 
 
@@ -114,7 +107,7 @@ def corrupt_text(text: str) -> str:
     """Deterministically scramble ``text`` so it no longer parses.
 
     Keeps a recognizable prefix (useful when eyeballing a corrupted
-    ledger or cache entry) and guarantees the result is not valid
+    cache entry) and guarantees the result is not valid
     JSON.
     """
     keep = max(1, len(text) // 2)

@@ -3,26 +3,32 @@
 A seeded chaos controller (:class:`repro.faults.ProcessChaos`)
 SIGKILLs real worker subprocesses at seeded progress points
 mid-campaign (after the k-th accepted result, on any machine speed)
-while the broker is restarted mid-collection (simulated crash +
-``resume=True``), over both transports.  Whatever the fault schedule,
-the assembled results must be bit-identical to the sequential local
-runner's, and the resume ledger must prevent re-execution of
-scenarios the first broker already collected.
+while the broker is restarted mid-collection (simulated crash), over
+both transports.  Every accepted result goes into a
+:class:`~repro.campaign.cache.ResultCache`, as the runner front end
+stores it, and the restarted broker is submitted only the specs the
+cache does not hold.  Whatever the fault schedule, the assembled
+results must be bit-identical to the sequential local runner's, and
+the cache must hold every index exactly once.
 
 These tests boot real interpreters and wait out lease expiries; they
 are the slowest part of the suite.  Deselect locally with
 ``-m "not chaos"``.
 """
 
-import json
 import subprocess
 
 import numpy as np
 import pytest
 
 from repro import faults
-from repro.campaign import CampaignRunner, ScenarioSpec, spawn_seeds
-from repro.campaign.distributed import DirectoryBroker, TCPBroker, WorkDir
+from repro.campaign import (
+    CampaignRunner,
+    ResultCache,
+    ScenarioSpec,
+    spawn_seeds,
+)
+from repro.campaign.distributed import DirectoryBroker, TCPBroker
 
 pytestmark = pytest.mark.chaos
 
@@ -71,13 +77,15 @@ def sequential_metrics(seed):
     return _SEQUENTIAL[seed]
 
 
-def collect(broker, chaos, accepted, n=None):
+def collect(broker, chaos, accepted, cache, n=None):
     """Take outcomes from a broker: all of them, or stop after ``n``
-    (mid-collection).  ``accepted`` holds every index accepted so far
-    across broker sessions; its size is the campaign progress that
-    schedules the chaos kills."""
+    (mid-collection).  Each accepted result is stored in ``cache``
+    before the next is taken.  ``accepted`` holds every index accepted
+    so far across broker sessions; its size is the campaign progress
+    that schedules the chaos kills."""
     got = {}
     for index, result in broker.outcomes():
+        cache.put(result)
         got[index] = result
         accepted.add(index)
         chaos.observe(len(accepted))
@@ -86,29 +94,38 @@ def collect(broker, chaos, accepted, n=None):
     return got
 
 
-def assert_ledger_complete(ledger_path, n_specs):
-    """Every index journaled exactly once: duplicates (requeues that
-    raced a slow worker) are deduplicated *before* the journal."""
-    lines = ledger_path.read_text().splitlines()
-    indices = sorted(
-        json.loads(line)["index"]
-        for line in lines[1:]
-        if line.strip()
-    )
-    assert indices == list(range(n_specs))
+def uncached(specs, cache):
+    """The ``(index, spec)`` items a restarted broker is submitted."""
+    return [
+        (index, spec)
+        for index, spec in enumerate(specs)
+        if cache.get(spec) is None
+    ]
+
+
+def assert_cache_complete(cache, specs, seed):
+    """Every index stored exactly once, and the stored results are the
+    sequential runner's bit for bit."""
+    assert len(cache) == len(specs)
+    assert [
+        cache.get(spec).metrics for spec in specs
+    ] == sequential_metrics(seed)
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 class TestChaosDirectory:
     def test_kills_and_broker_restart(self, tmp_path, seed):
         specs = chaos_specs(seed)
+        cache = ResultCache(tmp_path / "cache")
+        queue = tmp_path / "queue"
+        queue.mkdir()
         rng = np.random.default_rng(seed)
         chaos = faults.ProcessChaos(
-            rng, ["--dir", str(tmp_path), *WORKER_FLAGS]
+            rng, ["--dir", str(queue), *WORKER_FLAGS]
         )
         try:
             first = DirectoryBroker(
-                tmp_path,
+                queue,
                 poll=0.02,
                 lease_timeout=2.0,
                 result_timeout=TIMEOUT,
@@ -116,47 +133,43 @@ class TestChaosDirectory:
             )
             first.submit(list(enumerate(specs)))
             accepted = set()
-            got = collect(first, chaos, accepted, CRASH_AFTER)
+            got = collect(first, chaos, accepted, cache, CRASH_AFTER)
             first.abort()  # "crash": no shutdown marker, no cleanup
 
             second = DirectoryBroker(
-                tmp_path,
+                queue,
                 poll=0.02,
                 lease_timeout=2.0,
                 result_timeout=TIMEOUT,
                 chunk_size=2,
             )
-            second.submit(list(enumerate(specs)), resume=True)
-            # The ledger replays exactly what the first broker
-            # accepted; only the complement is republished.
-            assert second.replayed == len(got)
-            assert second.remaining == len(specs) - len(got)
-            rest = collect(second, chaos, accepted)
-            assert sorted(rest) == list(range(len(specs)))
-            assert {i: rest[i] for i in got} == got  # replay == first
+            todo = uncached(specs, cache)
+            # Only the complement of what the first broker accepted.
+            assert sorted(i for i, _ in todo) == sorted(
+                set(range(len(specs))) - set(got)
+            )
+            second.submit(todo)
+            rest = collect(second, chaos, accepted, cache)
+            assert sorted(rest) == [i for i, _ in todo]
             second.close()
         finally:
             chaos.stop()
         assert chaos.killed == chaos.n_kills
-        assert [
-            rest[i].metrics for i in range(len(specs))
-        ] == sequential_metrics(seed)
-        assert_ledger_complete(WorkDir(tmp_path).ledger_path, len(specs))
+        assert_cache_complete(cache, specs, seed)
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 class TestChaosTCP:
     def test_kills_and_broker_restart(self, tmp_path, seed):
         specs = chaos_specs(seed)
+        cache = ResultCache(tmp_path / "cache")
         rng = np.random.default_rng(1000 + seed)
-        ledger = tmp_path / "ledger.jsonl"
         first = TCPBroker(
             port=0,
             poll=0.02,
             lease_timeout=2.0,
             result_timeout=TIMEOUT,
             chunk_size=2,
-            ledger_path=ledger,
         )
         host, port = first.address
         chaos = faults.ProcessChaos(
@@ -172,7 +185,7 @@ class TestChaosTCP:
         try:
             first.submit(list(enumerate(specs)))
             accepted = set()
-            got = collect(first, chaos, accepted, CRASH_AFTER)
+            got = collect(first, chaos, accepted, cache, CRASH_AFTER)
             # "Crash": sever the listening socket and every worker
             # connection; graceful workers reconnect within grace.
             first.abort()
@@ -184,24 +197,21 @@ class TestChaosTCP:
                 lease_timeout=2.0,
                 result_timeout=TIMEOUT,
                 chunk_size=2,
-                ledger_path=ledger,
             )
             try:
-                second.submit(list(enumerate(specs)), resume=True)
-                assert second.replayed == len(got)
-                assert second.remaining == len(specs) - len(got)
-                rest = collect(second, chaos, accepted)
+                todo = uncached(specs, cache)
+                assert sorted(i for i, _ in todo) == sorted(
+                    set(range(len(specs))) - set(got)
+                )
+                second.submit(todo)
+                rest = collect(second, chaos, accepted, cache)
             finally:
                 second.close()
-            assert sorted(rest) == list(range(len(specs)))
-            assert {i: rest[i] for i in got} == got
+            assert sorted(rest) == [i for i, _ in todo]
         finally:
             chaos.stop()
         assert chaos.killed == chaos.n_kills
-        assert [
-            rest[i].metrics for i in range(len(specs))
-        ] == sequential_metrics(seed)
-        assert_ledger_complete(ledger, len(specs))
+        assert_cache_complete(cache, specs, seed)
 
 
 class TestChaosBudget:

@@ -1,5 +1,6 @@
 """Fault-tolerance layer: heartbeat leases with in-payload clocks,
-the broker resume ledger, chunked work-stealing leases, autoscaling.
+crash recovery through the result cache, chunked work-stealing
+leases, autoscaling.
 
 These are the deterministic unit/integration tests; the randomized
 kill-and-restart harness lives in ``test_chaos.py``.
@@ -9,21 +10,27 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from repro.campaign import CampaignRunner, ScenarioSpec, spawn_seeds
+from repro.campaign import (
+    CampaignRunner,
+    ResultCache,
+    ScenarioSpec,
+    spawn_seeds,
+)
 from repro.campaign.distributed import (
     DirectoryBroker,
     DistributedRunner,
     TCPBroker,
     WorkDir,
-    campaign_hash,
     execute_payload,
     run_directory_worker,
     run_tcp_worker,
 )
 from repro.campaign.distributed.protocol import lease_stamp
+from repro.campaign.spec import content_hash
 from repro.errors import SchedulingError
 
 #: Generous stall guard: tests should fail loudly, never hang.
@@ -375,200 +382,124 @@ class TestChunkedLeases:
 
 
 # ----------------------------------------------------------------------
-# Resume ledger
+# Crash recovery: a rerun on the same result cache picks up where the
+# last broker stopped, over either transport
 # ----------------------------------------------------------------------
-class TestResumeLedger:
-    def run_once(self, tmp_path, specs):
-        runner = DistributedRunner(
-            workdir=tmp_path, poll=0.01, result_timeout=TIMEOUT
-        )
-        threads = [
-            fleet_thread(
-                run_directory_worker,
-                (tmp_path,),
-                poll=0.01,
-                idle_timeout=TIMEOUT,
-            )
-            for _ in range(2)
-        ]
-        try:
-            return runner.run(specs)
-        finally:
-            runner.close()
-            for t in threads:
-                t.join(timeout=10.0)
+class _Interrupt(Exception):
+    """Raised by an ``on_result`` callback to cut a campaign short."""
 
-    def test_resume_replays_instead_of_rerunning(self, tmp_path):
-        specs = small_specs()
-        first = self.run_once(tmp_path, specs)
-        assert first.executed == len(specs) and first.replayed == 0
-        # Restarted broker, no workers at all: everything replays.
-        again = DistributedRunner(
-            workdir=tmp_path, resume=True, result_timeout=1.0
+
+@contextmanager
+def cached_fleet(transport, tmp_path, *, workers=2):
+    """A :class:`DistributedRunner` on ``transport`` with the result
+    cache at ``tmp_path/cache`` and ``workers`` in-process workers; the
+    runner closes before the workers are joined."""
+    cache = ResultCache(tmp_path / "cache")
+    if transport == "dir":
+        runner = DistributedRunner(
+            workdir=tmp_path / "queue", cache=cache, poll=0.01,
+            result_timeout=TIMEOUT,
         )
-        try:
-            second = again.run(specs)
-        finally:
-            again.close()
-        assert second.replayed == len(specs) and second.executed == 0
+        target, args = run_directory_worker, (tmp_path / "queue",)
+        # A previous fleet's close() left the shutdown marker, which
+        # would send these workers home before the broker publishes.
+        WorkDir(tmp_path / "queue").clear_shutdown()
+    else:
+        runner = DistributedRunner(
+            listen=("127.0.0.1", 0), cache=cache, poll=0.01,
+            result_timeout=TIMEOUT,
+        )
+        target, args = run_tcp_worker, runner.address
+    threads = [
+        fleet_thread(target, args, poll=0.01, idle_timeout=TIMEOUT)
+        for _ in range(workers)
+    ]
+    try:
+        yield runner
+    finally:
+        runner.close()
+        for t in threads:
+            t.join(timeout=10.0)
+
+
+def stop_after(k):
+    """An ``on_result`` callback that raises on the ``k``-th result."""
+    seen = []
+
+    def on_result(index, result):
+        seen.append(index)
+        if len(seen) == k:
+            raise _Interrupt(index)
+
+    return on_result
+
+
+@pytest.mark.parametrize("transport", ["dir", "tcp"])
+class TestCacheResume:
+    def test_rerun_without_fleet_is_served_from_cache(
+        self, tmp_path, transport
+    ):
+        specs = small_specs()
+        with cached_fleet(transport, tmp_path) as runner:
+            first = runner.run(specs)
+        assert first.executed == len(specs) and first.cache_hits == 0
+        # Restarted broker, no workers at all: nothing is submitted.
+        with cached_fleet(transport, tmp_path, workers=0) as runner:
+            second = runner.run(specs)
+        assert second.cache_hits == len(specs) and second.executed == 0
         assert metrics_of(second) == metrics_of(first)
 
-    def test_resuming_a_different_campaign_is_refused(self, tmp_path):
-        """A mismatched --resume must refuse loudly, never silently
-        truncate the journal (hours of completed work)."""
-        self.run_once(tmp_path, small_specs())
-        ledger = WorkDir(tmp_path).ledger_path
-        before = ledger.read_text()
-        other = small_specs(2, ("laEDF",))
-        broker = DirectoryBroker(tmp_path, result_timeout=1.0)
-        with pytest.raises(SchedulingError, match="does not match"):
-            broker.submit(list(enumerate(other)), resume=True)
-        assert ledger.read_text() == before  # journal untouched
-
-    def test_resume_survives_cache_state_differences(self, tmp_path):
-        """The ledger header hashes the *full* campaign: a resume run
-        whose result cache already covers part of the sweep (so it
-        submits only a subset) must still replay the rest."""
-        from repro.campaign import ResultCache
-        from repro.campaign.runner import run_spec
-
-        specs = small_specs()
-        self.run_once(tmp_path, specs)  # full ledger, no cache
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interrupted_run_reruns_only_the_rest(
+        self, tmp_path, transport, k
+    ):
+        specs = small_specs(3)
+        with cached_fleet(transport, tmp_path) as runner:
+            with pytest.raises(_Interrupt):
+                runner.run(specs, on_result=stop_after(k))
         cache = ResultCache(tmp_path / "cache")
-        for spec in specs[:2]:  # warm the cache for half the sweep
-            cache.put(run_spec(spec))
-        again = DistributedRunner(
-            workdir=tmp_path,
-            cache=cache,
-            resume=True,
-            result_timeout=1.0,
-        )
-        try:
-            second = again.run(specs)
-        finally:
-            again.close()
-        assert second.cache_hits == 2
-        assert second.replayed == len(specs) - 2
-        assert second.executed == 0  # nothing re-ran anywhere
+        assert len(cache) == k  # stored before on_result saw it
+        with cached_fleet(transport, tmp_path) as runner:
+            second = runner.run(specs)
+        assert second.cache_hits == k
+        assert second.executed == len(specs) - k
+        assert metrics_of(second) == metrics_of(CampaignRunner(1).run(specs))
+        # Every spec stored exactly once, one entry per index.
+        assert len(cache) == len(specs)
+        assert all(cache.get(spec) is not None for spec in specs)
 
-    def test_partial_ledger_republishes_only_the_rest(self, tmp_path):
+    def test_corrupt_entry_is_rerun_and_rewritten(
+        self, tmp_path, transport
+    ):
         specs = small_specs()
-        self.run_once(tmp_path, specs)
-        ledger = WorkDir(tmp_path).ledger_path
-        lines = ledger.read_text().splitlines()
-        # Keep the header and two entries, tear the third mid-write.
-        ledger.write_text(
-            "\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2]
-        )
-        broker = DirectoryBroker(tmp_path, result_timeout=1.0)
-        broker.submit(list(enumerate(specs)), resume=True)
-        assert broker.replayed == 2
-        assert broker.remaining == len(specs) - 2
-        replayed = dict(broker._drain_replayed())
-        local = CampaignRunner(1).run(specs)
-        for index, result in replayed.items():
-            assert result.metrics == local.results[index].metrics
+        with cached_fleet(transport, tmp_path) as runner:
+            runner.run(specs)
+        cache = ResultCache(tmp_path / "cache")
+        torn = cache.root / f"{content_hash(specs[1])}.json"
+        torn.write_text(torn.read_text()[:40])  # torn mid-write
+        with cached_fleet(transport, tmp_path) as runner:
+            second = runner.run(specs)
+        assert second.cache_hits == len(specs) - 1
+        assert second.executed == 1
+        assert metrics_of(second) == metrics_of(CampaignRunner(1).run(specs))
+        assert cache.get(specs[1]) is not None
 
-    def test_corrupt_entries_are_skipped(self, tmp_path):
-        specs = small_specs(1)
-        self.run_once(tmp_path, specs)
-        ledger = WorkDir(tmp_path).ledger_path
-        lines = ledger.read_text().splitlines()
-        doctored = json.loads(lines[1])
-        doctored["spec_hash"] = "0" * 16  # alien entry
-        lines.insert(1, json.dumps(doctored))
-        ledger.write_text("\n".join(lines) + "\n")
-        broker = DirectoryBroker(tmp_path, result_timeout=1.0)
-        broker.submit(list(enumerate(specs)), resume=True)
-        # The doctored duplicate is ignored; the honest ones replay.
-        assert broker.replayed == len(specs)
-
-    def test_extend_after_resume_submits_fresh(self, tmp_path):
-        """resume is consumed by the first run: growing a resumed
-        campaign must submit the suffix fresh, not re-validate it
-        against the full campaign's ledger header."""
+    def test_extend_after_rerun_runs_only_the_suffix(
+        self, tmp_path, transport
+    ):
         template = lambda seed, i: ScenarioSpec(  # noqa: E731
             scheme="EDF", n_graphs=2, seed=seed
         )
-        first = DistributedRunner(
-            workdir=tmp_path, poll=0.01, result_timeout=TIMEOUT
-        )
-        t = fleet_thread(
-            run_directory_worker,
-            (tmp_path,),
-            poll=0.01,
-            idle_timeout=TIMEOUT,
-        )
-        try:
-            first.run_campaign(template, 2, root_seed=0)
-        finally:
-            first.close()
-            t.join(timeout=10.0)
-        second = DistributedRunner(
-            workdir=tmp_path, resume=True, poll=0.01,
-            result_timeout=TIMEOUT,
-        )
-        resumed = second.run_campaign(template, 2, root_seed=0)
-        assert resumed.replayed == 2 and resumed.executed == 0
-        t = fleet_thread(
-            run_directory_worker,
-            (tmp_path,),
-            poll=0.01,
-            idle_timeout=TIMEOUT,
-        )
-        try:
-            bigger = second.extend(1)
-        finally:
-            second.close()
-            t.join(timeout=10.0)
-        assert bigger.executed == 1 and bigger.replayed == 0
+        with cached_fleet(transport, tmp_path) as runner:
+            runner.run_campaign(template, 2, root_seed=0)
+        with cached_fleet(transport, tmp_path) as runner:
+            rerun = runner.run_campaign(template, 2, root_seed=0)
+            assert rerun.cache_hits == 2 and rerun.executed == 0
+            bigger = runner.extend(1)
+        assert bigger.executed == 1 and bigger.cache_hits == 0
         assert len(bigger.results) == 3
-
-    def test_tcp_resume_without_ledger_is_an_error(self):
-        broker = TCPBroker(port=0, result_timeout=1.0)
-        try:
-            with pytest.raises(SchedulingError, match="ledger"):
-                broker.submit(
-                    list(enumerate(small_specs(1))), resume=True
-                )
-        finally:
-            broker.close()
-
-    def test_campaign_hash_tracks_specs_and_indices(self):
-        items = list(enumerate(small_specs(1)))
-        assert campaign_hash(items) == campaign_hash(list(items))
-        shifted = [(i + 1, s) for i, s in items]
-        assert campaign_hash(items) != campaign_hash(shifted)
-
-    def test_tcp_resume_via_explicit_ledger(self, tmp_path):
-        specs = small_specs(1)
-        ledger = tmp_path / "ledger.jsonl"
-        broker = TCPBroker(
-            port=0, poll=0.02, result_timeout=TIMEOUT, ledger_path=ledger
-        )
-        host, port = broker.address
-        broker.submit(list(enumerate(specs)))
-        t = fleet_thread(
-            run_tcp_worker,
-            (host, port),
-            poll=0.02,
-            idle_timeout=TIMEOUT,
-        )
-        try:
-            first = dict(broker.outcomes())
-        finally:
-            broker.close()
-            t.join(timeout=10.0)
-        second = TCPBroker(port=0, result_timeout=1.0, ledger_path=ledger)
-        try:
-            second.submit(list(enumerate(specs)), resume=True)
-            assert second.replayed == len(specs)
-            replayed = dict(second.outcomes())
-        finally:
-            second.close()
-        assert {
-            i: r.metrics for i, r in replayed.items()
-        } == {i: r.metrics for i, r in first.items()}
+        local = CampaignRunner(1).run_campaign(template, 3, root_seed=0)
+        assert metrics_of(bigger) == metrics_of(local)
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,43 @@ def assert_metrics_equal(a, b):
         assert b.metrics[key] == val, key
 
 
+def nan_fast_runs(monkeypatch):
+    """Every fast battery run comes back NaN, so each battery load is
+    demoted to the scalar path once."""
+    from repro.battery.base import BatteryModel, BatteryRun
+
+    def nan_run(self, d, i, repeat, max_time):
+        nan = float("nan")
+        return BatteryRun(died=True, lifetime=nan, delivered_charge=nan)
+
+    monkeypatch.setattr(BatteryModel, "_run_profile_fast", nan_run)
+
+
+def fleet_run(specs, tmp_path):
+    """``specs`` on a directory broker served by one in-process worker
+    thread, which runs each task through ``execute_payload``."""
+    import threading
+
+    from repro.campaign.distributed import (
+        DistributedRunner,
+        run_directory_worker,
+    )
+
+    dist = DistributedRunner(workdir=tmp_path, poll=0.01, result_timeout=60)
+    worker = threading.Thread(
+        target=run_directory_worker,
+        args=(tmp_path,),
+        kwargs=dict(poll=0.01, idle_timeout=60),
+        daemon=True,
+    )
+    worker.start()
+    try:
+        return dist.run(specs)
+    finally:
+        dist.close()
+        worker.join(timeout=10.0)
+
+
 class TestRunScenarioBatch:
     def test_naive_batch_bitwise_equals_run_spec(self):
         got = run_scenario_batch(list(enumerate(SPECS)))
@@ -47,13 +84,7 @@ class TestRunScenarioBatch:
         """A fast battery run that comes back NaN is re-run on the
         scalar path whether the spec runs alone or in a batch, so the
         worker count cannot change a scenario's answer."""
-        from repro.battery.base import BatteryModel, BatteryRun
-
-        def nan_run(self, d, i, repeat, max_time):
-            nan = float("nan")
-            return BatteryRun(died=True, lifetime=nan, delivered_charge=nan)
-
-        monkeypatch.setattr(BatteryModel, "_run_profile_fast", nan_run)
+        nan_fast_runs(monkeypatch)
         spec = ScenarioSpec(
             scheme="BAS-2", n_graphs=2, seed=3, battery="kibam"
         )
@@ -65,6 +96,34 @@ class TestRunScenarioBatch:
 
 
 class TestRunnerBatching:
+    @pytest.mark.parametrize(
+        "route", ["one-spec", "contained", "fleet", "batch"]
+    )
+    def test_demotions_are_counted_on_every_route(
+        self, route, monkeypatch, tmp_path
+    ):
+        """A battery demotion reaches ``CampaignResult.demoted``
+        whether its spec runs alone, in a contained unit, on a fleet
+        worker or in a vector batch, and the lifetimes agree."""
+        nan_fast_runs(monkeypatch)
+        specs = [
+            ScenarioSpec(scheme="BAS-2", n_graphs=2, seed=s, battery="kibam")
+            for s in (3, 4, 5)
+        ]
+        if route == "one-spec":
+            campaign = CampaignRunner(1).run(specs)
+        elif route == "contained":
+            campaign = CampaignRunner(1, max_retries=1).run(specs)
+        elif route == "fleet":
+            campaign = fleet_run(specs, tmp_path)
+        else:
+            monkeypatch.setattr(runner, "MIN_LANES", 2)
+            campaign = CampaignRunner(1).run(specs)
+        assert campaign.demoted == len(specs)
+        assert campaign.metrics("lifetime_min") == tuple(
+            run_spec(spec).metrics["lifetime_min"] for spec in specs
+        )
+
     def test_sim_batch_matches_unbatched(self):
         batched = CampaignRunner().run(SPECS)
         assert len(batched.results) == len(SPECS)

@@ -1,4 +1,4 @@
-"""Structured campaign telemetry: requeue/steal/replay counters."""
+"""Structured campaign telemetry: requeue/steal/demotion counters."""
 
 import threading
 
@@ -30,7 +30,6 @@ class TestLocalTelemetry:
             "scenarios": 1,
             "executed": 1,
             "cache_hits": 0,
-            "replayed": 0,
             "requeued": 0,
             "stolen": 0,
             "retried": 0,
@@ -48,6 +47,7 @@ class TestBrokerTelemetry:
             "retried": 0,
             "quarantined": 0,
             "retired": 0,
+            "demoted": 0,
         }
         broker.close()
 
