@@ -736,7 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
         "or $REPRO_CAMPAIGN_CACHE)",
     )
     p.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
+        "--no-cache", action="store_true",
+        help="disable the result cache (with --backend dist this also "
+        "disables crash recovery: a rerun starts over)",
     )
     add_driver_backend(p)
     p.add_argument(

@@ -61,7 +61,6 @@ import uuid
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from ... import faults
 from ...errors import SchedulingError, SpecTimeout
 from ...locks import assert_held, contract_lock
 from ..failures import (

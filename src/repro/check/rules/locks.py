@@ -22,10 +22,10 @@ configuration).
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..config import CheckConfig
-from ..context import Module, call_name, dotted_name
+from ..context import Module, call_name
 from ..registry import register_rule
 
 RULE = "RACE001"

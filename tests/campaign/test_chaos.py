@@ -4,12 +4,14 @@ A seeded chaos controller (:class:`repro.faults.ProcessChaos`)
 SIGKILLs real worker subprocesses at seeded progress points
 mid-campaign (after the k-th accepted result, on any machine speed)
 while the broker is restarted mid-collection (simulated crash), over
-both transports.  Every accepted result goes into a
-:class:`~repro.campaign.cache.ResultCache`, as the runner front end
-stores it, and the restarted broker is submitted only the specs the
-cache does not hold.  Whatever the fault schedule, the assembled
-results must be bit-identical to the sequential local runner's, and
-the cache must hold every index exactly once.
+both transports.  Both broker sessions run through
+:class:`~repro.campaign.distributed.DistributedRunner` on one
+:class:`~repro.campaign.cache.ResultCache`: the first is cut short by
+its ``on_result`` callback and then aborted, and the rerun on the
+same cache serves what the first stored and executes only the rest.
+Whatever the fault schedule, the assembled results must be
+bit-identical to the sequential local runner's, and every index must
+be accepted exactly once.
 
 These tests boot real interpreters and wait out lease expiries; they
 are the slowest part of the suite.  Deselect locally with
@@ -28,7 +30,7 @@ from repro.campaign import (
     ScenarioSpec,
     spawn_seeds,
 )
-from repro.campaign.distributed import DirectoryBroker, TCPBroker
+from repro.campaign.distributed import DirectoryBroker, DistributedRunner
 
 pytestmark = pytest.mark.chaos
 
@@ -43,6 +45,11 @@ CHAOS_SEEDS = range(5)
 #: mid-execution, short enough to keep the harness quick.
 N_SCENARIOS = 4
 SPEC_KW = dict(n_graphs=2, horizon=2000.0, on_miss="record")
+
+#: Broker settings of every chaos session: short leases, small chunks.
+RUNNER_KW = dict(
+    poll=0.02, lease_timeout=2.0, result_timeout=TIMEOUT, chunk_size=2
+)
 
 #: Flags every chaos worker runs with: tight poll, fast heartbeat.
 WORKER_FLAGS = [
@@ -77,35 +84,57 @@ def sequential_metrics(seed):
     return _SEQUENTIAL[seed]
 
 
-def collect(broker, chaos, accepted, cache, n=None):
-    """Take outcomes from a broker: all of them, or stop after ``n``
-    (mid-collection).  Each accepted result is stored in ``cache``
-    before the next is taken.  ``accepted`` holds every index accepted
-    so far across broker sessions; its size is the campaign progress
-    that schedules the chaos kills."""
-    got = {}
-    for index, result in broker.outcomes():
-        cache.put(result)
-        got[index] = result
+class _Crash(Exception):
+    """Raised by ``on_result`` to stop the first broker mid-campaign."""
+
+
+def observer(chaos, accepted, crash_after=None):
+    """An ``on_result`` callback for one broker session.
+
+    It fails on an index the session streams twice, adds each index to
+    ``accepted`` (every index accepted so far across sessions; its size
+    is the campaign progress that schedules the chaos kills) and
+    raises :class:`_Crash` after ``crash_after`` results."""
+    seen = set()
+
+    def on_result(index, result):
+        assert index not in seen, f"index {index} accepted twice"
+        seen.add(index)
         accepted.add(index)
         chaos.observe(len(accepted))
-        if n is not None and len(got) >= n:
-            break
-    return got
+        if crash_after is not None and len(seen) >= crash_after:
+            raise _Crash
+
+    return on_result
 
 
-def uncached(specs, cache):
-    """The ``(index, spec)`` items a restarted broker is submitted."""
-    return [
-        (index, spec)
-        for index, spec in enumerate(specs)
-        if cache.get(spec) is None
-    ]
+def crash_then_rerun(first, second_factory, specs, cache, chaos):
+    """Cut ``first`` short after :data:`CRASH_AFTER` results and abort
+    its broker, then rerun ``specs`` on the same cache through the
+    runner ``second_factory()`` builds; return the rerun's result."""
+    accepted = set()
+    try:
+        with pytest.raises(_Crash):
+            first.run(
+                specs, on_result=observer(chaos, accepted, CRASH_AFTER)
+            )
+    finally:
+        first._broker.abort()  # "crash": no shutdown marker, no cleanup
+    stored = len(accepted)
+    assert len(cache) == stored  # stored before on_result saw it
+    with second_factory() as second:
+        rerun = second.run(specs, on_result=observer(chaos, accepted))
+    # The restarted broker was submitted only the uncached complement.
+    assert rerun.cache_hits == stored
+    assert rerun.executed == len(specs) - stored
+    assert sorted(accepted) == list(range(len(specs)))
+    return rerun
 
 
-def assert_cache_complete(cache, specs, seed):
-    """Every index stored exactly once, and the stored results are the
-    sequential runner's bit for bit."""
+def assert_bit_identical(rerun, cache, specs, seed):
+    """The rerun's results and the cache's entries are the sequential
+    runner's bit for bit, one cache entry per index."""
+    assert [r.metrics for r in rerun.results] == sequential_metrics(seed)
     assert len(cache) == len(specs)
     assert [
         cache.get(spec).metrics for spec in specs
@@ -123,39 +152,16 @@ class TestChaosDirectory:
         chaos = faults.ProcessChaos(
             rng, ["--dir", str(queue), *WORKER_FLAGS]
         )
-        try:
-            first = DirectoryBroker(
-                queue,
-                poll=0.02,
-                lease_timeout=2.0,
-                result_timeout=TIMEOUT,
-                chunk_size=2,
-            )
-            first.submit(list(enumerate(specs)))
-            accepted = set()
-            got = collect(first, chaos, accepted, cache, CRASH_AFTER)
-            first.abort()  # "crash": no shutdown marker, no cleanup
 
-            second = DirectoryBroker(
-                queue,
-                poll=0.02,
-                lease_timeout=2.0,
-                result_timeout=TIMEOUT,
-                chunk_size=2,
-            )
-            todo = uncached(specs, cache)
-            # Only the complement of what the first broker accepted.
-            assert sorted(i for i, _ in todo) == sorted(
-                set(range(len(specs))) - set(got)
-            )
-            second.submit(todo)
-            rest = collect(second, chaos, accepted, cache)
-            assert sorted(rest) == [i for i, _ in todo]
-            second.close()
+        def runner():
+            return DistributedRunner(workdir=queue, cache=cache, **RUNNER_KW)
+
+        try:
+            rerun = crash_then_rerun(runner(), runner, specs, cache, chaos)
         finally:
             chaos.stop()
         assert chaos.killed == chaos.n_kills
-        assert_cache_complete(cache, specs, seed)
+        assert_bit_identical(rerun, cache, specs, seed)
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -164,12 +170,8 @@ class TestChaosTCP:
         specs = chaos_specs(seed)
         cache = ResultCache(tmp_path / "cache")
         rng = np.random.default_rng(1000 + seed)
-        first = TCPBroker(
-            port=0,
-            poll=0.02,
-            lease_timeout=2.0,
-            result_timeout=TIMEOUT,
-            chunk_size=2,
+        first = DistributedRunner(
+            listen=("127.0.0.1", 0), cache=cache, **RUNNER_KW
         )
         host, port = first.address
         chaos = faults.ProcessChaos(
@@ -182,36 +184,21 @@ class TestChaosTCP:
                 *WORKER_FLAGS,
             ],
         )
-        try:
-            first.submit(list(enumerate(specs)))
-            accepted = set()
-            got = collect(first, chaos, accepted, cache, CRASH_AFTER)
-            # "Crash": sever the listening socket and every worker
-            # connection; graceful workers reconnect within grace.
-            first.abort()
 
-            second = TCPBroker(
-                "127.0.0.1",
-                port,  # same endpoint the fleet keeps dialing
-                poll=0.02,
-                lease_timeout=2.0,
-                result_timeout=TIMEOUT,
-                chunk_size=2,
+        def restarted():
+            # Same endpoint the fleet keeps dialing; the broker's abort
+            # severed every worker connection, and graceful workers
+            # reconnect within their grace.
+            return DistributedRunner(
+                listen=("127.0.0.1", port), cache=cache, **RUNNER_KW
             )
-            try:
-                todo = uncached(specs, cache)
-                assert sorted(i for i, _ in todo) == sorted(
-                    set(range(len(specs))) - set(got)
-                )
-                second.submit(todo)
-                rest = collect(second, chaos, accepted, cache)
-            finally:
-                second.close()
-            assert sorted(rest) == [i for i, _ in todo]
+
+        try:
+            rerun = crash_then_rerun(first, restarted, specs, cache, chaos)
         finally:
             chaos.stop()
         assert chaos.killed == chaos.n_kills
-        assert_cache_complete(cache, specs, seed)
+        assert_bit_identical(rerun, cache, specs, seed)
 
 
 class TestChaosBudget:
