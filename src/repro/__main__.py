@@ -355,8 +355,6 @@ def _cmd_campaign(args) -> str:
     )
     if campaign.requeued:
         footer += f", {campaign.requeued} requeued"
-    if campaign.stolen:
-        footer += f", {campaign.stolen} chunk(s) stolen"
     if campaign.retried:
         footer += f", {campaign.retried} retried"
     if campaign.quarantined:
@@ -758,8 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--chunk", type=int, default=1,
         help="dist backend: tasks per lease; >1 amortizes claim "
-        "overhead for very short scenarios (idle workers steal "
-        "chunk tails)",
+        "overhead for very short scenarios (a worker runs its whole "
+        "chunk unless the broker takes the lease back)",
     )
     p.add_argument(
         "--autoscale", default=None, metavar="MIN:MAX",

@@ -12,8 +12,7 @@ The backend is fault-tolerant: workers heartbeat their leases (long
 scenarios are never falsely requeued), every accepted result lands in
 the broker's result cache (rerunning a crashed campaign on the same
 cache runs only what it is missing), the local fleet can autoscale
-with the backlog, and short scenarios can be leased in splittable,
-steal-friendly chunks.
+with the backlog, and short scenarios can be leased in chunks.
 
 Broker side (see :class:`DistributedRunner`)::
 

@@ -23,10 +23,10 @@ Fault tolerance:
   result in the runner's :class:`~repro.campaign.cache.ResultCache`
   (fsynced), so rerunning a crashed campaign on the same cache submits
   only the uncached complement to a fresh broker.
-* **Chunked leases with stealing** — ``chunk_size > 1`` leases
-  index-contiguous runs of tasks; when the queue runs dry and a worker
-  asks for work, the broker splits the largest outstanding chunk so
-  the idle worker steals its tail.
+* **Chunked leases** — ``chunk_size > 1`` leases index-contiguous
+  runs of tasks.  The holder runs its chunk until it finishes, the
+  lease expires, the spec-deadline backstop takes it back, or the
+  worker hands the rest back at its ``max_tasks``.
 * **Worker health scoring** — every worker token accumulates a score
   (error outcome +1, crash/stale lease +2, corrupt payload +2); at
   ``health_threshold`` the broker *retires* the worker — blacklists
@@ -89,11 +89,10 @@ _PRIORITY = {
     "expire": 1,
     "overdue": 2,
     "scan": 3,
-    "steal": 4,
-    "stall": 5,
+    "stall": 4,
 }
 #: Timer kinds that act on leases: the leases are listed afresh first.
-_LEASE_KINDS = frozenset({"expire", "overdue", "scan", "steal"})
+_LEASE_KINDS = frozenset({"expire", "overdue", "scan"})
 
 #: ``(key, worker, remaining indices with the active one first,
 #: renewal nonce)``; a ``None`` nonce means the holder is known gone.
@@ -137,8 +136,8 @@ class _Lease:
 class Broker:
     """Every broker policy decision, independent of the transport.
 
-    Retry backoff, lease expiry, the spec-deadline backstop, the steal
-    trigger and the ``result_timeout`` stall guard are timers
+    Retry backoff, lease expiry, the spec-deadline backstop and the
+    ``result_timeout`` stall guard are timers
     ``(due, priority, seq, kind, key)`` on one heap, fired by
     :meth:`step` in due order.  A lease expires by one rule on every
     transport: its renewal nonce has not changed for
@@ -149,8 +148,7 @@ class Broker:
     server's shared state, or a test's in-memory fake — through the
     operations :class:`WorkDir` documents: ``publish`` (start a job)
     and ``enqueue`` chunks, list ``leases`` as :data:`LeaseInfo`,
-    ``reclaim`` a lease, ``split`` its tail, report ``demand``,
-    ``retire`` a worker, and ``pop_outcomes``.
+    ``reclaim`` a lease, ``retire`` a worker, and ``pop_outcomes``.
     """
 
     def __init__(
@@ -212,12 +210,10 @@ class Broker:
         self._items: Dict[int, Spec] = {}
         self._attempts: Dict[int, int] = {}
         self._health: Dict[str, int] = {}
-        self._stolen = 0
         self._demoted = 0
         self._timers: List[Tuple[float, int, int, str, object]] = []
         self._seq = itertools.count()
         self._seen: Dict[object, _Lease] = {}
-        self._hungry: Dict[str, object] = {}
         self._retries_pending = 0
         #: Broker time of the last accepted outcome; ``None`` until the
         #: first :meth:`step` of the job arms the periodic timers.
@@ -242,20 +238,18 @@ class Broker:
 
     @property
     def telemetry(self) -> Dict[str, int]:
-        """Fault/balance counters for the current campaign.
+        """Fault counters for the current campaign.
 
         ``requeued`` counts work units returned to the queue (expired
         leases, dead connections, the rest of a backstopped lease);
-        ``stolen`` counts work units moved by chunk steals (splits of
-        a busy worker's lease for an idle one); ``retried`` counts
-        re-executions charged to retry budgets; ``quarantined`` counts
-        specs abandoned after exhausting theirs; ``retired`` counts
-        workers blacklisted by health scoring; ``demoted`` sums the
-        numeric demotions the accepted outcomes report.
+        ``retried`` counts re-executions charged to retry budgets;
+        ``quarantined`` counts specs abandoned after exhausting theirs;
+        ``retired`` counts workers blacklisted by health scoring;
+        ``demoted`` sums the numeric demotions the accepted outcomes
+        report.
         """
         return {
             "requeued": self.requeued_total,
-            "stolen": self._stolen,
             "retried": self.failure_report.retries,
             "quarantined": len(self.failure_report.quarantined),
             "retired": len(self.retired_workers),
@@ -303,8 +297,6 @@ class Broker:
         if self._progress is None:
             self._progress = now
             self._arm(now, "scan")
-            if self.chunk_size > 1:  # single-task chunks never split
-                self._arm(now, "steal")
             if self.result_timeout is not None:
                 self._arm(now + self.result_timeout, "stall")
         for payload in self._transport.pop_outcomes(self.job):
@@ -409,30 +401,6 @@ class Broker:
 
     def _on_scan(self, now: float, _key: object) -> None:
         self._arm(now + self.scan_interval, "scan")
-
-    def _on_steal(self, now: float, _key: object) -> None:
-        """Split the biggest lease while a worker is starving: its
-        demand nonce changed since the last check.
-
-        An empty queue alone is not demand: with every worker busy on
-        its own chunk, splitting would only decay chunks to single
-        tasks and bring back the per-task overhead chunking saves.
-        """
-        self._arm(now + self.scan_interval, "steal")
-        demand, last = self._transport.demand(), self._hungry
-        self._hungry = demand
-        if all(last.get(who) == nonce for who, nonce in demand.items()):
-            return
-        victims = [
-            key
-            for key, lease in self._seen.items()
-            if len(lease.remaining) > 1
-        ]
-        if victims:
-            victim = max(
-                victims, key=lambda key: len(self._seen[key].remaining)
-            )
-            self._stolen += self._transport.split(victim)
 
     def _on_stall(self, now: float, _key: object) -> None:
         if self._retries_pending:
@@ -572,10 +540,6 @@ class _TCPState:
     every leased task index to the session that holds it, ``sessions``
     the reverse.  ``beats`` counts each connected session's requests —
     the renewal nonce of its lease; a closed session has no entry.
-    ``waits`` counts each session's lease requests answered ``wait``
-    since its last task — its demand signal.  ``stolen`` collects
-    indices taken from a session so its next outcome ack tells it to
-    skip them.
     """
 
     def __init__(self, poll: float) -> None:
@@ -592,8 +556,6 @@ class _TCPState:
         self.owner: Dict[int, str] = {}
         self.sessions: Dict[str, Set[int]] = {}
         self.beats: Dict[str, int] = {}
-        self.waits: Dict[str, int] = {}
-        self.stolen: Dict[str, Set[int]] = {}
         self.conns: Dict[str, object] = {}
         self.outcomes: "queue.Queue[object]" = queue.Queue()
         self.closing = False
@@ -618,7 +580,6 @@ class _TCPState:
                 self.tasks,
                 self.owner,
                 self.sessions,
-                self.stolen,
                 self.retired,
             ):
                 table.clear()
@@ -664,34 +625,11 @@ class _TCPState:
                 task = self.tasks.pop(index, None)
                 if task is not None and index != skip:
                     chunk.append(task)
-            if session_id in self.beats:  # still connected: skip them
-                self.stolen.setdefault(session_id, set()).update(indices)
-            else:
-                self.stolen.pop(session_id, None)
+            if session_id not in self.beats:  # the session is closed
                 self.worker_by_session.pop(session_id, None)
             if chunk:
                 self.pending.appendleft(chunk)
             return len(chunk)
-
-    def split(self, session_id: str) -> int:
-        """The victim keeps the front half (it executes front-to-back,
-        so the tail is the least likely to be in flight); its next
-        outcome ack names the stolen indices so it skips them."""
-        with self.lock:
-            ordered = sorted(self.sessions.get(session_id, ()))
-            chunk = []
-            for index in ordered[(len(ordered) + 1) // 2 :]:
-                self.sessions[session_id].discard(index)
-                self.owner.pop(index, None)
-                self.stolen.setdefault(session_id, set()).add(index)
-                chunk.append(self.tasks.pop(index))
-            if chunk:
-                self.pending.append(chunk)
-            return len(chunk)
-
-    def demand(self) -> Dict[str, object]:
-        with self.lock:
-            return {} if self.pending else dict(self.waits)
 
     def retire(self, worker: str) -> None:
         with self.lock:
@@ -709,7 +647,6 @@ class _TCPState:
             self.tasks[index] = task
             self.owner[index] = session_id
             self.sessions.setdefault(session_id, set()).add(index)
-        self.waits.pop(session_id, None)
 
     def release(self, index: int) -> None:
         assert_held(self.lock)
@@ -769,9 +706,6 @@ class _WorkerConnection(socketserver.StreamRequestHandler):
                             state.lease_to(session_id, chunk)
                             reply = {"op": "task", "tasks": chunk}
                         else:
-                            state.waits[session_id] = (
-                                state.waits.get(session_id, 0) + 1
-                            )
                             reply = {"op": "wait", "poll": state.poll}
                     send_msg(self.wfile, reply)
                 elif op == "heartbeat":
@@ -791,9 +725,12 @@ class _WorkerConnection(socketserver.StreamRequestHandler):
                             payload.get("job") == state.job
                         ):
                             state.release(index)
-                        stolen = sorted(state.stolen.pop(session_id, ()))
+                        # Whether the rest of this session's lease is
+                        # still its own: a taken-back lease stops the
+                        # worker at this ack.
+                        held = bool(state.sessions.get(session_id))
                     state.outcomes.put(payload)
-                    send_msg(self.wfile, {"op": "ok", "stolen": stolen})
+                    send_msg(self.wfile, {"op": "ok", "held": held})
                 else:
                     break
         except (OSError, ValueError):
@@ -802,10 +739,8 @@ class _WorkerConnection(socketserver.StreamRequestHandler):
             with state.lock:
                 state.conns.pop(session_id, None)
                 state.beats.pop(session_id, None)
-                state.waits.pop(session_id, None)
                 if not state.sessions.get(session_id):
                     state.sessions.pop(session_id, None)
-                    state.stolen.pop(session_id, None)
                     state.worker_by_session.pop(session_id, None)
 
 

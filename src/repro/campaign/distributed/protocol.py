@@ -54,7 +54,10 @@ __all__ = [
 #:    tasks may carry a per-spec execution ``timeout``.
 #: 4: the bare-string error outcome of v2 is gone: a non-dict
 #:    ``error`` is a malformed payload.
-PROTOCOL_VERSION = 4
+#: 5: chunks are never split: the TCP outcome ack says whether the
+#:    session still ``held`` the rest of its lease, in place of v4's
+#:    list of indices taken from it.
+PROTOCOL_VERSION = 5
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +97,8 @@ def chunk_payload(job: str, name: str, tasks: list) -> Dict:
 
     ``active`` holds the task a worker is currently executing (so a
     crashed worker's in-flight unit is recoverable from the file
-    alone); ``tasks`` holds the not-yet-started remainder, which a
-    broker may split off for idle workers to steal.  ``lease`` is the
-    in-payload lease clock (see :func:`stamp_lease`).
+    alone); ``tasks`` holds the not-yet-started remainder.  ``lease``
+    is the in-payload lease clock (see :func:`stamp_lease`).
     """
     return {
         "job": job,

@@ -24,7 +24,7 @@ and shrinks the local fleet with the observed backlog instead.
 Fault tolerance: worker heartbeats renew leases during long scenarios
 (``heartbeat``), crashed workers' chunks are requeued after
 ``lease_timeout``, and ``chunk_size > 1`` leases short scenarios in
-splittable, steal-friendly chunks.  A crashed broker loses no finished
+chunks.  A crashed broker loses no finished
 work the ``cache`` holds: every accepted result is stored there as it
 arrives, so rerunning the same campaign on the same cache (on this
 host, or on another one when the cache sits on shared storage)
@@ -33,7 +33,7 @@ submits only the scenarios it does not hold yet.
 Determinism: specs carry their own ``SeedSequence``-derived seeds and
 results are streamed back index-tagged, so results and aggregates are
 bit-identical to the sequential local runner, regardless of fleet
-size, scheduling, lease requeues, steals, or broker restarts.
+size, scheduling, lease requeues, or broker restarts.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class DistributedRunner(GrowableRunnerMixin):
         executing; passed to ``campaign-worker --heartbeat``.
     chunk_size:
         Tasks per lease.  >1 amortizes per-claim overhead for very
-        short scenarios; the broker splits outstanding chunks when the
-        queue runs dry so idle workers steal their tails.
+        short scenarios; a chunk's holder runs all of it unless the
+        broker takes the lease back.
     result_timeout:
         Fail the campaign if no outcome arrives for this many seconds
         (``None`` waits forever) — the guard against running
@@ -237,7 +237,6 @@ class DistributedRunner(GrowableRunnerMixin):
         counters = self._broker.telemetry
         return self._broker.failure_report, {
             "requeued": counters["requeued"],
-            "stolen": counters["stolen"],
             "demoted": counters["demoted"],
         }
 

@@ -17,24 +17,23 @@ queue.  Layout under the root:
 ``results/<job>-NNNNNN.json``
     Per-task outcome payloads, written atomically; the broker consumes
     (and deletes) them as they appear, ignoring alien jobs.
-``starving/<worker-token>``
-    Demand markers: a worker touches its token whenever a claim
-    attempt finds nothing, and clears it when it gets work.
 ``retired/<worker-token>``
     Health blacklist: the broker writes a worker's token here when its
     failure score crosses the retirement threshold; the worker checks
     before every claim and exits instead of leasing more work.
 ``shutdown``
-    Marker telling idle workers to exit.
+    Marker telling idle workers to exit.  It stays until the next
+    :meth:`WorkDir.publish`; a worker honours it only once it has seen
+    the queue live, so a marker left by a finished broker does not
+    stop a worker started for the next run.
 
-Work stealing: the broker splits the largest claimed chunk
-(:meth:`WorkDir.split`) when ``pending/`` runs dry *and* a starving
-marker keeps changing (:meth:`WorkDir.demand`), so the hungry worker's
-next claim *is* the steal.  Duplicate execution
-(a slow worker finishing after its chunk was split or requeued) is
-harmless: execution is deterministic, outcomes are deduplicated by
-index broker-side, and the job token keeps campaigns in the same
-directory from cross-talking.
+A chunk's holder runs it to the end unless the broker takes it back
+(:meth:`WorkDir.reclaim`: the lease expired or the spec-deadline
+backstop fired) or the worker hands the rest back at its
+``max_tasks``.  Duplicate execution (a slow worker finishing after its
+chunk was requeued) is harmless: execution is deterministic, outcomes
+are deduplicated by index broker-side, and the job token keeps
+campaigns in the same directory from cross-talking.
 """
 
 from __future__ import annotations
@@ -78,13 +77,11 @@ class WorkDir:
         self.pending = self.root / "pending"
         self.claimed = self.root / "claimed"
         self.results = self.root / "results"
-        self.starving = self.root / "starving"
         self.retired = self.root / "retired"
         self.shutdown_marker = self.root / "shutdown"
 
     def ensure_layout(self) -> None:
-        for sub in (self.pending, self.claimed, self.results,
-                    self.starving, self.retired):
+        for sub in (self.pending, self.claimed, self.results, self.retired):
             sub.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -232,45 +229,6 @@ class WorkDir:
             pass
         return requeued
 
-    def split(self, name: str) -> int:
-        """Move the back half of a claimed chunk's not-yet-started
-        tasks to a fresh pending chunk; count the tasks moved.
-
-        The owner keeps the front half — it executes from the front —
-        and a starving worker's next claim *is* the steal.  A
-        concurrent rewrite by the owner can resurrect a task in both
-        halves; duplicates are deduplicated broker-side.
-        """
-        path = self.claimed / name
-        payload = read_json(path)
-        if payload is None:
-            return 0
-        tasks = list(payload.get("tasks") or ())
-        keep = (len(tasks) + 1) // 2
-        if keep == len(tasks):
-            return 0
-        payload["tasks"] = tasks[:keep]
-        atomic_write_json(path, payload)
-        return self._publish_chunk(str(payload.get("job", "")), tasks[keep:])
-
-    def demand(self) -> Dict[str, float]:
-        """Workers asking for work while nothing is pending: token ->
-        its starving marker's mtime, which changes while the worker
-        keeps finding nothing (the steal signal)."""
-        try:
-            if any(self.pending.glob("chunk-*.json")):
-                return {}
-            markers = sorted(self.starving.glob("*"))
-        except OSError:
-            return {}
-        found = {}
-        for path in markers:
-            try:
-                found[path.name] = path.stat().st_mtime
-            except OSError:
-                continue  # the worker just found work and cleared it
-        return found
-
     def retire(self, token: str) -> None:
         """Broker-side: blacklist ``token`` (health score exceeded)."""
         try:
@@ -287,20 +245,6 @@ class WorkDir:
             return (self.retired / token).exists()
         except OSError:
             return False
-
-    def mark_starving(self, token: str) -> None:
-        """Worker-side: record that a claim attempt found nothing."""
-        try:
-            self.starving.mkdir(parents=True, exist_ok=True)
-            (self.starving / token).touch()
-        except OSError:
-            pass  # demand signal is best-effort
-
-    def clear_starving(self, token: str) -> None:
-        try:
-            (self.starving / token).unlink()
-        except OSError:
-            pass
 
     def backlog(self) -> int:
         """Unfinished tasks visible in the queue (pending + claimed)."""
@@ -371,7 +315,7 @@ class WorkDir:
         return None
 
     def refresh(self, chunk: str) -> Optional[Dict]:
-        """Re-read a claimed chunk; ``None`` if it was stolen/requeued."""
+        """Re-read a claimed chunk; ``None`` if it was requeued."""
         return read_json(self.claimed / chunk)
 
     def update(self, payload: Dict) -> None:
@@ -384,7 +328,7 @@ class WorkDir:
         try:
             (self.claimed / chunk).unlink()
         except OSError:
-            pass  # requeued/stolen while we finished
+            pass  # requeued while we finished
 
     def renew(self, chunk: str) -> bool:
         """Heartbeat: refresh a claimed chunk's lease stamp.

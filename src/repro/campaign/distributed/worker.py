@@ -8,6 +8,16 @@ sequential runner would.  Run one per core per host via the CLI::
     python -m repro campaign-worker --dir /shared/campaign-queue
     python -m repro campaign-worker --connect broker-host:7777
 
+Both transports run one loop, :func:`_serve`: lease a chunk, execute
+its tasks in index order, submit each outcome, repeat.  A small
+worker-side *link* supplies the mechanics — :class:`_DirectoryLink`
+over a :class:`~.workdir.WorkDir`, :class:`_TCPLink` over a
+:class:`_BrokerSession` — so idle and shutdown handling, heartbeats,
+``max_tasks`` and the ``transport.result`` fault point live in the
+loop alone.  A leased chunk is run by its holder until it finishes,
+the broker takes it back (lease expiry or the spec-deadline
+backstop), or the worker hands the rest back at ``max_tasks``.
+
 While a scenario executes, a background *heartbeat* thread renews the
 worker's lease (rewriting the lease stamp in the directory transport,
 sending ``heartbeat`` messages over TCP) so long scenarios are never
@@ -26,7 +36,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from typing import Dict, List, Optional, Union
 
 from ... import faults
 from ...errors import SchedulingError
@@ -131,70 +141,169 @@ class _Heartbeat:
             self._thread.join(timeout=5.0)
 
 
-def _serve_chunk(
-    workdir: WorkDir,
-    payload: Dict,
-    *,
-    heartbeat: Optional[float],
-    executed: int,
-    max_tasks: Optional[int],
-    worker: str = "",
-) -> int:
-    """Execute a claimed chunk task-by-task; return new executed count.
+# ----------------------------------------------------------------------
+# The one worker loop
+# ----------------------------------------------------------------------
+class _Link:
+    """A worker's side of one transport, as :func:`_serve` drives it.
 
-    The claimed file is the source of truth for what is still ours:
-    before every task it is re-read, so a broker split (work stealing)
-    or a wholesale requeue shrinks or ends the chunk mid-flight.  The
-    lease stamp is renewed by the heartbeat thread during execution
-    and implicitly by every state rewrite.
+    ``lease`` returns the next chunk's tasks, ``[]`` while there is
+    nothing to do, or ``None`` once the worker should stop.  The
+    current lease is then worked through ``start`` (``task`` becomes
+    the active one, ``rest`` is not started yet; ``False`` if the
+    broker took the lease back), ``renew`` (the heartbeat), ``submit``
+    (one outcome; ``False`` once the rest of the lease is no longer
+    ours), and ends in ``release`` (finished), ``give_back`` (hand the
+    unstarted rest back now) or ``drop`` (forget it without a word:
+    the broker recovers it).  Transport trouble raises ``OSError`` or
+    ``ValueError``.
     """
-    chunk = str(payload["chunk"])
-    lock = threading.Lock()
 
-    def renew() -> bool:
-        with lock:
-            return workdir.renew(chunk)
+    def __init__(self, poll: float) -> None:
+        #: Seconds to wait before asking again when there is no work.
+        self.poll = poll
+        #: This worker's token: stamps its leases and outcomes.
+        self.worker = uuid.uuid4().hex[:12]
 
-    with _Heartbeat(heartbeat, renew):
-        while True:
-            with lock:
-                current = workdir.refresh(chunk)
-                if current is None:
-                    return executed  # stolen or requeued wholesale
-                if max_tasks is not None and executed >= max_tasks:
-                    # Hand the rest back now rather than after a lease
-                    # expiry, so the fleet picks it up immediately.
-                    workdir.reclaim(chunk)
-                    return executed
-                task = current.get("active")
-                if not isinstance(task, dict):
-                    tasks = current.get("tasks") or []
-                    if not tasks:
-                        workdir.release(chunk)
-                        return executed
-                    task = tasks.pop(0)
-                    current["active"] = task
-                    current["tasks"] = tasks
-                workdir.update(current)
-            outcome = execute_payload(task, worker=worker)
+    def start(self, task: Dict, rest: List[Dict]) -> bool:
+        return True
+
+    def release(self) -> None:
+        pass
+
+    def give_back(self) -> None:
+        self.drop()
+
+    def drop(self) -> None:
+        pass
+
+
+def _serve(
+    link: _Link,
+    *,
+    max_tasks: Optional[int],
+    idle_timeout: Optional[float],
+    heartbeat: Optional[float],
+) -> int:
+    """Lease, execute and submit over ``link`` until told to stop;
+    return the number of units executed."""
+    clock = _IdleClock(idle_timeout)
+    executed = 0
+    try:
+        while max_tasks is None or executed < max_tasks:
             try:
-                task_index = int(task.get("index", -1))
-            except (TypeError, ValueError):
-                task_index = -1
-            if faults.fire("transport.result", task_index) == "drop":
-                # The outcome is lost as if this worker died between
-                # executing and publishing: abandon the chunk without
-                # submitting or releasing, so the broker's lease
-                # expiry recovers every unfinished task.
-                return executed
-            with lock:
-                workdir.submit(outcome)
-                executed += 1
-                current = workdir.refresh(chunk)
-                if current is None:
-                    return executed
-                current["active"] = None
-                workdir.update(current)
+                tasks = link.lease()
+                if tasks is None:
+                    break  # shutdown, retired, or the broker is gone
+                if not tasks:
+                    if clock.expired():
+                        break
+                    time.sleep(link.poll)
+                    continue
+                clock.worked()
+                with _Heartbeat(heartbeat, link.renew):
+                    while tasks:
+                        if max_tasks is not None and executed >= max_tasks:
+                            # Hand the rest back now rather than after
+                            # a lease expiry, so the fleet picks it up
+                            # at once.
+                            link.give_back()
+                            break
+                        task = tasks.pop(0)
+                        if not link.start(task, tasks):
+                            break  # the broker took the lease back
+                        outcome = execute_payload(task, worker=link.worker)
+                        if (
+                            faults.fire("transport.result", outcome["index"])
+                            == "drop"
+                        ):
+                            # The outcome is lost as if this worker died
+                            # between executing and publishing: the
+                            # broker recovers every unfinished task.
+                            link.drop()
+                            break
+                        held = link.submit(outcome)
+                        executed += 1
+                        if not held:
+                            break
+                    else:
+                        link.release()
+            except (OSError, ValueError):
+                link.drop()  # the broker requeues what we held
+                if clock.expired():
+                    break
+                time.sleep(link.poll)
+    finally:
+        link.drop()
+    return executed
+
+
+# ----------------------------------------------------------------------
+# Shared-directory link
+# ----------------------------------------------------------------------
+class _DirectoryLink(_Link):
+    """The loop's link over a shared queue directory.
+
+    The claimed chunk file is the lease: the worker rewrites it as each
+    task becomes active, and a missing file means the broker took the
+    lease back.  The lock keeps the heartbeat's rewrites from racing
+    the loop's.  A dropped lease is left to expire.
+    """
+
+    def __init__(self, root: Union[str, Path], *, poll: float) -> None:
+        super().__init__(poll)
+        self.workdir = WorkDir(root)
+        self._lock = threading.Lock()
+        self._chunk = ""
+        self._live = False
+
+    def lease(self) -> Optional[List[Dict]]:
+        with self._lock:
+            if self.workdir.is_retired(self.worker):
+                return None  # the broker blacklisted this worker
+            payload = self.workdir.claim(self.worker)
+            if payload is not None:
+                self._chunk, self._live = str(payload["chunk"]), True
+                return list(payload.get("tasks") or ())
+            # The shutdown marker counts only once this worker has seen
+            # the queue live: the marker a finished broker leaves must
+            # not send home a worker started for the next run.
+            if not self.workdir.is_shutdown():
+                self._live = True
+            elif self._live:
+                return None
+            return []
+
+    def start(self, task: Dict, rest: List[Dict]) -> bool:
+        with self._lock:
+            current = self.workdir.refresh(self._chunk)
+            if current is None:
+                return False
+            current["active"], current["tasks"] = task, rest
+            self.workdir.update(current)
+            return True
+
+    def renew(self) -> bool:
+        with self._lock:
+            return self.workdir.renew(self._chunk)
+
+    def submit(self, outcome: Dict) -> bool:
+        with self._lock:
+            self.workdir.submit(outcome)
+            current = self.workdir.refresh(self._chunk)
+            if current is None:
+                return False
+            current["active"] = None
+            self.workdir.update(current)
+            return True
+
+    def release(self) -> None:
+        with self._lock:
+            self.workdir.release(self._chunk)
+
+    def give_back(self) -> None:
+        with self._lock:
+            self.workdir.reclaim(self._chunk)
 
 
 def run_directory_worker(
@@ -207,54 +316,25 @@ def run_directory_worker(
 ) -> int:
     """Serve a shared-directory queue until told to stop.
 
-    Exits when the broker writes the shutdown marker, after
-    ``max_tasks`` executed units, or after ``idle_timeout`` seconds
-    without work.  ``heartbeat`` seconds between lease renewals keeps
-    long scenarios from being requeued however short the broker's
-    lease timeout — the default matches the CLI's 15 s; ``None``
-    renews only between tasks.  Returns the number of units executed.
+    Exits when the broker writes the shutdown marker (once this worker
+    has seen the queue live, so a marker left by a finished broker does
+    not stop a worker started for the next run), after ``max_tasks``
+    executed units, or after ``idle_timeout`` seconds without work.
+    ``heartbeat`` seconds between lease renewals keeps long scenarios
+    from being requeued however short the broker's lease timeout — the
+    default matches the CLI's 15 s; ``None`` renews only between tasks.
+    Returns the number of units executed.
     """
-    workdir = WorkDir(root)
-    clock = _IdleClock(idle_timeout)
-    token = uuid.uuid4().hex[:12]
-    executed = 0
-    #: Touch the demand marker well inside the broker's 2 s freshness
-    #: window, but nowhere near every poll tick — an idle fleet's
-    #: markers would otherwise be a metadata write storm on NFS.
-    mark_interval = 0.5
-    last_mark = -mark_interval
-    try:
-        while max_tasks is None or executed < max_tasks:
-            if workdir.is_retired(token):
-                break  # broker blacklisted this worker; stop leasing
-            payload = workdir.claim(token)
-            if payload is None:
-                if workdir.is_shutdown() or clock.expired():
-                    break
-                # Signal demand so the broker splits a busy worker's
-                # chunk for us (work stealing).
-                if time.monotonic() - last_mark >= mark_interval:
-                    last_mark = time.monotonic()
-                    workdir.mark_starving(token)
-                time.sleep(poll)
-                continue
-            workdir.clear_starving(token)
-            clock.worked()
-            executed = _serve_chunk(
-                workdir,
-                payload,
-                heartbeat=heartbeat,
-                executed=executed,
-                max_tasks=max_tasks,
-                worker=token,
-            )
-    finally:
-        workdir.clear_starving(token)
-    return executed
+    return _serve(
+        _DirectoryLink(root, poll=poll),
+        max_tasks=max_tasks,
+        idle_timeout=idle_timeout,
+        heartbeat=heartbeat,
+    )
 
 
 # ----------------------------------------------------------------------
-# TCP client
+# TCP link
 # ----------------------------------------------------------------------
 class _BrokerSession:
     """One connected, version-checked session with a TCP broker.
@@ -297,9 +377,82 @@ class _BrokerSession:
                 pass
 
 
-def _tcp_heartbeat_renew(session: "_BrokerSession") -> bool:
-    reply = session.request({"op": "heartbeat"})
-    return reply is not None and reply.get("op") == "ok"
+class _TCPLink(_Link):
+    """The loop's link over a TCP broker.
+
+    A lease belongs to the session, so dropping it ends the session and
+    the broker requeues the rest once it sees the session end; the next
+    ``lease`` reconnects.  Connection failures count as idle time, so
+    workers may start before the broker.  After the broker was reached
+    once, a refused connection means it finished, unless
+    ``reconnect_grace`` seconds are granted for a restarted broker.
+    """
+
+    def __init__(
+        self, host: str, port: int, *, poll: float, reconnect_grace: float
+    ) -> None:
+        super().__init__(poll)
+        self.address = (host, port)
+        self.reconnect_grace = reconnect_grace
+        self._session: Optional[_BrokerSession] = None
+        self._reached = False
+        self._refused_since: Optional[float] = None
+
+    def _request(self, msg: Dict) -> Dict:
+        reply = self._session.request(msg)
+        if reply is None:
+            raise OSError("broker closed the connection")
+        return reply
+
+    def lease(self) -> Optional[List[Dict]]:
+        if self._session is None:
+            try:
+                self._session = _BrokerSession(
+                    *self.address, worker=self.worker
+                )
+            except ConnectionRefusedError:
+                if not self._reached:
+                    return []
+                if self._refused_since is None:
+                    self._refused_since = time.monotonic()
+                waited = time.monotonic() - self._refused_since
+                return None if waited >= self.reconnect_grace else []
+            except OSError:
+                return []
+            self._reached, self._refused_since = True, None
+        reply = self._request({"op": "lease"})
+        op = reply.get("op")
+        if op == "shutdown":
+            return None
+        if op == "wait":
+            self.poll = float(reply.get("poll", self.poll))
+            return []
+        if op != "task":
+            raise OSError(f"unexpected broker reply {op!r}")
+        return list(reply.get("tasks") or ())
+
+    def renew(self) -> bool:
+        session = self._session
+        if session is None:
+            return False
+        reply = session.request({"op": "heartbeat"})
+        return reply is not None and reply.get("op") == "ok"
+
+    def submit(self, outcome: Dict) -> bool:
+        ack = self._request({"op": "outcome", "outcome": outcome})
+        if ack.get("op") != "ok":
+            raise OSError("broker did not acknowledge outcome")
+        if faults.fire("transport.ack", outcome["index"]) == "drop":
+            # Ack lost: the broker has the outcome but this worker
+            # behaves as if it never heard back — reconnect, let the
+            # broker requeue the lease remainder, dedup by index.
+            raise OSError("injected ack drop")
+        return bool(ack.get("held"))
+
+    def drop(self) -> None:
+        if self._session is not None:
+            self._session.close()
+            self._session = None
 
 
 def run_tcp_worker(
@@ -319,119 +472,14 @@ def run_tcp_worker(
     before the broker.  After a broker was reached once, a refused
     connection normally means it finished and exits the worker —
     unless ``reconnect_grace`` seconds are granted for a restarting
-    (resumable) broker to come back.  ``heartbeat`` seconds between
-    ``heartbeat`` messages keeps leases alive during long scenarios
-    (default matches the CLI's 15 s; the broker's heartbeat-based
-    lease timeout assumes attached workers do heartbeat).
+    broker to come back.  ``heartbeat`` seconds between ``heartbeat``
+    messages keeps leases alive during long scenarios (default matches
+    the CLI's 15 s; the broker's heartbeat-based lease timeout assumes
+    attached workers do heartbeat).
     """
-    clock = _IdleClock(idle_timeout)
-    token = uuid.uuid4().hex[:12]
-    executed = 0
-    session: Optional[_BrokerSession] = None
-    refused_since: Optional[float] = None
-    ever_connected = False
-
-    def lease_once() -> Optional[Dict]:
-        reply = session.request({"op": "lease"})
-        if reply is None:
-            raise OSError("broker closed the connection")
-        return reply
-
-    try:
-        while max_tasks is None or executed < max_tasks:
-            if session is None:
-                try:
-                    session = _BrokerSession(host, port, worker=token)
-                    ever_connected = True
-                    refused_since = None
-                except ConnectionRefusedError:
-                    if ever_connected:
-                        if refused_since is None:
-                            refused_since = time.monotonic()
-                        grace_left = reconnect_grace - (
-                            time.monotonic() - refused_since
-                        )
-                        if grace_left <= 0:
-                            break  # broker gone for good: job done
-                    if clock.expired():
-                        break
-                    time.sleep(poll)
-                    continue
-                except OSError:
-                    if clock.expired():
-                        break
-                    time.sleep(poll)
-                    continue
-            try:
-                reply = lease_once()
-                op = reply.get("op")
-                if op == "shutdown":
-                    break
-                if op == "wait":
-                    if clock.expired():
-                        break
-                    time.sleep(float(reply.get("poll", poll)))
-                    continue
-                if op != "task":
-                    raise OSError(f"unexpected broker reply {op!r}")
-                clock.worked()
-                tasks = list(reply.get("tasks") or ())
-                stolen: Set[int] = set()
-                with _Heartbeat(
-                    heartbeat, lambda: _tcp_heartbeat_renew(session)
-                ):
-                    while tasks:
-                        task = tasks.pop(0)
-                        try:
-                            if int(task.get("index", -1)) in stolen:
-                                continue
-                        except (TypeError, ValueError):
-                            pass
-                        outcome = execute_payload(task, worker=token)
-                        try:
-                            task_index = int(task.get("index", -1))
-                        except (TypeError, ValueError):
-                            task_index = -1
-                        if (
-                            faults.fire("transport.result", task_index)
-                            == "drop"
-                        ):
-                            # Result lost in flight: sever the session
-                            # without sending; the broker requeues the
-                            # rest of this lease.
-                            raise OSError("injected result drop")
-                        ack = session.request(
-                            {"op": "outcome", "outcome": outcome}
-                        )
-                        if ack is None or ack.get("op") != "ok":
-                            raise OSError(
-                                "broker did not acknowledge outcome"
-                            )
-                        if (
-                            faults.fire("transport.ack", task_index)
-                            == "drop"
-                        ):
-                            # Ack lost: the broker has the outcome but
-                            # this worker behaves as if it never heard
-                            # back — reconnect, let the broker requeue
-                            # the lease remainder, dedup by index.
-                            raise OSError("injected ack drop")
-                        executed += 1
-                        stolen.update(
-                            int(i) for i in ack.get("stolen", ())
-                        )
-                        if (
-                            max_tasks is not None
-                            and executed >= max_tasks
-                        ):
-                            break
-            except (OSError, ValueError):
-                session.close()
-                session = None  # reconnect; broker requeues our lease
-                if clock.expired():
-                    break
-                time.sleep(poll)
-    finally:
-        if session is not None:
-            session.close()
-    return executed
+    return _serve(
+        _TCPLink(host, port, poll=poll, reconnect_grace=reconnect_grace),
+        max_tasks=max_tasks,
+        idle_timeout=idle_timeout,
+        heartbeat=heartbeat,
+    )

@@ -453,10 +453,9 @@ class CampaignResult:
     :meth:`~repro.campaign.growth.GrowableRunnerMixin.extend` reports
     the suffix run's counts next to the full merged result list.
 
-    ``requeued`` and ``stolen`` are distributed-backend fault/balance
-    telemetry: work units returned to the queue after a lease expired
-    or a worker connection died, and chunk tasks reassigned from a
-    busy worker to an idle one.  Both are zero on the local runner.
+    ``requeued`` is distributed-backend fault telemetry: work units
+    returned to the queue after a lease expired or a worker connection
+    died.  It is zero on the local runner.
 
     ``retried`` counts re-executions charged against per-spec retry
     budgets; ``quarantined`` counts specs abandoned after exhausting
@@ -476,7 +475,6 @@ class CampaignResult:
     cache_hits: int
     executed: int = 0
     requeued: int = 0
-    stolen: int = 0
     retried: int = 0
     quarantined: int = 0
     demoted: int = 0
@@ -493,7 +491,6 @@ class CampaignResult:
             "executed": self.executed,
             "cache_hits": self.cache_hits,
             "requeued": self.requeued,
-            "stolen": self.stolen,
             "retried": self.retried,
             "quarantined": self.quarantined,
             "demoted": self.demoted,

@@ -6,8 +6,8 @@ time.
 lists and dicts to work on.  The test plays every worker by hand —
 leasing chunks, renewing (changing a lease's nonce), finishing units —
 and steps the broker at whatever virtual instants it likes, so lease
-expiry, the spec-deadline backstop and stealing are checked to the
-tick without a single sleep.
+expiry and the spec-deadline backstop are checked to the tick without
+a single sleep.
 """
 
 from repro.campaign import ScenarioSpec, spawn_seeds
@@ -52,8 +52,7 @@ class FakeTransport:
 
     ``queue`` holds queued chunks (lists of indices); ``held`` maps a
     lease key to ``[worker, remaining indices, nonce]``; ``inbox``
-    holds outcome payloads for the next poll; ``hungry`` maps a worker
-    to its demand nonce.
+    holds outcome payloads for the next poll.
     """
 
     def __init__(self):
@@ -61,7 +60,6 @@ class FakeTransport:
         self.queue = []
         self.held = {}
         self.inbox = []
-        self.hungry = {}
         self.retired = []
 
     # -- the transport interface ---------------------------------------
@@ -89,18 +87,6 @@ class FakeTransport:
         if back:
             self.queue.insert(0, back)
         return len(back)
-
-    def split(self, key):
-        remaining = self.held[key][1]
-        keep = 1 + len(remaining) // 2  # active + front half of the rest
-        moved = remaining[keep:]
-        del remaining[keep:]
-        if moved:
-            self.queue.append(moved)
-        return len(moved)
-
-    def demand(self):
-        return {} if self.queue else dict(self.hungry)
 
     def retire(self, worker):
         self.retired.append(worker)

@@ -2,8 +2,8 @@
 
 Every test drives the real broker over :class:`FakeTransport` (an
 in-memory transport) with explicit broker times, so lease expiry, the
-spec-deadline backstop, stealing and the stall guard are pinned to the
-tick, on any machine speed.
+spec-deadline backstop and the stall guard are pinned to the tick, on
+any machine speed.
 """
 
 import pytest
@@ -154,24 +154,3 @@ class TestRetryAndStall:
         run(broker, 8.9)  # five seconds after the last progress: not yet
         with pytest.raises(SchedulingError, match="no worker progress"):
             run(broker, 9.0)
-
-
-class TestSteal:
-    def test_split_only_while_demand_renews(self):
-        broker, wire = submitted(4, chunk_size=4)
-        wire.lease("victim")
-        run(broker, 0.0)
-        assert wire.queue == []  # idle queue, nobody asking
-        wire.hungry["thief"] = 1
-        run(broker, 1.0)
-        assert wire.held["victim"][1] == [0, 1, 2]
-        assert wire.queue == [[3]]
-        assert broker.telemetry["stolen"] == 1
-        wire.lease("thief")
-        wire.hungry["thief-2"] = 1  # another worker finds nothing
-        run(broker, 2.0)
-        assert broker.telemetry["stolen"] == 2
-        assert wire.held["victim"][1] == [0, 1]
-        wire.lease("thief-2")
-        run(broker, 3.0)  # nobody asked again since: no demand
-        assert broker.telemetry["stolen"] == 2

@@ -123,8 +123,8 @@ class TestDirectoryBackend:
         )
         broker.submit(list(enumerate(specs)))
         # A worker leases a unit and dies without finishing it.
-        stolen = WorkDir(tmp_path).claim()
-        assert stolen is not None
+        dead = WorkDir(tmp_path).claim()
+        assert dead is not None
         step, steps = broker.step, []
 
         def step_later(now):

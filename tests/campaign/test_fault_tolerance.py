@@ -1,6 +1,5 @@
 """Fault-tolerance layer: heartbeat leases with in-payload clocks,
-crash recovery through the result cache, chunked work-stealing
-leases, autoscaling.
+crash recovery through the result cache, chunked leases, autoscaling.
 
 These are the deterministic unit/integration tests; the randomized
 kill-and-restart harness lives in ``test_chaos.py``.
@@ -270,7 +269,7 @@ class TestHeartbeat:
 
 
 # ----------------------------------------------------------------------
-# Chunked leases and work stealing
+# Chunked leases
 # ----------------------------------------------------------------------
 class TestChunkedLeases:
     def test_publish_chunks_are_index_contiguous(self, tmp_path):
@@ -284,30 +283,6 @@ class TestChunkedLeases:
             for p in sorted(wd.pending.glob("chunk-*.json"))
         ]
         assert chunks == [[0, 1], [2]]
-
-    def test_split_starved_steals_the_tail(self, tmp_path):
-        broker = DirectoryBroker(tmp_path, chunk_size=4)
-        broker.submit(list(enumerate(small_specs(2))))
-        wd = broker.workdir
-        owner = wd.claim()
-        assert [t["index"] for t in owner["tasks"]] == [0, 1, 2, 3]
-        # An empty queue alone is not demand: with every worker busy
-        # a split would only decay chunks back to per-task leases.
-        drive(broker, 0.0)
-        assert broker.telemetry["stolen"] == 0
-        wd.mark_starving("idle-worker")  # a claim found nothing
-        drive(broker, 1.0)
-        assert broker.telemetry["stolen"] == 2  # tail half moves back
-        # Queue no longer starved: no further split until it drains.
-        drive(broker, 2.0)
-        assert broker.telemetry["stolen"] == 2
-        kept = wd.refresh(owner["chunk"])
-        assert [t["index"] for t in kept["tasks"]] == [0, 1]
-        thief = wd.claim()
-        assert [t["index"] for t in thief["tasks"]] == [2, 3]
-        wd.clear_starving("idle-worker")
-        drive(broker, 3.0)
-        assert broker.telemetry["stolen"] == 2
 
     def test_chunked_run_bit_identical_to_local(self, tmp_path):
         specs = small_specs(3)
@@ -338,47 +313,50 @@ class TestChunkedLeases:
         assert metrics_of(dist) == metrics_of(local)
         assert dist.executed == len(specs)
 
-    def test_tcp_steal_reassigns_and_notifies_victim(self):
+    @pytest.mark.parametrize("transport", ["dir", "tcp"])
+    def test_worker_max_tasks_requeues_the_remainder(
+        self, tmp_path, transport
+    ):
+        items = list(enumerate(small_specs(2, ("EDF",))))
+        if transport == "dir":
+            wd = WorkDir(tmp_path)
+            wd.ensure_layout()
+            wd.publish("job", items, chunk_size=2)
+            executed = run_directory_worker(
+                tmp_path, poll=0.01, max_tasks=1, idle_timeout=0.1
+            )
+            assert executed == 1
+            assert wd.backlog() == 1  # the rest went straight back
+            assert len(list(wd.pending.glob("chunk-*.json"))) == 1
+            return
         from repro.campaign.distributed.worker import _BrokerSession
 
-        specs = small_specs(2)  # 4 units
-        broker = TCPBroker(port=0, poll=0.02, chunk_size=4)
-        host, port = broker.address
-        broker.submit(list(enumerate(specs)))
-        victim = _BrokerSession(host, port)
-        reply = victim.request({"op": "lease"})
-        assert [t["index"] for t in reply["tasks"]] == [0, 1, 2, 3]
-        thief = _BrokerSession(host, port)
+        broker = TCPBroker(port=0, poll=0.01, chunk_size=2)
+        broker.submit(items)
+        state = broker._state
         try:
-            # The thief's unanswered lease request is the demand signal
-            # the broker's next step splits the victim's lease for.
-            assert thief.request({"op": "lease"}).get("op") == "wait"
-            drive(broker, 0.0)
-            stolen = thief.request({"op": "lease"})
-            assert stolen.get("op") == "task"
-            assert [t["index"] for t in stolen["tasks"]] == [2, 3]
-            assert broker.telemetry["stolen"] == 2
-            # The victim learns about the theft on its next ack.
-            outcome = execute_payload(reply["tasks"][0])
-            ack = victim.request({"op": "outcome", "outcome": outcome})
-            assert ack.get("op") == "ok"
-            assert ack.get("stolen") == [2, 3]
+            executed = run_tcp_worker(
+                *broker.address, poll=0.01, max_tasks=1, idle_timeout=0.1
+            )
+            assert executed == 1
+            # The remainder is leasable once the broker has seen the
+            # session end: no lease timeout is waited out.
+            deadline = time.monotonic() + TIMEOUT
+            while time.monotonic() < deadline:
+                with state.lock:
+                    if not state.beats:
+                        break
+                time.sleep(0.01)
+            assert drive(broker, 0.0) == [0]
+            assert broker.requeued_total == 1
+            thief = _BrokerSession(*broker.address)
+            try:
+                reply = thief.request({"op": "lease"})
+                assert [t["index"] for t in reply["tasks"]] == [1]
+            finally:
+                thief.close()
         finally:
-            victim.close()
-            thief.close()
             broker.close()
-
-    def test_worker_max_tasks_requeues_the_remainder(self, tmp_path):
-        wd = WorkDir(tmp_path)
-        wd.ensure_layout()
-        specs = small_specs(2, ("EDF",))
-        wd.publish("job", list(enumerate(specs)), chunk_size=2)
-        executed = run_directory_worker(
-            tmp_path, poll=0.01, max_tasks=1, idle_timeout=0.1
-        )
-        assert executed == 1
-        assert wd.backlog() == 1  # the rest went straight back
-        assert len(list(wd.pending.glob("chunk-*.json"))) == 1
 
 
 # ----------------------------------------------------------------------
@@ -401,9 +379,6 @@ def cached_fleet(transport, tmp_path, *, workers=2):
             result_timeout=TIMEOUT,
         )
         target, args = run_directory_worker, (tmp_path / "queue",)
-        # A previous fleet's close() left the shutdown marker, which
-        # would send these workers home before the broker publishes.
-        WorkDir(tmp_path / "queue").clear_shutdown()
     else:
         runner = DistributedRunner(
             listen=("127.0.0.1", 0), cache=cache, poll=0.01,
@@ -500,6 +475,45 @@ class TestCacheResume:
         assert len(bigger.results) == 3
         local = CampaignRunner(1).run_campaign(template, 3, root_seed=0)
         assert metrics_of(bigger) == metrics_of(local)
+
+
+def test_stale_shutdown_marker_does_not_stop_a_new_worker(
+    tmp_path, monkeypatch
+):
+    """A finished broker's marker stays until the next publish; a
+    directory worker started before that publish must wait for it, not
+    exit at its first empty claim, and still exit at the next close."""
+    DirectoryBroker(tmp_path).close()  # the previous run's marker
+    seen = threading.Event()
+    is_shutdown = WorkDir.is_shutdown
+
+    def spy(self):
+        marked = is_shutdown(self)
+        if marked:
+            seen.set()
+        return marked
+
+    monkeypatch.setattr(WorkDir, "is_shutdown", spy)
+    executed = []
+    worker = fleet_thread(
+        lambda: executed.append(
+            run_directory_worker(tmp_path, poll=0.01, idle_timeout=TIMEOUT)
+        ),
+        (),
+    )
+    assert seen.wait(TIMEOUT)  # the worker found the stale marker
+    specs = small_specs(1, ("EDF",))
+    runner = DistributedRunner(
+        workdir=tmp_path, poll=0.01, result_timeout=TIMEOUT
+    )
+    try:
+        got = runner.run(specs)
+    finally:
+        runner.close()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert executed == [len(specs)]
+    assert metrics_of(got) == metrics_of(CampaignRunner(1).run(specs))
 
 
 # ----------------------------------------------------------------------

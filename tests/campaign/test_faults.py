@@ -680,7 +680,7 @@ class TestWorkerHealth:
             ack = session.request(
                 {"op": "outcome", "outcome": dict(outcome, job=broker.job)}
             )
-            assert ack == {"op": "ok", "stolen": []}
+            assert ack == {"op": "ok", "held": False}
         try:
             queued = backlog()
             assert list(broker.step(0.0)) == []

@@ -1,4 +1,4 @@
-"""Structured campaign telemetry: requeue/steal/demotion counters."""
+"""Structured campaign telemetry: requeue/retry/demotion counters."""
 
 import threading
 
@@ -25,13 +25,11 @@ class TestLocalTelemetry:
     def test_local_run_reports_zero_fault_counters(self):
         campaign = CampaignRunner(1).run(small_specs(1))
         assert campaign.requeued == 0
-        assert campaign.stolen == 0
         assert campaign.telemetry == {
             "scenarios": 1,
             "executed": 1,
             "cache_hits": 0,
             "requeued": 0,
-            "stolen": 0,
             "retried": 0,
             "quarantined": 0,
             "demoted": 0,
@@ -43,7 +41,6 @@ class TestBrokerTelemetry:
         broker = DirectoryBroker(tmp_path)
         assert broker.telemetry == {
             "requeued": 0,
-            "stolen": 0,
             "retried": 0,
             "quarantined": 0,
             "retired": 0,
