@@ -21,10 +21,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from ..errors import CalibrationError
 from .diffusion import DiffusionBattery
+from .kernels import brentq
 from .kibam import KiBaM
 from .stochastic import StochasticKiBaM
 

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import BatteryError
 from .base import BatteryModel
-from .kernels import PeriodKernel, affine_prefix_diag
+from .kernels import PeriodKernel, affine_prefix_diag, brentq
 
 __all__ = ["DiffusionBattery", "DiffusionState", "DiffusionPeriodKernel"]
 

@@ -38,13 +38,21 @@ point noise (relative ``~1e-9``; verified by the property suite in
 is a death that grazes the capacity threshold within one ulp, which
 may move by one period; the kernel detects the mismatch during scalar
 localization and falls back to pure scalar tiling from that point.
+
+The scalar localization finds death instants with :func:`brentq`, a
+pure-Python port of scipy's Brent solver kept here so that importing
+the package does not load ``scipy.optimize``.  It returns the same
+float as ``scipy.optimize.brentq`` for the same function (pinned by
+``tests/battery/test_brentq.py``), so no kernel version moved with it.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-from typing import Any, Optional, Tuple
+import math
+import sys
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +66,7 @@ __all__ = [
     "run_profile_batch",
     "affine_prefix_diag",
     "affine_prefix_matrix",
+    "brentq",
 ]
 
 #: Per-component kernel semantic versions.  Bump an entry whenever the
@@ -223,6 +232,119 @@ def _affine_matrix_power(
             base_q = base_P @ base_q + base_q
             base_P = base_P @ base_P
     return acc_P, acc_q
+
+
+#: scipy.optimize.brentq's default tolerances and iteration cap.
+_BRENTQ_XTOL = 2e-12
+_BRENTQ_RTOL = 4 * sys.float_info.epsilon
+_BRENTQ_MAXITER = 100
+
+
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float = _BRENTQ_XTOL,
+    rtol: float = _BRENTQ_RTOL,
+    maxiter: int = _BRENTQ_MAXITER,
+) -> float:
+    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+
+    A port of ``scipy.optimize.brentq`` (the C loop in scipy's
+    ``Zeros/brentq.c`` and its Python wrapper): same argument checks,
+    same expression order, so it returns the same float for the same
+    ``f``.  Converged when half the bracket is below
+    ``(xtol + rtol * |x|) / 2``.
+
+    Raises ``ValueError`` for ``xtol <= 0``, ``rtol < 4 * eps``, a
+    negative ``maxiter``, a NaN value of ``f``, or ``f(a)`` and
+    ``f(b)`` of the same sign; ``RuntimeError`` when ``maxiter``
+    iterations do not converge.  An exact zero at an endpoint is
+    returned as is.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; "
+                "solver cannot continue."
+            )
+        return float(fx)
+
+    # Names follow the C source: xcur is the best estimate, xblk the
+    # other end of the bracket, xpre the previous estimate.  Every f
+    # value below is non-zero and not NaN wherever a sign is compared,
+    # so ``x < 0`` stands in for C's ``signbit(x)``.
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (
+                        -fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre))
+                    )
+            except ZeroDivisionError:
+                # In C a zero divisor gives an inf or NaN step (fcur,
+                # fpre and fblk are non-zero), which fails the test
+                # below and bisects; NaN takes the same branch.
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 class PeriodKernel(abc.ABC):

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import BatteryError
 from .base import BatteryModel
@@ -43,6 +42,7 @@ from .kernels import (
     PeriodKernel,
     _affine_matrix_power,
     affine_prefix_matrix,
+    brentq,
 )
 
 __all__ = ["KiBaM", "KiBaMState", "KiBaMPeriodKernel"]

@@ -10,16 +10,33 @@ The model is deliberately minimal and immutable after construction:
 runtime bookkeeping (remaining cycles, completion state) lives in the
 simulator, not here, so one graph object can back many concurrent
 simulations.
+
+The structure is two insertion-ordered adjacency maps (successors and
+predecessors) on the standard library alone; the fixed topological
+order is Kahn's sort by generations.  Every order a query returns
+(topological, edges, predecessors, successors) is the one a
+``networkx.DiGraph`` built from the same nodes and edges gives, so
+networkx is needed only by :meth:`TaskGraph.as_networkx`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import TaskGraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TaskNode", "TaskGraph"]
 
@@ -88,8 +105,10 @@ class TaskGraph:
         if not self._nodes:
             raise TaskGraphError(f"graph {name!r}: needs at least one task")
 
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
+        # Insertion-ordered adjacency: node order, then first-seen edge
+        # order, which fixes the order of every query below.
+        self._succ: Dict[str, Dict[str, None]] = {n: {} for n in self._nodes}
+        self._pred: Dict[str, Dict[str, None]] = {n: {} for n in self._nodes}
         for pred, succ in edges:
             for endpoint in (pred, succ):
                 if endpoint not in self._nodes:
@@ -101,20 +120,58 @@ class TaskGraph:
                 raise TaskGraphError(
                     f"graph {name!r}: self-loop on task {pred!r}"
                 )
-            g.add_edge(pred, succ)
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise TaskGraphError(
-                f"graph {name!r}: precedence edges contain a cycle {cycle}"
-            )
-        self._graph = g
-        # Frozen views computed once; the graph is immutable afterwards.
-        self._topo_order: Tuple[str, ...] = tuple(nx.topological_sort(g))
+            self._succ[pred][succ] = None
+            self._pred[succ][pred] = None
+        self._topo_order: Tuple[str, ...] = self._generations_order()
         # repro: noqa[DET004] -- _nodes preserves construction order
         # (validated topologically); WCET sum order is fixed
         self._total_wcet = float(
             sum(n.wcet for n in self._nodes.values())
         )
+
+    def _generations_order(self) -> Tuple[str, ...]:
+        """Kahn's sort by generations, or a cycle error.
+
+        Each generation is the tasks whose last predecessor was in the
+        one before, in the order those predecessors release them; the
+        first is the sources in node order.  This is the order
+        ``networkx.topological_sort`` gives for the same graph.
+        """
+        indegree = {n: len(p) for n, p in self._pred.items() if p}
+        generation = [n for n, p in self._pred.items() if not p]
+        order: List[str] = []
+        while generation:
+            order.extend(generation)
+            released: List[str] = []
+            for node in generation:
+                for child in self._succ[node]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        released.append(child)
+                        del indegree[child]
+            generation = released
+        if indegree:
+            raise TaskGraphError(
+                f"graph {self._name!r}: precedence edges contain a cycle "
+                f"{self._cycle_among(indegree)}"
+            )
+        return tuple(order)
+
+    def _cycle_among(self, blocked: Dict[str, int]) -> List[Tuple[str, str]]:
+        """The edges of one cycle through the tasks Kahn's sort left.
+
+        Every task left has a predecessor that was also left, so
+        walking first predecessors from any of them must revisit one.
+        """
+        node = next(iter(blocked))
+        seen: Dict[str, int] = {}
+        path: List[str] = []
+        while node not in seen:
+            seen[node] = len(path)
+            path.append(node)
+            node = next(p for p in self._pred[node] if p in blocked)
+        ring = path[seen[node]:][::-1]
+        return [(u, ring[(i + 1) % len(ring)]) for i, u in enumerate(ring)]
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -158,25 +215,21 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def predecessors(self, name: str) -> Tuple[str, ...]:
         self.node(name)
-        return tuple(self._graph.predecessors(name))
+        return tuple(self._pred[name])
 
     def successors(self, name: str) -> Tuple[str, ...]:
         self.node(name)
-        return tuple(self._graph.successors(name))
+        return tuple(self._succ[name])
 
     def edges(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple(self._graph.edges())
+        return tuple((u, v) for u, vs in self._succ.items() for v in vs)
 
     def sources(self) -> Tuple[str, ...]:
         """Tasks with no predecessors (initially ready)."""
-        return tuple(
-            n for n in self._topo_order if self._graph.in_degree(n) == 0
-        )
+        return tuple(n for n in self._topo_order if not self._pred[n])
 
     def sinks(self) -> Tuple[str, ...]:
-        return tuple(
-            n for n in self._topo_order if self._graph.out_degree(n) == 0
-        )
+        return tuple(n for n in self._topo_order if not self._succ[n])
 
     def topological_order(self) -> Tuple[str, ...]:
         """One fixed topological order of the task names."""
@@ -193,7 +246,7 @@ class TaskGraph:
         for name in self._topo_order:
             if name in completed:
                 continue
-            if all(p in completed for p in self._graph.predecessors(name)):
+            if all(p in completed for p in self._pred[name]):
                 out.append(name)
         return tuple(out)
 
@@ -202,7 +255,7 @@ class TaskGraph:
         if sorted(order) != sorted(self._nodes):
             return False
         position = {name: i for i, name in enumerate(order)}
-        return all(position[u] < position[v] for u, v in self._graph.edges())
+        return all(position[u] < position[v] for u, v in self.edges())
 
     def critical_path_wcet(self) -> float:
         """WCET sum along the longest (cycle-weighted) path."""
@@ -213,11 +266,19 @@ class TaskGraph:
             dist[name] = base + self._nodes[name].wcet
         return max(dist.values())
 
-    def as_networkx(self) -> nx.DiGraph:
-        """A *copy* of the underlying directed graph (node attr ``wcet``)."""
-        g = self._graph.copy()
+    def as_networkx(self) -> "nx.DiGraph":
+        """A new ``networkx.DiGraph`` of this graph (node attr ``wcet``)."""
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "TaskGraph.as_networkx() needs networkx, which the package "
+                "does not install: pip install networkx"
+            ) from exc
+        g = nx.DiGraph()
         for name, node in self._nodes.items():
-            g.nodes[name]["wcet"] = node.wcet
+            g.add_node(name, wcet=node.wcet)
+        g.add_edges_from(self.edges())
         return g
 
     # ------------------------------------------------------------------
@@ -228,6 +289,6 @@ class TaskGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TaskGraph({self._name!r}, tasks={len(self)}, "
-            f"edges={self._graph.number_of_edges()}, "
+            f"edges={len(self.edges())}, "
             f"total_wcet={self._total_wcet:.6g})"
         )
