@@ -100,46 +100,45 @@ _NONFINITE_REASON = "non-finite value in vectorized trace"
 
 
 def _la_lookahead(d, c, util, present, t):
-    """Bitwise replica of :meth:`LaEDF._lookahead` over leading axes.
+    """Bitwise replica of :meth:`LaEDF._lookahead`, one row per lane.
 
-    ``d``/``c``/``util``/``present`` are broadcast-compatible arrays
-    with the graph axis last; ``t`` matches the leading shape.  Every
-    float op replays the scalar loop's expression order: the reverse-
-    EDF traversal is a stable argsort on ``-d`` (absent graphs sort
-    last and are masked out of every update), and the ``u``/``s``
-    accumulators advance position by position exactly like the Python
-    ``for`` loop, so results are bit-identical per scenario.
+    ``d``/``c``/``util``/``present`` are ``(P, G)`` arrays with the
+    graph axis last; ``t`` is ``(P,)``.  Every float op replays the
+    scalar loop's expression order: the reverse-EDF traversal is a
+    stable argsort on ``-d`` (absent graphs sort last and are masked
+    out of every update), and the ``u``/``s`` accumulators advance
+    position by position exactly like the Python ``for`` loop, so
+    results are bit-identical per scenario.
     """
-    d, c, util, present = np.broadcast_arrays(d, c, util, present)
-    lead = d.shape[:-1]
-    t = np.broadcast_to(t, lead)
-    G = d.shape[-1]
+    P, G = d.shape
     # Masked-out lanes still flow through the arithmetic (inf - inf,
     # x / 0); their results are discarded, so silence the FP warnings.
     with np.errstate(divide="ignore", invalid="ignore"):
         pend = present & (c > _LA_EPS)
-        has = pend.any(axis=-1)
-        d_n = np.where(pend, d, np.inf).min(axis=-1)
+        has = pend.any(axis=1)
+        d_n = np.where(pend, d, np.inf).min(axis=1)
         horizon = d_n - t
         full = horizon <= _LA_EPS
-        u = np.zeros(lead)
+        u_pres = np.where(present, util, 0.0).T
+        u = np.zeros(P)
         for g in range(G):
-            u = u + np.where(present[..., g], util[..., g], 0.0)
+            u = u + u_pres[g]
         order = np.argsort(
-            np.where(present, -d, np.inf), axis=-1, kind="stable"
+            np.where(present, -d, np.inf), axis=1, kind="stable"
         )
-        # One gather up front, then cheap views per position — the
-        # per-position take_along_axis calls dominated this kernel.
-        pres_s = np.take_along_axis(present, order, -1)
-        d_s = np.take_along_axis(d, order, -1)
-        c_s = np.take_along_axis(c, order, -1)
-        u_s = np.take_along_axis(util, order, -1)
-        s = np.zeros(lead)
+        # One flat gather per column up front, position-major, so each
+        # position's lanes are one contiguous row.
+        flat = (order + (np.arange(P) * G)[:, None]).T.ravel()
+        pres_s = present.ravel()[flat].reshape(G, P)
+        d_s = d.ravel()[flat].reshape(G, P)
+        c_s = c.ravel()[flat].reshape(G, P)
+        u_s = util.ravel()[flat].reshape(G, P)
+        s = np.zeros(P)
         for p in range(G):
-            act = pres_s[..., p]
-            d_i = d_s[..., p]
-            c_i = c_s[..., p]
-            u_i = u_s[..., p]
+            act = pres_s[p]
+            d_i = d_s[p]
+            c_i = c_s[p]
+            u_i = u_s[p]
             u = np.where(act, u - u_i, u)
             span = d_i - d_n
             small = span <= _LA_EPS
@@ -176,6 +175,11 @@ def _classify(
     ``job_keyed`` providers every job the horizon can release is
     pre-drawn — legal because such draws are a pure function of the
     ``(graph, node, job_index)`` key, never of interleaving order.
+    The stock :class:`~repro.workloads.generator.UniformActuals`
+    draws the scenario's whole table in one keyed
+    :meth:`~repro.workloads.generator.UniformActuals.draw_keyed` call,
+    which is then validated at once and split per graph; any other
+    provider is called once per ``(graph, node, job_index)``.
     """
     # Imported lazily: core imports sim.state, so a module-level import
     # here would complete a core<->sim cycle.
@@ -247,14 +251,16 @@ def _classify(
     if len(simulator.task_set) == 0:
         return "empty task set", None
     eps = simulator._time_eps()
-    # The stock provider exposes a batched draw path whose values are
-    # pinned bit-identical to its per-call path; pre-drawing through it
-    # keeps compile time off the profile for large stochastic tables.
-    batched = type(simulator.actuals) is UniformActuals
+    graphs = list(simulator.task_set)
+    # Job-table widths, graph by graph, up to the first graph that
+    # takes the table past the pre-draw ceiling: the graphs before it
+    # are still drawn and validated first, so an invalid actual there
+    # reports as such.
+    widths: List[int] = []
     actuals: List[np.ndarray] = []
-    total_draws = 0
     try:
-        for g in simulator.task_set:
+        total_draws = 0
+        for g in graphs:
             if invariant:
                 jg = 1
             else:
@@ -263,32 +269,49 @@ def _classify(
                 jg = int(np.floor((h + eps) / g.period)) + 1
             total_draws += len(g.graph) * jg
             if total_draws > _MAX_PREDRAW:
-                return "per-job actuals table too large", None
-            rows = np.empty((len(g.graph), jg))
-            for m, node in enumerate(g.graph):
-                wc = node.wcet
-                tol = _actual_tol(wc)
-                if batched:
-                    vals = simulator.actuals.draw_jobs(
-                        g.name, node.name, jg, wc
-                    )
-                    # Mirrors JobState validation; an invalid actual
-                    # must raise from the scalar engine, not from
-                    # array code.
-                    if not ((vals > 0).all() and (vals <= wc + tol).all()):
-                        return "actuals outside (0, wcet]", None
-                    rows[m] = vals
-                    continue
-                for j in range(jg):
-                    ac = float(
-                        simulator.actuals(g.name, node.name, j, wc)
-                    )
-                    if not (0 < ac <= wc + tol):
-                        return "actuals outside (0, wcet]", None
-                    rows[m, j] = ac
-            actuals.append(rows)
+                break
+            widths.append(jg)
+        drawn = graphs[: len(widths)]
+        if type(simulator.actuals) is UniformActuals:
+            # The stock provider draws the whole table in one keyed
+            # call, bit-identical to its per-call path.
+            rows = [
+                (g.name, node.name, jg, node.wcet)
+                for g, jg in zip(drawn, widths)
+                for node in g.graph
+            ]
+            vals = simulator.actuals.draw_keyed(rows)
+            # Mirrors JobState validation; an invalid actual must raise
+            # from the scalar engine, not from array code.
+            bound = np.repeat(
+                [wc + _actual_tol(wc) for _, _, _, wc in rows],
+                [jg for _, _, jg, _ in rows],
+            )
+            if not ((vals > 0).all() and (vals <= bound).all()):
+                return "actuals outside (0, wcet]", None
+            start = 0
+            for g, jg in zip(drawn, widths):
+                stop = start + len(g.graph) * jg
+                actuals.append(vals[start:stop].reshape(len(g.graph), jg))
+                start = stop
+        else:
+            for g, jg in zip(drawn, widths):
+                rows_g = np.empty((len(g.graph), jg))
+                for m, node in enumerate(g.graph):
+                    wc = node.wcet
+                    tol = _actual_tol(wc)
+                    for j in range(jg):
+                        ac = float(
+                            simulator.actuals(g.name, node.name, j, wc)
+                        )
+                        if not (0 < ac <= wc + tol):
+                            return "actuals outside (0, wcet]", None
+                        rows_g[m, j] = ac
+                actuals.append(rows_g)
     except Exception:
         return "actuals provider raised", None
+    if len(widths) < len(graphs):
+        return "per-job actuals table too large", None
     return None, actuals
 
 
@@ -847,8 +870,13 @@ class _VectorRun:
             cl = np.where(la_node, node_cl, graph_cl)
             la_mask = self.is_la[idx] & pending
             if la_mask.any():
-                s_la = _la_lookahead(d_eff, cl, self.util[idx], pres, t)
-                s_raw[la_mask] = s_la[la_mask]
+                s_raw[la_mask] = _la_lookahead(
+                    d_eff[la_mask],
+                    cl[la_mask],
+                    self.util[idx[la_mask]],
+                    pres[la_mask],
+                    t[la_mask],
+                )
 
         dispatch = pending & (s_raw > 0)
         fmax = self.f_max[idx]
@@ -1126,13 +1154,12 @@ class _VectorRun:
         # active_jobs(): sorted by (abs_deadline, name); lexsort's last
         # key is primary, ties fall to the name rank.
         edf_order = np.lexsort((self.name_rank[gv], dl), axis=-1)
-        rank = np.empty((nw, G), dtype=np.int64)
-        np.put_along_axis(
-            rank,
-            edf_order,
-            np.broadcast_to(np.arange(G, dtype=np.int64), (nw, G)),
-            axis=1,
-        )
+        # Flat index of each row's EDF position p into (row, graph)
+        # order, shared by every gather and scatter below.
+        edf_flat = edf_order + (np.arange(nw) * G)[:, None]
+        rank = np.empty(nw * G, dtype=np.int64)
+        rank[edf_flat.ravel()] = np.tile(np.arange(G, dtype=np.int64), nw)
+        rank = rank.reshape(nw, G)
 
         dn3 = self.done[gv]
         blocked = (self.pred[gv] & ~dn3[:, :, None, :]).any(axis=3)
@@ -1155,9 +1182,8 @@ class _VectorRun:
         fmask = self.feas_on[gv] & self.rl_all[gv]
         if fmask.any():
             rwc = np.where(sched, node_cl[w], 0.0)
-            rwc_s = np.take_along_axis(rwc, edf_order, axis=1)
-            cum = np.cumsum(rwc_s, axis=1)
-            dl_s = np.take_along_axis(dl, edf_order, axis=1)
+            cum = np.cumsum(rwc.ravel()[edf_flat], axis=1)
+            dl_s = dl.ravel()[edf_flat]
             bud = s_eff[w][:, None] * (dl_s - t[w][:, None]) + _FEAS_ATOL
             for p in range(G):
                 kill = (
@@ -1170,6 +1196,9 @@ class _VectorRun:
                 )
                 feas &= ~kill
 
+        # First feasible candidate in key order == the feasible
+        # candidate minimizing the full tuple; resolve level by level.
+        ok = cand & feas
         prio = self.prio_kind[gv]
         is_pubs = prio == _PRIO_PUBS
         k1 = np.where((prio == _PRIO_LTF)[:, None, None], -wrem, wrem)
@@ -1177,13 +1206,10 @@ class _VectorRun:
         if is_pubs.any():
             est = self._pubs_estimate(gv, wrem)
             score = self._pubs_score(
-                w, gv, t, s_raw, est, wrem, d_eff, cl, u_cc
+                w, gv, t, s_raw, est, wrem, d_eff, cl, u_cc, ok
             )
             k1 = np.where(is_pubs[:, None, None], score, k1)
-
-        # First feasible candidate in key order == the feasible
-        # candidate minimizing the full tuple; resolve level by level.
-        ok = (cand & feas).reshape(nw, G * M)
+        ok = ok.reshape(nw, G * M)
         ok_any = ok.any(axis=1)
         k1f = np.where(ok, k1.reshape(nw, G * M), np.inf)
         m1 = k1f.min(axis=1)
@@ -1196,9 +1222,7 @@ class _VectorRun:
             tie = np.where(
                 is_pubs[:, None], tie & (k2m == m2[:, None]), tie
             )
-        nrk = np.broadcast_to(
-            self.name_rank[gv][:, :, None], (nw, G, M)
-        ).reshape(nw, G * M)
+        nrk = np.repeat(self.name_rank[gv], M, axis=1)
         r3 = np.where(tie, nrk, _BIG_RANK)
         tie &= r3 == r3.min(axis=1)[:, None]
         r4 = np.where(tie, self.node_rank[gv].reshape(nw, G * M), _BIG_RANK)
@@ -1213,8 +1237,8 @@ class _VectorRun:
             # RandomPriority over ALL_RELEASED: shuffle the EDF-then-
             # topo candidate list (draw depends only on its length),
             # then take the first feasible in shuffled order.
-            cand_s = np.take_along_axis(cand, edf_order[:, :, None], 1)
-            feas_s = np.take_along_axis(feas, edf_order[:, :, None], 1)
+            cand_s = cand.reshape(nw * G, M)[edf_flat]
+            feas_s = feas.reshape(nw * G, M)[edf_flat]
             rngs = self._rngs
             for i in np.flatnonzero(rnd & ok_any):
                 cols = np.flatnonzero(cand_s[i].reshape(-1))
@@ -1288,12 +1312,17 @@ class _VectorRun:
         d_eff: np.ndarray,
         cl: Optional[np.ndarray],
         u_cc: np.ndarray,
+        ok: np.ndarray,
     ) -> np.ndarray:
         """``PUBS.score``: est / (s_now^2 - s_after^2), inf when the
         denominator is (numerically) non-positive.
 
         ``s_after`` is the DVS algorithm's hypothetical speed were the
-        candidate to finish with ``est`` actual cycles.
+        candidate to finish with ``est`` actual cycles.  Selection only
+        reads the lanes in ``ok`` (the feasible candidates), so laEDF's
+        hypothetical lookahead runs on those lanes alone, compacted to
+        one ``(pairs, G)`` row per candidate; every other lane holds a
+        value no caller reads.
         """
         nw = gv.size
         kindw = self.dvs_kind[gv]
@@ -1312,28 +1341,25 @@ class _VectorRun:
             s_ok = np.where(
                 cc[:, None, None], u_cc[w][:, None, None] + delta, s_ok
             )
-        la = self.is_la[gv]
-        if la.any():
+        la = self.is_la[gv] & (self.prio_kind[gv] == _PRIO_PUBS)
+        r, g, m = np.nonzero(ok & la[:, None, None])
+        if r.size:
             # LaEDF.hypothetical_speed: lookahead at t + est/s_now with
             # the candidate graph's c_left shed by its wrem.
-            dt = np.where(s_o > _LA_EPS, est / s_o, 0.0)
-            t2 = t[w][:, None, None] + dt
-            clw = cl[w]
-            c4 = np.broadcast_to(
-                clw[:, None, None, :], (nw, self.G, self.M, self.G)
-            ).copy()
-            for g in range(self.G):
-                c4[:, g, :, g] = np.maximum(
-                    0.0, clw[:, g, None] - wrem[:, g, :]
-                )
-            s_la = _la_lookahead(
-                d_eff[w][:, None, None, :],
-                c4,
-                self.util[gv][:, None, None, :],
-                self.present[gv][:, None, None, :],
-                t2,
+            wr = w[r]
+            s_p = s_raw[wr]
+            e_p = est[r, g, m]
+            dt = np.where(s_p > _LA_EPS, e_p / s_p, 0.0)
+            c2 = cl[wr]
+            lane = np.arange(r.size)
+            c2[lane, g] = np.maximum(0.0, c2[lane, g] - wrem[r, g, m])
+            s_ok[r, g, m] = _la_lookahead(
+                d_eff[wr],
+                c2,
+                self.util[gv[r]],
+                self.present[gv[r]],
+                t[wr] + dt,
             )
-            s_ok = np.where(la[:, None, None], s_la, s_ok)
         denom = s_o * s_o - s_ok * s_ok
         small = denom <= _LA_EPS
         return np.where(small, np.inf, est / np.where(small, 1.0, denom))

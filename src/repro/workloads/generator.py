@@ -43,10 +43,11 @@ PERIOD_MENU: Tuple[float, ...] = (
 # phase when it pre-draws per-job actuals tables.  The helpers below
 # replay numpy's exact pipeline — SeedSequence entropy mixing,
 # ``generate_state(4, uint64)``, PCG64 seeding, and the first
-# ``random()`` double — as uint32/uint64 array arithmetic over the job
-# axis, so a whole job column comes out in a handful of numpy ops with
-# bit-identical values.  The constants are SeedSequence's and PCG64's
-# published ones; tests pin equality draw-by-draw against ``__call__``.
+# ``random()`` double — as uint32/uint64 array arithmetic over arrays
+# of ``(graph, node, job)`` keys, so a whole per-job table comes out in
+# a handful of numpy ops with bit-identical values.  The constants are
+# SeedSequence's and PCG64's published ones; tests pin equality
+# draw-by-draw against ``__call__``.
 
 _SS_XSHIFT = np.uint32(16)
 _SS_INIT_A = 0x43B0D7E5
@@ -86,17 +87,19 @@ def _add128(ah, al, bh, bl):
     return ah + bh + (lo < al).astype(np.uint64), lo
 
 
-def _batch_uniform01(seed: int, graph_key: int, node_key: int,
-                     n_jobs: int) -> np.ndarray:
+def _batch_uniform01(seed: int, graph_key: np.ndarray,
+                     node_key: np.ndarray, job: np.ndarray) -> np.ndarray:
     """The first ``random()`` double of
-    ``default_rng(SeedSequence([seed, graph_key, node_key, j]))`` for
-    ``j`` in ``0..n_jobs-1``, bit-identically, as one array."""
-    jobs = np.arange(n_jobs, dtype=np.uint32)
+    ``default_rng(SeedSequence([seed, graph_key[i], node_key[i],
+    job[i]]))`` for every ``i``, bit-identically, as one array.
+
+    Every key must fit in a uint32 (one SeedSequence entropy word).
+    """
     ent = (
-        np.full(n_jobs, seed, dtype=np.uint32),
-        np.full(n_jobs, graph_key, dtype=np.uint32),
-        np.full(n_jobs, node_key, dtype=np.uint32),
-        jobs,
+        np.full(job.shape, seed, dtype=np.uint32),
+        graph_key.astype(np.uint32),
+        node_key.astype(np.uint32),
+        job.astype(np.uint32),
     )
     # SeedSequence.mix_entropy: the hash constant advances per hashmix
     # call (a scalar sequence shared by every lane).
@@ -205,35 +208,55 @@ class UniformActuals:
         u = np.random.default_rng(key).random()
         return wc * (self.low + (self.high - self.low) * u)
 
-    def draw_jobs(
-        self, graph: str, node: str, n_jobs: int, wc: float
+    def draw_keyed(
+        self, rows: Sequence[Tuple[str, str, int, float]]
     ) -> np.ndarray:
-        """Draws for ``job_index`` 0..``n_jobs``-1, bit-identical to
-        calling ``self(graph, node, j, wc)`` per index.
+        """Every job's draw for each ``(graph, node, n_jobs, wc)`` row,
+        row after row: bit-identical to ``self(graph, node, j, wc)``
+        for ``j`` in ``0..n_jobs-1``.
 
-        Used by the vector engine's compile phase, which pre-draws
-        whole per-job tables; the batched hash pipeline cuts the cost
-        per draw by more than an order of magnitude.  Falls back to
-        the per-call path whenever the fast path's preconditions (a
-        uint32-coercible key, a little-endian host) do not hold.
+        The vector engine's compile phase draws a scenario's whole
+        per-job table in this one call; the batched hash pipeline costs
+        the same handful of numpy ops however many rows and jobs it
+        covers.  Falls back to the per-call path when a key does not
+        fit the pipeline's uint32 words or the host is big-endian.
         """
-        # The array pipeline costs ~80 small numpy ops regardless of
-        # length; below a handful of draws the per-call path wins.
-        if n_jobs < 4 or not (
+        counts = np.array([n for _, _, n, _ in rows], dtype=np.int64)
+        if not (
             0 <= self.seed < 2**32
-            and 0 <= n_jobs < 2**32
+            and int(counts.max(initial=0)) <= 2**32
             and sys.byteorder == "little"
         ):
             return np.array(
-                [self(graph, node, j, wc) for j in range(n_jobs)]
+                [
+                    self(graph, node, j, wc)
+                    for graph, node, n, wc in rows
+                    for j in range(n)
+                ],
+                dtype=float,
             )
+        graph_key = np.array(
+            [zlib.crc32(graph.encode()) for graph, _, _, _ in rows],
+            dtype=np.uint32,
+        )
+        node_key = np.array(
+            [zlib.crc32(node.encode()) for _, node, _, _ in rows],
+            dtype=np.uint32,
+        )
+        wc = np.array([wc for _, _, _, wc in rows], dtype=float)
+        # Job index within each row: the running position minus the
+        # row's start offset.
+        starts = np.cumsum(counts) - counts
+        job = np.arange(int(counts.sum())) - np.repeat(starts, counts)
         u = _batch_uniform01(
             self.seed,
-            zlib.crc32(graph.encode()),
-            zlib.crc32(node.encode()),
-            n_jobs,
+            np.repeat(graph_key, counts),
+            np.repeat(node_key, counts),
+            job,
         )
-        return wc * (self.low + (self.high - self.low) * u)
+        return np.repeat(wc, counts) * (
+            self.low + (self.high - self.low) * u
+        )
 
 
 def paper_task_set(

@@ -155,6 +155,11 @@ WIDE_CONFIGS = [
      lambda: (NoDVS(),
               SchedulingPolicy(RandomPriority(5),
                                ready_list=ALL_RELEASED))),
+    ("nodvs+pubs-history+all-released-nofeas",
+     lambda: (NoDVS(),
+              SchedulingPolicy(PUBS(HistoryEstimator(window=2)),
+                               ready_list=ALL_RELEASED,
+                               enforce_feasibility=False))),
 ]
 
 
@@ -410,6 +415,52 @@ class TestWideEquivalence:
         assert unsupported_reason(sim(), horizon) is None
         vec = VectorEngine([(sim(), horizon)]).run()[0]
         assert_bitwise(vec, sim().run(horizon))
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10_000),  # seed
+                st.integers(min_value=1, max_value=4),  # graphs
+                st.integers(min_value=1, max_value=6),  # max nodes
+                st.sampled_from(range(len(WIDE_CONFIGS))),
+                st.booleans(),  # job-keyed actuals
+                st.integers(min_value=1, max_value=3),  # hyperperiods
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_property_mixed_batch(self, lanes):
+        """One engine holding lanes of different graph and node counts
+        (so most lanes are padded), different policies and both kinds
+        of actuals: every lane equals its own scalar run bitwise."""
+        from repro.processor.platform import paper_processor
+
+        proc = paper_processor()
+
+        def scens():
+            out = []
+            for seed, n_graphs, n_max, config, keyed, k in lanes:
+                ts = paper_task_set(
+                    n_graphs, n_tasks_range=(1, n_max),
+                    period_menu=SMALL_MENU, seed=seed,
+                )
+                low, high = (0.2, 1.0) if keyed else (0.6, 0.6)
+                out.append((
+                    self._sim(
+                        proc, ts, WIDE_CONFIGS[config][1],
+                        UniformActuals(low=low, high=high, seed=seed),
+                    ),
+                    k * ts.hyperperiod(),
+                ))
+            return out
+
+        eng = VectorEngine(scens())
+        assert eng.n_fallback == 0
+        for vec, (sim, h) in zip(eng.run(), scens()):
+            assert_bitwise(vec, sim.run(h))
 
 
 class TestFallback:
