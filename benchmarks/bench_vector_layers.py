@@ -1,13 +1,16 @@
 """Inclusive seconds of the vector engine's hot layers per artifact.
 
-Wraps three functions of :mod:`repro.sim.vector` with wall-clock
+Wraps four functions of :mod:`repro.sim.vector` with wall-clock
 accumulators — ``_classify`` (the compile-time actuals pre-draw and
-eligibility checks), ``_VectorRun._pubs_score`` (pUBS scoring, laEDF
-hypothetical lookahead included) and ``_la_lookahead`` (both the
-speed-setting and the hypothetical calls) — then runs one workload in
-this process on one worker and prints each layer's seconds and call
-count beside the total.  Times are inclusive, so ``_la_lookahead``
-overlaps ``_pubs_score``.
+eligibility checks), ``_VectorRun._round`` (one lock-step event of
+every live lane), ``_VectorRun._pubs_score`` (pUBS scoring) and
+``_la_pass`` (the reverse-EDF lookahead pass shared by laEDF's speed
+setting and pUBS's hypothetical speeds, one call per round) — then
+runs one workload in this process on one worker and prints each
+layer's seconds and call count beside the total, plus the seconds per
+round.  Times are inclusive, so ``_round`` contains the other layers
+except ``_classify``.  The wrapped names are private: renaming one
+makes this script fail, which is why CI runs it.
 
 Workloads (``--workload``):
 
@@ -18,7 +21,8 @@ Workloads (``--workload``):
   campaign list, run once on one worker).
 
 Run from the root of a checkout (point ``--src`` at another checkout's
-``src`` to time it with the same script)::
+``src`` to time it with the same script; its private names must
+match)::
 
     python benchmarks/bench_vector_layers.py --workload fig6
 """
@@ -33,7 +37,9 @@ import sys
 import time
 from pathlib import Path
 
-LAYERS = ("_classify", "_VectorRun._pubs_score", "_la_lookahead")
+LAYERS = (
+    "_classify", "_VectorRun._round", "_VectorRun._pubs_score", "_la_pass",
+)
 
 
 def _wrap(owner, name, acc):
@@ -81,9 +87,9 @@ def main(argv=None) -> int:
     import repro.sim.vector as vector
 
     accs = {name: [0.0, 0] for name in LAYERS}
-    _wrap(vector, "_classify", accs["_classify"])
-    _wrap(vector._VectorRun, "_pubs_score", accs["_VectorRun._pubs_score"])
-    _wrap(vector, "_la_lookahead", accs["_la_lookahead"])
+    for name in LAYERS:
+        owner, _, attr = name.rpartition(".")
+        _wrap(getattr(vector, owner) if owner else vector, attr, accs[name])
 
     t0 = time.perf_counter()
     if args.workload == "campaign":
@@ -94,11 +100,13 @@ def main(argv=None) -> int:
         with contextlib.redirect_stdout(io.StringIO()):
             cli([args.workload, "--workers", "1"])
     total = time.perf_counter() - t0
+    rounds = accs["_VectorRun._round"]
     print(json.dumps({
         "workload": args.workload,
         "total_s": total,
         **{f"{name}_s": acc[0] for name, acc in accs.items()},
         **{f"{name}_calls": acc[1] for name, acc in accs.items()},
+        "s_per_round": rounds[0] / max(rounds[1], 1),
     }))
     return 0
 

@@ -361,11 +361,12 @@ def run_spec(spec: Spec) -> ScenarioResult:
 #: Fewest scenarios per worker for a vector batch.  Lock-step lanes
 #: share the vector engine's fixed per-event cost, which a narrow
 #: batch cannot pay back: against the scalar loop on the same specs a
-#: W-lane batch took 1.34x the CPU time at W=10, 1.01x at W=16 and
-#: 0.91x at W=20 on Table 2 specs, and 0.95x at W=20 on Figure 6
-#: specs (``benchmarks/bench_lanes.py``).  A smaller share runs
-#: scalar, one spec per unit.
-MIN_LANES = 20
+#: W-lane batch took 1.70x the CPU time at W=2, 1.02x at W=3, 1.12x
+#: at W=4 and 0.67x at W=5 on Table 2 specs, the smallest width that
+#: costs no more than the scalar loop (``benchmarks/bench_lanes.py``;
+#: short two-graph campaign specs: 1.11x at W=5, 0.87x at W=10).  A
+#: smaller share runs scalar, one spec per unit.
+MIN_LANES = 5
 
 #: Most specs in one unit.  Every trace of a vector batch stays alive
 #: until the batch's battery pass, and a unit's results reach the cache

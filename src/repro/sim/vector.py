@@ -92,6 +92,9 @@ _MAX_PREDRAW = 4_000_000
 
 _BIG_RANK = np.iinfo(np.int64).max
 
+#: An empty set of flat candidate lanes.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
 #: Demotion reason for the numeric guardrail: a vectorized scenario
 #: whose materialized trace contains NaN/inf is re-run scalar rather
 #: than silently returned (the scalar engine either produces finite
@@ -99,55 +102,70 @@ _BIG_RANK = np.iinfo(np.int64).max
 _NONFINITE_REASON = "non-finite value in vectorized trace"
 
 
-def _la_lookahead(d, c, util, present, t):
-    """Bitwise replica of :meth:`LaEDF._lookahead`, one row per lane.
+def _la_pass(d, c, util, present, u):
+    """Reverse-EDF half of :meth:`LaEDF._lookahead`, one row per lane.
 
     ``d``/``c``/``util``/``present`` are ``(P, G)`` arrays with the
-    graph axis last; ``t`` is ``(P,)``.  Every float op replays the
-    scalar loop's expression order: the reverse-EDF traversal is a
-    stable argsort on ``-d`` (absent graphs sort last and are masked
-    out of every update), and the ``u``/``s`` accumulators advance
-    position by position exactly like the Python ``for`` loop, so
-    results are bit-identical per scenario.
+    graph axis last; ``u`` is each row's ``sum(u_i)`` in task order (a
+    fresh ``(P,)`` array, updated in place).  Returns ``(s, d_n,
+    has)``: the un-deferrable work ``s``, the earliest pending deadline
+    ``d_n`` and whether any work is pending.  The scalar loop never
+    reads the clock — only the final ``horizon = d_n - t`` does — so
+    the speed-setting rows and pUBS's hypothetical rows share this pass
+    and each row then finishes with its own clock in :func:`_la_finish`.
+
+    Every float op replays the scalar loop's expression order: the
+    reverse-EDF traversal is a stable argsort on ``-d`` (absent graphs
+    sort last), and ``u``/``s`` advance position by position exactly
+    like the Python ``for`` loop.  Absent positions carry ``u_i = 0``
+    and ``x = c_i = 0``, so ``u - 0.0`` and ``s + 0.0`` leave the
+    accumulators bitwise unchanged (``s`` starts at ``+0.0`` and only
+    grows).  Callers run under ``np.errstate(divide/invalid="ignore")``:
+    masked-out lanes still flow through the arithmetic.
     """
     P, G = d.shape
-    # Masked-out lanes still flow through the arithmetic (inf - inf,
-    # x / 0); their results are discarded, so silence the FP warnings.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pend = present & (c > _LA_EPS)
-        has = pend.any(axis=1)
-        d_n = np.where(pend, d, np.inf).min(axis=1)
-        horizon = d_n - t
-        full = horizon <= _LA_EPS
-        u_pres = np.where(present, util, 0.0).T
-        u = np.zeros(P)
-        for g in range(G):
-            u = u + u_pres[g]
-        order = np.argsort(
-            np.where(present, -d, np.inf), axis=1, kind="stable"
-        )
-        # One flat gather per column up front, position-major, so each
-        # position's lanes are one contiguous row.
-        flat = (order + (np.arange(P) * G)[:, None]).T.ravel()
-        pres_s = present.ravel()[flat].reshape(G, P)
-        d_s = d.ravel()[flat].reshape(G, P)
-        c_s = c.ravel()[flat].reshape(G, P)
-        u_s = util.ravel()[flat].reshape(G, P)
-        s = np.zeros(P)
-        for p in range(G):
-            act = pres_s[p]
-            d_i = d_s[p]
-            c_i = c_s[p]
-            u_i = u_s[p]
-            u = np.where(act, u - u_i, u)
-            span = d_i - d_n
-            small = span <= _LA_EPS
-            x = np.where(
-                small, c_i, np.maximum(0.0, c_i - (1.0 - u) * span)
-            )
-            u = np.where(act & ~small, u + (c_i - x) / span, u)
-            s = np.where(act, s + x, s)
-        return np.where(has, np.where(full, 1.0, s / horizon), 0.0)
+    order = np.argsort(np.where(present, -d, np.inf), axis=1, kind="stable")
+    # One flat gather per column up front, position-major, so each
+    # position's lanes are one contiguous row (and the reductions run
+    # over the short position axis).
+    flat = (order + (np.arange(P) * G)[:, None]).T.ravel()
+    pres_s = present.ravel()[flat].reshape(G, P)
+    c_s = np.where(pres_s, c.ravel()[flat].reshape(G, P), 0.0)
+    d_s = d.ravel()[flat].reshape(G, P)
+    pend = c_s > _LA_EPS
+    has = pend.any(axis=0)
+    d_n = np.where(pend, d_s, np.inf).min(axis=0)
+    u_s = np.where(pres_s, util.ravel()[flat].reshape(G, P), 0.0)
+    span = d_s - d_n
+    small = (span <= _LA_EPS) | ~pres_s
+    defer = ~small
+    s = np.zeros(P)
+    y = np.empty(P)
+    for p in range(G):
+        c_i = c_s[p]
+        span_i = span[p]
+        np.subtract(u, u_s[p], out=u)
+        # x = c_i if small else max(0, c_i - (1 - u) * span)
+        np.subtract(1.0, u, out=y)
+        np.multiply(y, span_i, out=y)
+        np.subtract(c_i, y, out=y)
+        x = np.maximum(0.0, y)
+        np.copyto(x, c_i, where=small[p])
+        # u += (c_i - x) / span where deferrable
+        np.subtract(c_i, x, out=y)
+        np.divide(y, span_i, out=y)
+        np.add(u, y, out=u, where=defer[p])
+        np.add(s, x, out=s)
+    return s, d_n, has
+
+
+def _la_finish(s, d_n, has, t):
+    """The clock-dependent tail of :meth:`LaEDF._lookahead`: ``s /
+    (d_n - t)``, 1.0 at or past ``d_n``, 0.0 with no pending work."""
+    horizon = d_n - t
+    return np.where(
+        has, np.where(horizon <= _LA_EPS, 1.0, s / horizon), 0.0
+    )
 
 
 def unsupported_reason(
@@ -320,7 +338,8 @@ class _Columns:
 
     One row per recorded segment; ``scen`` says which scenario owns the
     row, ``key`` encodes ``graph_index * (M + 1) + node_index`` (or the
-    per-scenario idle sentinel).  Rows are appended in per-scenario
+    per-scenario idle sentinel), and ``vals`` holds the float columns
+    ``start, dur, speed, volt, cur``.  Rows are appended in per-scenario
     chronological order, so a stable argsort by ``scen`` recovers each
     scenario's trace.
     """
@@ -329,53 +348,34 @@ class _Columns:
         self.n = 0
         self.scen = np.empty(cap, dtype=np.intp)
         self.key = np.empty(cap, dtype=np.intp)
-        self.start = np.empty(cap)
-        self.dur = np.empty(cap)
-        self.speed = np.empty(cap)
-        self.volt = np.empty(cap)
-        self.cur = np.empty(cap)
+        self.vals = np.empty((5, cap))
 
     def append(
-        self,
-        scen: np.ndarray,
-        key: np.ndarray,
-        start: np.ndarray,
-        dur: np.ndarray,
-        speed: np.ndarray,
-        volt: np.ndarray,
-        cur: np.ndarray,
+        self, scen: np.ndarray, key: np.ndarray, vals: np.ndarray
     ) -> None:
         # The scalar trace drops zero-length dispatches at record time;
         # dropping here keeps per-scenario row counts aligned with the
         # segments the scalar engine would have kept.
-        keep = dur > 0
-        if not keep.all():
-            scen, key = scen[keep], key[keep]
-            start, dur = start[keep], dur[keep]
-            speed, volt, cur = speed[keep], volt[keep], cur[keep]
-        m = scen.size
+        keep = vals[1] > 0
+        m = int(np.count_nonzero(keep))
         if m == 0:
             return
-        need = self.n + m
+        n = self.n
+        need = n + m
         if need > self.scen.size:
             cap = self.scen.size
             while cap < need:
                 cap *= 2
-            for name in (
-                "scen", "key", "start", "dur", "speed", "volt", "cur",
-            ):
-                old = getattr(self, name)
-                new = np.empty(cap, dtype=old.dtype)
-                new[: self.n] = old[: self.n]
+            for name in ("scen", "key"):
+                new = np.empty(cap, dtype=np.intp)
+                new[:n] = getattr(self, name)[:n]
                 setattr(self, name, new)
-        n = self.n
-        self.scen[n:need] = scen
-        self.key[n:need] = key
-        self.start[n:need] = start
-        self.dur[n:need] = dur
-        self.speed[n:need] = speed
-        self.volt[n:need] = volt
-        self.cur[n:need] = cur
+            new = np.empty((5, cap))
+            new[:, :n] = self.vals[:, :n]
+            self.vals = new
+        self.scen[n:need] = scen[keep]
+        self.key[n:need] = key[keep]
+        self.vals[:, n:need] = vals[:, keep]
         self.n = need
 
 
@@ -450,8 +450,65 @@ class VectorEngine:
         return results  # type: ignore[return-value]
 
 
+#: Per-lane arrays (first axis = live lane position).  Retiring or
+#: demoting lanes compacts every one of them, so a round reads whole
+#: arrays instead of gathering its live rows.
+_LANE_FIELDS = (
+    "lane_id",
+    # static per scenario
+    "present", "period", "total_wcet", "util", "u_sum", "name_rank",
+    "n_nodes",
+    "wcet", "exists", "node_rank", "gm_rank", "n_preds", "succ",
+    "freqs", "levels", "n_levels", "f_max", "fmin_ratio", "quantize",
+    "idle_cur", "dvs_kind", "static_u", "prio_kind", "rl_all",
+    "feas_on", "est_kind", "est_factor", "est_window", "stoch",
+    "on_raise", "eps", "horizon", "t_stop",
+    # mutable lock-step state
+    "actual", "hist", "hist_len", "t", "next_release", "job_counter",
+    "in_jobs", "job_index", "job_deadline", "executed", "done",
+    "n_done", "n_wait", "budget", "acc", "completed_jobs",
+    "completed_nodes",
+)
+
+
+def _rows(mask: np.ndarray):
+    """Positions of ``mask``: a slice when they are contiguous (indexing
+    by it is a view), else an index array; ``None`` when empty."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return None
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    if hi - lo == idx.size:
+        return slice(lo, hi)
+    return idx
+
+
+def _edf(dl: np.ndarray, name_rank: np.ndarray):
+    """``active_jobs()`` order per row: sorted by (deadline, name).
+
+    Returns the EDF graph order, its flat index into the row-major
+    ``(rows, G)`` layout, and each graph's EDF position.
+    """
+    k, G = dl.shape
+    # lexsort's last key is primary; ties fall to the name rank.
+    order = np.lexsort((name_rank, dl), axis=-1)
+    flat = order + (np.arange(k) * G)[:, None]
+    return order, flat, order.argsort(axis=1)
+
+
 class _VectorRun:
-    """One lock-step execution over the vectorizable scenario subset."""
+    """One lock-step execution over the vectorizable scenario subset.
+
+    Lanes are sorted once at compile time so that the row groups the
+    round treats differently are contiguous: wide rows (``ALL_RELEASED``
+    or pUBS) first, pUBS before the other wide rows, laEDF first within
+    each group, feasibility rows, then random rows.  Wide rows are
+    therefore always the prefix ``[0, n_wide)`` and pUBS rows the
+    prefix ``[0, n_pubs)``.  Lanes that reach their horizon or are
+    demoted are compacted away (order preserved), so every per-lane
+    array holds live lanes only; ``lane_id`` maps a position back to
+    its compile index for the logs, RNGs, job tables and demotions.
+    """
 
     def __init__(
         self,
@@ -498,10 +555,11 @@ class _VectorRun:
         self.actual = np.ones((V, G, M))
         self.exists = np.zeros((V, G, M), dtype=bool)
         self.node_rank = np.full((V, G, M), _BIG_RANK, dtype=np.int64)
-        self.pred = np.zeros((V, G, M, M), dtype=bool)
+        # succ[v, g, m, s]: node s of graph g waits on node m.
+        self.succ = np.zeros((V, G, M, M), dtype=bool)
         self.freqs = np.full((V, L), np.inf)
-        self.volts = np.zeros((V, L))
-        self.currents = np.zeros((V, L))
+        volts = np.zeros((V, L))
+        currents = np.zeros((V, L))
         self.n_levels = np.ones(V, dtype=np.int64)
         self.f_max = np.ones(V)
         self.fmin_ratio = np.zeros(V)
@@ -559,7 +617,7 @@ class _VectorRun:
                     self.exists[v, g_idx, m] = True
                     self.node_rank[v, g_idx, m] = nrank[nn]
                     for p in g.graph.predecessors(nn):
-                        self.pred[v, g_idx, m, pos[p]] = True
+                        self.succ[v, g_idx, pos[p], m] = True
                 if drawn[g_idx].shape[1] > 1:
                     # Job-dependent actuals: the per-job table, min'd
                     # against each node's WCET exactly as JobState
@@ -575,8 +633,8 @@ class _VectorRun:
             self.n_levels[v] = nl
             for li, point in enumerate(table.points):
                 self.freqs[v, li] = point.frequency
-                self.volts[v, li] = point.voltage
-                self.currents[v, li] = proc.power.battery_current(point)
+                volts[v, li] = point.voltage
+                currents[v, li] = proc.power.battery_current(point)
             self.f_max[v] = table.f_max
             self.fmin_ratio[v] = table.f_min / table.f_max
             self.quantize[v] = proc.speed_policy == "quantize"
@@ -632,29 +690,33 @@ class _VectorRun:
             self.eps[v] = sim._time_eps()
             self.horizon[v] = float(horizon)
 
-        # Derived per-scenario masks ---------------------------------
-        self.is_cc = (self.dvs_kind == _DVS_CCEDF_NODE) | (
-            self.dvs_kind == _DVS_CCEDF_GRAPH
+        # Derived static tables ---------------------------------------
+        # Per level: frequency, speed (frequency / f_max, the division
+        # the scalar mix performs), voltage, battery current.
+        self.levels = np.stack(
+            (self.freqs, self.freqs / self.f_max[:, None], volts, currents),
+            axis=2,
         )
-        self.is_la = (self.dvs_kind == _DVS_LAEDF_NODE) | (
-            self.dvs_kind == _DVS_LAEDF_GRAPH
+        # (graph name, node name) order as one integer per slot.
+        gm_rank = np.full((V, G, M), _BIG_RANK, dtype=np.int64)
+        gm_rank[self.exists] = (
+            np.broadcast_to(self.name_rank[:, :, None], (V, G, M))[
+                self.exists
+            ] * M
+            + self.node_rank[self.exists]
         )
-        # "Wide" rows need the generalized candidate machinery (EDF job
-        # ordering, feasibility prefix-scan, pUBS scoring); everything
-        # else keeps the cheap most-imminent path.
-        self.wide = self.rl_all | (self.prio_kind == _PRIO_PUBS)
-        self._any_wide = bool(self.wide.any())
-        self._any_la = bool(self.is_la.any())
-        self._any_stoch = bool(self.stoch.any())
-        self.hist_rows = (self.prio_kind == _PRIO_PUBS) & (
-            self.est_kind == _EST_HISTORY
-        )
-        self._any_hist = bool(self.hist_rows.any())
-        w_max = (
-            int(self.est_window[self.hist_rows].max())
-            if self._any_hist
-            else 1
-        )
+        self.gm_rank = gm_rank.reshape(V, G * M)
+        # laEDF's sum(u_i) in task order (cumsum is sequential; + 0.0
+        # matches the scalar sum's +0 start).
+        self.u_sum = np.cumsum(
+            np.where(self.present, self.util, 0.0), axis=1
+        )[:, -1] + 0.0
+        # The live test `t < horizon - eps`, with the subtraction done
+        # once.
+        self.t_stop = self.horizon - self.eps
+        pubs = self.prio_kind == _PRIO_PUBS
+        hist_rows = pubs & (self.est_kind == _EST_HISTORY)
+        w_max = int(self.est_window[hist_rows].max()) if hist_rows.any() else 1
         # Per-(scenario, node) completion history for PUBS + history
         # estimator rows: entries [0:len) oldest-first, exactly the
         # deque's summation order.
@@ -662,321 +724,466 @@ class _VectorRun:
         self.hist_len = np.zeros((V, G, M), dtype=np.int64)
 
         # Mutable lock-step state ------------------------------------
+        self.lane_id = np.arange(V)
         self.t = np.zeros(V)
-        self.active = np.ones(V, dtype=bool)
+        self.active = np.ones(V, dtype=bool)  # by lane id, not position
         # next_release starts at release_time(0) = phase + 0*period = 0
         # (phases are zero by eligibility).
         self.next_release = np.where(self.present, 0.0, np.inf)
         self.job_counter = np.zeros((V, G), dtype=np.int64)
         self.in_jobs = np.zeros((V, G), dtype=bool)
         self.job_index = np.zeros((V, G), dtype=np.int64)
-        self.job_release = np.zeros((V, G))
         self.job_deadline = np.zeros((V, G))
         self.executed = np.zeros((V, G, M))
         self.done = np.zeros((V, G, M), dtype=bool)
+        # Exact integer bookkeeping beside `done`: completed nodes per
+        # job and unfinished predecessors per node (a node is unblocked
+        # at zero), reset at each release.
+        self.n_preds = self.succ.sum(axis=2)
+        self.n_done = np.zeros((V, G), dtype=np.int64)
+        self.n_wait = self.n_preds.copy()
         # CcEDF.on_sim_start budgets everyone at worst case.
         self.budget = self.total_wcet.copy()
         self.acc = np.zeros((V, G))
-        self.released = np.zeros(V, dtype=np.int64)
         self.completed_jobs = np.zeros(V, dtype=np.int64)
         self.completed_nodes = np.zeros(V, dtype=np.int64)
+        # Retired lanes' counters, by lane id.
+        self.out_jobs = np.zeros(V, dtype=np.int64)
+        self.out_nodes = np.zeros(V, dtype=np.int64)
+        self._demoted_now = False
 
         self.cols = _Columns()
         self._miss_log: List[tuple] = []  # (scen, g, jidx, time, det)
         self._rel_log: List[tuple] = []  # (scen, time)
 
+        is_la = (self.dvs_kind == _DVS_LAEDF_NODE) | (
+            self.dvs_kind == _DVS_LAEDF_GRAPH
+        )
+        wide = self.rl_all | pubs
+        self._keep(np.lexsort((
+            self.prio_kind != _PRIO_RANDOM,
+            ~(self.feas_on & self.rl_all),
+            ~is_la,
+            ~pubs,
+            ~wide,
+        )))
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Keep (and order) the lanes at ``rows`` in every per-lane
+        array, then rebuild the row groups."""
+        for name in _LANE_FIELDS:
+            setattr(self, name, getattr(self, name)[rows])
+        self._index()
+
+    def _index(self) -> None:
+        """Row groups, masks and flat views of the current lanes."""
+        n = self.n = self.lane_id.size
+        G, M, L = self.G, self.M, self.L
+        ar = np.arange(n)
+        self._ar = ar
+        self._row_g = ar * G
+        self._row_l = ar * L
+        self._scen2 = np.concatenate((self.lane_id, self.lane_id))
+        # Flat views: one (lane, graph[, node]) index addresses them.
+        self._executed_f = self.executed.reshape(-1)
+        self._actual_f = self.actual.reshape(-1)
+        self._wcet_f = self.wcet.reshape(-1)
+        self._done_f = self.done.reshape(-1)
+        self._in_jobs_f = self.in_jobs.reshape(-1)
+        self._budget_f = self.budget.reshape(-1)
+        self._acc_f = self.acc.reshape(-1)
+        self._n_nodes_f = self.n_nodes.reshape(-1)
+        self._n_done_f = self.n_done.reshape(-1)
+        self._n_wait2 = self.n_wait.reshape(n * G, M)
+        self._succ2 = self.succ.reshape(n * G * M, M)
+        self._node_rank2 = self.node_rank.reshape(n * G, M)
+        self._levels2 = self.levels.reshape(n * L, 4)
+        self._top = self.n_levels - 1
+        self._ftol = 1e-9 * self.f_max
+
+        kind, prio = self.dvs_kind, self.prio_kind
+        is_la = (kind == _DVS_LAEDF_NODE) | (kind == _DVS_LAEDF_GRAPH)
+        self._is_cc = (kind == _DVS_CCEDF_NODE) | (kind == _DVS_CCEDF_GRAPH)
+        self._any_cc = bool(self._is_cc.any())
+        self._ccn = kind == _DVS_CCEDF_NODE
+        self._ccg = kind == _DVS_CCEDF_GRAPH
+        self._la_rows = _rows(is_la)
+        self._n_la = int(np.count_nonzero(is_la))
+        self._la_node = (kind == _DVS_LAEDF_NODE)[:, None]
+        self._any_la_graph = bool((kind == _DVS_LAEDF_GRAPH).any())
+        # Speed of the rows whose speed is a per-scenario constant.
+        self._s_const = np.where(
+            kind == _DVS_NODVS,
+            1.0,
+            np.where(kind == _DVS_STATIC, self.static_u, 0.0),
+        )
+        # LTF ranks by -wrem: -1.0 * x is exactly -x.
+        self._sign = np.where(prio == _PRIO_LTF, -1.0, 1.0)
+        pubs = prio == _PRIO_PUBS
+        wide = self.rl_all | pubs
+        nw = self.n_wide = int(np.count_nonzero(wide))
+        npb = self.n_pubs = int(np.count_nonzero(pubs))
+        self.n_pl = int(np.count_nonzero(pubs & is_la))
+        self._rand_narrow = (prio == _PRIO_RANDOM) & ~wide
+        self._any_rand_narrow = bool(self._rand_narrow.any())
+        # Groups inside the wide prefix (positions are global).
+        self._imm_rows = _rows(~self.rl_all[:nw])
+        self._f_rows = _rows((self.feas_on & self.rl_all)[:nw])
+        self._rnd_w = prio[:nw] == _PRIO_RANDOM
+        self._any_rnd_w = bool(self._rnd_w.any())
+        # Groups inside the pUBS prefix.
+        kp = kind[:npb]
+        self._st_p = kp == _DVS_STATIC
+        self._any_st_p = bool(self._st_p.any())
+        self._cc_p = self._is_cc[:npb]
+        self._any_cc_p = bool(self._cc_p.any())
+        self._est_kinds = sorted(set(self.est_kind[:npb].tolist()))
+        self._hist_rows = pubs & (self.est_kind == _EST_HISTORY)
+        self._any_hist = bool(self._hist_rows.any())
+        self._any_stoch = bool(self.stoch.any())
+        self._g_ar = np.arange(G)
+        self._w_ar = np.arange(self.hist.shape[3])
+
+    def _retire(self, live: np.ndarray) -> None:
+        """Drop the lanes outside ``live``: record their counters, then
+        compact every per-lane array."""
+        gone = ~live
+        lid = self.lane_id[gone]
+        self.out_jobs[lid] = self.completed_jobs[gone]
+        self.out_nodes[lid] = self.completed_nodes[gone]
+        self._keep(live)
+
     # -- logging -------------------------------------------------------
-    def _demote(self, vs: np.ndarray, why: str) -> None:
-        for v in np.atleast_1d(vs):
-            v = int(v)
+    def _demote(self, pos: np.ndarray, why: str) -> None:
+        for v in self.lane_id[pos].tolist():
             self.active[v] = False
             self.demoted[self.vec_ids[v]] = why
+        self._demoted_now = True
 
     # -- the lock-step loop --------------------------------------------
     def execute(self) -> Tuple[Dict[int, SimulationResult], Dict[int, str]]:
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
-                live = self.active & (self.t < self.horizon - self.eps)
-                idx = np.flatnonzero(live)
-                if idx.size == 0:
+                live = self.t < self.t_stop
+                if self._demoted_now:
+                    live &= self.active[self.lane_id]
+                    self._demoted_now = False
+                if not live.all():
+                    self._retire(live)
+                if not self.n:
                     break
-                self._round(idx)
+                self._round()
         results = self._materialize()
         return results, self.demoted
 
-    def _round(self, idx: np.ndarray) -> None:
-        """Advance every scenario in ``idx`` by exactly one event."""
-        n = idx.size
-        t = self.t[idx]
-        eps = self.eps[idx]
-        alive: Optional[np.ndarray] = None  # all-True until a demotion
+    def _release(self, due: np.ndarray, t: np.ndarray,
+                 t_plus: np.ndarray) -> Optional[np.ndarray]:
+        """Due releases of every graph at once.
 
-        # --- 1. due releases (graph by graph, like the scalar loop) ---
-        t_plus = t + eps
+        A pass releases one job of every due ``(lane, graph)``; another
+        pass follows while a lane still has a release of some graph due
+        (a catch-up).  Graphs are independent, so this is the scalar
+        loop's per-graph ``while`` run side by side; its log order —
+        graph by graph, each graph's catch-ups before the next graph —
+        is restored by sorting the round's log chunks on (graph, pass)
+        when more than one pass ran.  Returns the mask of lanes still
+        alive when a release demoted some (``on_miss='raise'``), else
+        ``None``.
+        """
+        G = self.G
+        alive: Optional[np.ndarray] = None
+        rel: List[tuple] = []
+        miss: List[tuple] = []
+        k = 0
+        while True:
+            have = due & self.in_jobs
+            if have.any():
+                raising = have.any(axis=1) & self.on_raise
+                if raising.any():
+                    self._demote(
+                        np.flatnonzero(raising),
+                        "deadline miss with on_miss='raise'",
+                    )
+                    keep = ~raising
+                    alive = keep if alive is None else alive & keep
+                    have &= keep[:, None]
+                    due = due & keep[:, None]
+                fh = np.flatnonzero(have)
+                if fh.size:
+                    lanes = fh // G
+                    ix = (lanes, fh - lanes * G)
+                    miss.append((ix[1], k, (
+                        self.lane_id[lanes], ix[1], self.job_index[ix],
+                        self.job_deadline[ix], t[lanes],
+                    )))
+                    self.in_jobs[ix] = False  # abandon late job
+            fd = np.flatnonzero(due)
+            if fd.size == 0:
+                break
+            lanes = fd // G
+            ix = (lanes, fd - lanes * G)
+            j = self.job_counter[ix]
+            self.job_counter[ix] = j + 1
+            relv = self.next_release[ix]
+            per = self.period[ix]
+            self.job_index[ix] = j
+            self.job_deadline[ix] = relv + per
+            self.executed[ix] = 0.0
+            self.done[ix] = False
+            self.n_done[ix] = 0
+            self.n_wait[ix] = self.n_preds[ix]
+            self.in_jobs[ix] = True
+            rel.append((ix[1], k, (self.lane_id[lanes], relv)))
+            self.next_release[ix] = (j + 1) * per
+            if self._any_stoch:
+                # Job-dependent actuals: gather this job's column from
+                # the pre-drawn table (JobState would draw the identical
+                # values at this release).
+                sd = self.stoch[lanes]
+                if sd.any():
+                    for p, g, v, jv in zip(
+                        lanes[sd].tolist(),
+                        ix[1][sd].tolist(),
+                        self.lane_id[lanes[sd]].tolist(),
+                        j[sd].tolist(),
+                    ):
+                        cols = self._jobact[v].get(g)
+                        if cols is not None:
+                            self.actual[p, g, : cols.shape[0]] = cols[:, jv]
+            if self._any_cc:
+                # dvs.on_release: CcEDF restores the full worst case.
+                cc = self._is_cc[lanes]
+                if cc.any():
+                    icc = (lanes[cc], ix[1][cc])
+                    self.budget[icc] = self.total_wcet[icc]
+                    self.acc[icc] = 0.0
+            due = self.next_release <= t_plus[:, None]
+            if alive is not None:
+                due &= alive[:, None]
+            if not due.any():
+                break
+            k += 1
+        # Each part is (graph, pass, log chunk).
+        for log, parts in ((self._rel_log, rel), (self._miss_log, miss)):
+            if len(parts) == 1:
+                log.append(parts[0][2])
+            elif parts:
+                order = np.lexsort((
+                    np.concatenate([np.full(g.size, k) for g, k, _ in parts]),
+                    np.concatenate([g for g, _, _ in parts]),
+                ))
+                log.append(tuple(
+                    np.concatenate(col)[order]
+                    for col in zip(*(chunk for _, _, chunk in parts))
+                ))
+        return alive
+
+    def _round(self) -> None:
+        """Advance every live lane by exactly one event."""
+        t = self.t
+        t_plus = t + self.eps
+
+        # --- 1. due releases ------------------------------------------
         # Absent graphs keep next_release == inf, so one (n, G) compare
         # finds every graph with any due release this round.
-        due_now = self.next_release[idx] <= t_plus[:, None]
-        due_graphs = np.flatnonzero(due_now.any(axis=0))
-        for g in due_graphs:
-            pres = self.present[idx, g]
-            while True:
-                due = pres & (self.next_release[idx, g] <= t_plus)
-                if alive is not None:
-                    due &= alive
-                if not due.any():
-                    break
-                have = due & self.in_jobs[idx, g]
-                if have.any():
-                    raising = have & self.on_raise[idx]
-                    if raising.any():
-                        self._demote(
-                            idx[raising],
-                            "deadline miss with on_miss='raise'",
-                        )
-                        if alive is None:
-                            alive = ~raising
-                        else:
-                            alive &= ~raising
-                        have &= ~raising
-                        due &= ~raising
-                    if have.any():
-                        gi = idx[have]
-                        self._miss_log.append(
-                            (
-                                gi.copy(),
-                                np.full(gi.size, g, dtype=np.int64),
-                                self.job_index[gi, g].copy(),
-                                self.job_deadline[gi, g].copy(),
-                                t[have].copy(),
-                            )
-                        )
-                        self.in_jobs[gi, g] = False  # abandon late job
-                if not due.any():
-                    continue
-                gi = idx[due]
-                j = self.job_counter[gi, g]
-                self.job_counter[gi, g] = j + 1
-                relv = self.next_release[gi, g]
-                self.job_index[gi, g] = j
-                self.job_release[gi, g] = relv
-                self.job_deadline[gi, g] = relv + self.period[gi, g]
-                self.executed[gi, g, :] = 0.0
-                self.done[gi, g, :] = False
-                self.in_jobs[gi, g] = True
-                self._rel_log.append((gi.copy(), relv.copy()))
-                self.released[gi] += 1
-                self.next_release[gi, g] = (j + 1) * self.period[gi, g]
-                if self._any_stoch:
-                    # Job-dependent actuals: gather this job's column
-                    # from the pre-drawn table (JobState would draw
-                    # the identical values at this release).
-                    sd = self.stoch[gi]
-                    if sd.any():
-                        for vv, jv in zip(
-                            gi[sd].tolist(), j[sd].tolist()
-                        ):
-                            cols = self._jobact[vv].get(g)
-                            if cols is not None:
-                                self.actual[vv, g, : cols.shape[0]] = (
-                                    cols[:, jv]
-                                )
-                # dvs.on_release: CcEDF restores the full worst case.
-                cc = due & self.is_cc[idx]
-                if cc.any():
-                    gcc = idx[cc]
-                    self.budget[gcc, g] = self.total_wcet[gcc, g]
-                    self.acc[gcc, g] = 0.0
-        if alive is not None:
-            idx = idx[alive]
-            if idx.size == 0:
-                return
-            n = idx.size
-            t = self.t[idx]
-            eps = self.eps[idx]
-            t_plus = t + eps
+        due = self.next_release <= t_plus[:, None]
+        if due.any():
+            alive = self._release(due, t, t_plus)
+            if alive is not None:
+                self._retire(alive)
+                if not self.n:
+                    return
+                t = self.t
+        n, G, M = self.n, self.G, self.M
 
-        pres = self.present[idx]  # (n, G)
         # next_release is inf for absent graphs, so no masking needed.
-        t_next = np.minimum(
-            self.next_release[idx].min(axis=1), self.horizon[idx]
-        )
+        t_next = np.minimum(self.next_release.min(axis=1), self.horizon)
 
-        # --- 2. pending work, speed selection, the two-level mix ------
-        in_jobs = self.in_jobs[idx]
-        # done is only ever set on existing nodes, so the raw count is
-        # the completed-node count.
-        done_cnt = self.done[idx].sum(axis=2)
-        complete = done_cnt == self.n_nodes[idx]
-        schedulable = in_jobs & ~complete
+        # --- 2. pending work and node readiness -----------------------
+        in_jobs = self.in_jobs
+        done = self.done
+        schedulable = in_jobs & (self.n_done != self.n_nodes)
         pending = schedulable.any(axis=1)
-
-        kind = self.dvs_kind[idx]
-        period = self.period[idx]
-        s_raw = np.zeros(n)
-        s_raw[(kind == _DVS_NODVS) & pending] = 1.0
-        st_mask = (kind == _DVS_STATIC) & pending
-        if st_mask.any():
-            s_raw[st_mask] = self.static_u[idx][st_mask]
-        u_cc = np.zeros(n)
-        cc_mask = self.is_cc[idx] & pending
-        if cc_mask.any():
-            # Sequential left-to-right accumulation in task-set order —
-            # the same float sum the scalar ccEDF computes.  u_cc stays
-            # in scope: the pUBS hypothetical for ccEDF rows reuses it.
-            budget = self.budget[idx]
-            for g in range(self.G):
-                u_cc = u_cc + np.where(
-                    pres[:, g], budget[:, g] / period[:, g], 0.0
-                )
-            s_raw[cc_mask] = u_cc[cc_mask]
+        wrem = np.maximum(0.0, self.wcet - self.executed)
+        open_ = self.exists & ~done
+        ready3 = open_ & (self.n_wait == 0)
 
         # Per-graph deadline/remaining-work geometry, shared between the
         # laEDF lookahead and wide (ALL_RELEASED / pUBS) selection.
+        nw = self.n_wide
         d_eff = node_cl = cl = None
-        if self._any_la or self._any_wide:
+        if self._n_la or nw:
             # GraphStatus.effective_deadline: the job's deadline, or the
             # *next* job's when idle (implicit deadline == period).
             d_eff = np.where(
-                in_jobs, self.job_deadline[idx],
-                self.next_release[idx] + period,
+                in_jobs, self.job_deadline, self.next_release + self.period
             )
-            wc3 = self.wcet[idx]
-            ex3 = self.executed[idx]
-            live3 = self.exists[idx] & ~self.done[idx]
             # JobState.remaining_wc(): node-granular, sequential sum in
-            # node order (+0.0 padding on absent/complete lanes is a
-            # bitwise no-op for the non-negative accumulator).
-            node_cl = np.zeros((n, self.G))
-            for m in range(self.M):
-                node_cl = node_cl + np.where(
-                    live3[:, :, m],
-                    np.maximum(0.0, wc3[:, :, m] - ex3[:, :, m]),
+            # node order (cumsum is sequential; + 0.0 matches the loop's
+            # +0.0 start).
+            node_cl = np.where(
+                in_jobs,
+                np.cumsum(np.where(open_, wrem, 0.0), axis=2)[:, :, -1]
+                + 0.0,
+                0.0,
+            )
+        if self._n_la:
+            cl = node_cl
+            if self._any_la_graph:
+                # JobState.remaining_wc_coarse(): WCET sum minus the
+                # sequential executed sum, zero once the job completed.
+                exec_sum = np.cumsum(self.executed, axis=2)[:, :, -1] + 0.0
+                graph_cl = np.where(
+                    schedulable,
+                    np.maximum(0.0, self.total_wcet - exec_sum),
                     0.0,
                 )
-            node_cl = np.where(in_jobs, node_cl, 0.0)
-        if self._any_la:
-            # JobState.remaining_wc_coarse(): WCET sum minus the
-            # sequential executed sum, zero once the job completed.
-            exec_sum = np.zeros((n, self.G))
-            for m in range(self.M):
-                exec_sum = exec_sum + ex3[:, :, m]
-            graph_cl = np.where(
-                complete,
-                0.0,
-                np.maximum(0.0, self.total_wcet[idx] - exec_sum),
-            )
-            graph_cl = np.where(in_jobs, graph_cl, 0.0)
-            la_node = (kind == _DVS_LAEDF_NODE)[:, None]
-            cl = np.where(la_node, node_cl, graph_cl)
-            la_mask = self.is_la[idx] & pending
-            if la_mask.any():
-                s_raw[la_mask] = _la_lookahead(
-                    d_eff[la_mask],
-                    cl[la_mask],
-                    self.util[idx[la_mask]],
-                    pres[la_mask],
-                    t[la_mask],
-                )
+                cl = np.where(self._la_node, node_cl, graph_cl)
 
-        dispatch = pending & (s_raw > 0)
-        fmax = self.f_max[idx]
-        s = np.minimum(1.0, np.maximum(s_raw, self.fmin_ratio[idx]))
-        target = s * fmax
-        lt = (self.freqs[idx] < (target * _ONE_MINUS)[:, None]).sum(axis=1)
-        pos = np.minimum(lt, self.n_levels[idx] - 1)
-        hi_f = self.freqs[idx, pos]
-        single = (
-            (pos == 0)
-            | (np.abs(hi_f - target) <= 1e-9 * fmax)
-            | self.quantize[idx]
-        )
-        lo_pos = np.maximum(pos - 1, 0)
-        lo_f = self.freqs[idx, lo_pos]
-        x = (target - lo_f) / (hi_f - lo_f)
-        x = np.minimum(1.0, np.maximum(0.0, x))
-        x = np.where(single, 1.0, x)
-        frac1 = np.where(single, 0.0, 1.0 - x)
-        speed0 = hi_f / fmax
-        speed1 = lo_f / fmax
-        s_eff = np.where(single, speed0, speed0 * x + speed1 * frac1)
-        volt0 = self.volts[idx, pos]
-        cur0 = self.currents[idx, pos]
-        volt1 = self.volts[idx, lo_pos]
-        cur1 = self.currents[idx, lo_pos]
-
-        # --- 3. candidate selection (most-imminent job, then node) ----
-        dl = np.where(schedulable, self.job_deadline[idx], np.inf)
+        # --- 3. most-imminent job (speed-independent) -----------------
+        dl = np.where(schedulable, self.job_deadline, np.inf)
         dmin = dl.min(axis=1)
-        grank = np.where(
-            dl == dmin[:, None], self.name_rank[idx], _BIG_RANK
-        )
-        gsel = grank.argmin(axis=1)
-
-        ex = self.exists[idx, gsel]  # (n, M)
-        dn = self.done[idx, gsel]
-        blocked = (self.pred[idx, gsel] & ~dn[:, None, :]).any(axis=2)
-        ready = ex & ~dn & ~blocked
+        gsel = np.where(
+            dl == dmin[:, None], self.name_rank, _BIG_RANK
+        ).argmin(axis=1)
+        fg = self._row_g + gsel
+        ready = ready3.reshape(n * G, M)[fg]
         has_ready = ready.any(axis=1)
-        weird = dispatch & ~has_ready
-        if weird.any():  # cannot occur for a well-formed DAG job
-            self._demote(idx[weird], "no ready candidate with pending work")
-            dispatch &= ~weird
-        dispatch &= has_ready
-
-        wrem = np.maximum(
-            0.0, self.wcet[idx, gsel] - self.executed[idx, gsel]
-        )
-        prio = self.prio_kind[idx]
         prim = np.where(
             ready,
-            np.where((prio == _PRIO_LTF)[:, None], -wrem, wrem),
+            self._sign[:, None] * wrem.reshape(n * G, M)[fg],
             np.inf,
         )
-        pmin = prim.min(axis=1)
-        nrank = np.where(
-            prim == pmin[:, None], self.node_rank[idx, gsel], _BIG_RANK
-        )
-        msel = nrank.argmin(axis=1)
-        wide = (
-            dispatch & self.wide[idx] if self._any_wide
-            else np.zeros(n, dtype=bool)
-        )
-        rand_rows = np.flatnonzero(
-            dispatch & (prio == _PRIO_RANDOM) & ~wide
-        )
-        if rand_rows.size:
-            # One nonzero pass for all random rows: row-major order
-            # yields each row's candidates as a contiguous ascending
-            # run, exactly the order candidates_of() builds.
-            rr, cand_cols = np.nonzero(ready[rand_rows])
-            counts = np.bincount(rr, minlength=rand_rows.size)
-            offs = np.zeros(rand_rows.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offs[1:])
-            rngs = self._rngs
-            rows_py = idx[rand_rows].tolist()
-            counts_py = counts.tolist()
-            offs_py = offs.tolist()
-            cand_py = cand_cols.tolist()
-            sel_py = []
-            for i, gv in enumerate(rows_py):
-                # Identical draw consumption to shuffling the Candidate
-                # list: numpy's sequence shuffle depends only on len().
-                perm = list(range(counts_py[i]))
-                rngs[gv].shuffle(perm)
-                sel_py.append(cand_py[offs_py[i] + perm[0]])
-            msel[rand_rows] = sel_py
-        if wide.any():
-            dispatch = self._select_wide(
-                idx, t, dispatch, wide, gsel, msel, schedulable,
-                s_raw, s_eff, d_eff, node_cl, cl, u_cc,
-            )
+        msel = np.where(
+            prim == prim.min(axis=1)[:, None],
+            self._node_rank2[fg],
+            _BIG_RANK,
+        ).argmin(axis=1)
 
-        # --- 4. dispatch ----------------------------------------------
-        window = t_next - t
-        rem = np.maximum(
-            0.0,
-            self.actual[idx, gsel, msel] - self.executed[idx, gsel, msel],
+        # Wide candidates, their estimates and pUBS-over-laEDF's
+        # hypothetical rows do not depend on the speed either, so the
+        # hypotheticals share the speed-setting lookahead pass.  Every
+        # candidate is scored (a superset of the feasible ones the
+        # selection reads).
+        cand = est = None
+        hyp = _NO_ROWS
+        if nw:
+            cand = ready3[:nw] & schedulable[:nw, :, None]
+            imm = self._imm_rows
+            if imm is not None:
+                # pUBS over MOST_IMMINENT: only the earliest-deadline
+                # job's candidates.
+                cand[imm] &= (self._g_ar == gsel[imm][:, None])[:, :, None]
+            if self.n_pubs:
+                est = self._pubs_estimate(wrem)
+            if self.n_pl:
+                hyp = np.flatnonzero(cand[: self.n_pl])
+
+        # --- 4. speed selection ---------------------------------------
+        s_raw = np.where(pending, self._s_const, 0.0)
+        u_cc = None
+        if self._any_cc:
+            # Sequential left-to-right accumulation in task-set order —
+            # the same float sum the scalar ccEDF computes.  u_cc stays
+            # in scope: the pUBS hypothetical for ccEDF rows reuses it.
+            u_cc = np.cumsum(
+                np.where(self.present, self.budget / self.period, 0.0),
+                axis=1,
+            )[:, -1] + 0.0
+            s_raw = np.where(self._is_cc & pending, u_cc, s_raw)
+        s_hyp = None
+        if self._n_la:
+            la, nl = self._la_rows, self._n_la
+            # LaEDF.hypothetical_speed: the candidate graph's c_left
+            # shed by its wrem, one row per candidate after the
+            # speed-setting rows.
+            r = hyp // (G * M)
+            rows = np.concatenate((self._ar[la], r))
+            c = cl[rows]
+            ci = (nl + np.arange(hyp.size)) * G + hyp // M - r * G
+            cf = c.reshape(-1)
+            cf[ci] = np.maximum(0.0, cf[ci] - wrem.reshape(-1)[hyp])
+            s_acc, d_n, has = _la_pass(
+                d_eff[rows], c, self.util[rows], self.present[rows],
+                self.u_sum[rows],
+            )
+            s_raw[la] = _la_finish(s_acc[:nl], d_n[:nl], has[:nl], t[la])
+            if hyp.size:
+                # ... evaluated at t + est/s_now.
+                s_p = s_raw[r]
+                e_p = est.reshape(-1)[hyp]
+                dt = np.where(s_p > _LA_EPS, e_p / s_p, 0.0)
+                s_hyp = _la_finish(
+                    s_acc[nl:], d_n[nl:], has[nl:], t[r] + dt
+                )
+
+        # --- 5. the two-adjacent-level mix ----------------------------
+        dispatch = pending & (s_raw > 0)
+        fmax = self.f_max
+        s = np.minimum(1.0, np.maximum(s_raw, self.fmin_ratio))
+        target = s * fmax
+        lt = (self.freqs < (target * _ONE_MINUS)[:, None]).sum(axis=1)
+        pos = np.minimum(lt, self._top)
+        fl = self._row_l + pos
+        # (frequency, speed, voltage, current) of both levels.
+        hi = self._levels2[fl]
+        lo = self._levels2[np.maximum(fl - 1, self._row_l)]
+        hi_f = hi[:, 0]
+        lo_f = lo[:, 0]
+        single = (
+            (pos == 0) | (np.abs(hi_f - target) <= self._ftol)
+            | self.quantize
         )
+        x = (target - lo_f) / (hi_f - lo_f)
+        x = np.where(single, 1.0, np.minimum(1.0, np.maximum(0.0, x)))
+        frac1 = np.where(single, 0.0, 1.0 - x)
+        speed0 = hi[:, 1]
+        speed1 = lo[:, 1]
+        s_eff = np.where(single, speed0, speed0 * x + speed1 * frac1)
+
+        # --- 6. candidate selection -----------------------------------
+        weird = dispatch & ~has_ready
+        if weird.any():  # cannot occur for a well-formed DAG job
+            self._demote(
+                np.flatnonzero(weird), "no ready candidate with pending work"
+            )
+        dispatch &= has_ready
+        if self._any_rand_narrow:
+            rand_rows = np.flatnonzero(dispatch & self._rand_narrow)
+            if rand_rows.size:
+                # One nonzero pass for all random rows: row-major order
+                # yields each row's candidates as a contiguous ascending
+                # run, exactly the order candidates_of() builds.
+                rr, cand_cols = np.nonzero(ready[rand_rows])
+                counts = np.bincount(rr, minlength=rand_rows.size)
+                offs = np.zeros(rand_rows.size + 1, dtype=np.int64)
+                np.cumsum(counts, out=offs[1:])
+                rngs = self._rngs
+                counts_py = counts.tolist()
+                offs_py = offs.tolist()
+                cand_py = cand_cols.tolist()
+                sel_py = []
+                for i, v in enumerate(self.lane_id[rand_rows].tolist()):
+                    # Identical draw consumption to shuffling the
+                    # Candidate list: numpy's sequence shuffle depends
+                    # only on len().
+                    perm = list(range(counts_py[i]))
+                    rngs[v].shuffle(perm)
+                    sel_py.append(cand_py[offs_py[i] + perm[0]])
+                msel[rand_rows] = sel_py
+        if nw and dispatch[:nw].any():
+            self._select_wide(
+                t, dispatch, gsel, msel, schedulable, cand, wrem, est,
+                s_raw, s_eff, node_cl, u_cc, hyp, s_hyp,
+            )
+            fg = self._row_g + gsel
+
+        # --- 7. dispatch ----------------------------------------------
+        f = fg * M + msel
+        window = t_next - t
+        e_cur = self._executed_f[f]
+        a_cur = self._actual_f[f]
+        rem = np.maximum(0.0, a_cur - e_cur)
         t_complete = rem / s_eff
         finished = dispatch & (t_complete <= window + _EPS)
         span = np.minimum(t_complete, window)
@@ -984,111 +1191,93 @@ class _VectorRun:
         dur1 = span * frac1
         p0 = dispatch & (x > 0)
         p1 = dispatch & ~single & (frac1 > 0)
-        last0 = p0 & ~p1
-        c0 = np.where(finished & last0, rem, speed0 * dur0)
-        exec_acc = np.where(p0, c0, 0.0)
-        c1 = np.where(finished & p1, rem - exec_acc, speed1 * dur1)
+        c0 = np.where(finished & p0 & ~p1, rem, speed0 * dur0)
+        c1 = np.where(
+            finished & p1, rem - np.where(p0, c0, 0.0), speed1 * dur1
+        )
 
-        idle = ~dispatch
-        idle_rows = np.flatnonzero(idle)
-        if idle_rows.size:
-            gi = idx[idle_rows]
-            idle_key = (
-                np.full(gi.size, self.G * (self.M + 1), dtype=np.intp)
-            )
-            zeros = np.zeros(gi.size)
-            self.cols.append(
-                gi, idle_key, t[idle_rows], window[idle_rows],
-                zeros, zeros, self.idle_cur[gi],
-            )
-
-        key = gsel * (self.M + 1) + msel
-        if p0.any():
-            gi = idx[p0]
-            self.cols.append(
-                gi, key[p0], t[p0], dur0[p0],
-                speed0[p0], volt0[p0], cur0[p0],
-            )
-        if p1.any():
-            gi = idx[p1]
-            start1 = t + dur0
-            self.cols.append(
-                gi, key[p1], start1[p1], dur1[p1],
-                speed1[p1], volt1[p1], cur1[p1],
-            )
+        # One trace append per round: each lane's first chunk (or its
+        # idle gap) then its second chunk; zero-length rows drop out.
+        key = gsel * (M + 1) + msel
+        t0c = t + dur0
+        vals = np.empty((5, 2, n))
+        vals[:, 0] = (
+            t,
+            np.where(dispatch, dur0, window),
+            np.where(dispatch, speed0, 0.0),
+            np.where(dispatch, hi[:, 2], 0.0),
+            np.where(dispatch, hi[:, 3], self.idle_cur),
+        )
+        vals[:, 1] = (
+            t0c, np.where(p1, dur1, 0.0), speed1, lo[:, 2], lo[:, 3]
+        )
+        self.cols.append(
+            self._scen2,
+            np.concatenate((np.where(dispatch, key, G * (M + 1)), key)),
+            vals.reshape(5, 2 * n),
+        )
 
         # advance the selected node, chunk by chunk (clamp per chunk,
         # exactly like JobState.advance_node)
-        if p0.any():
-            gi = idx[p0]
-            gs, ms = gsel[p0], msel[p0]
-            e = self.executed[gi, gs, ms] + c0[p0]
-            a = self.actual[gi, gs, ms]
-            clamped = e >= a - 1e-9
-            self.executed[gi, gs, ms] = np.where(clamped, a, e)
-            self.done[gi, gs, ms] |= clamped
-            # A second chunk landing on a node the first chunk already
-            # clamped complete raises in the scalar engine.
-            clamped_full = np.zeros(n, dtype=bool)
-            clamped_full[p0] = clamped
-            bad = p1 & clamped_full
-            if bad.any():
-                self._demote(
-                    idx[bad], "mid-dispatch node completion (scalar raises)"
-                )
-                p1 &= ~bad
-                finished &= ~bad
-                dispatch &= ~bad
-        if p1.any():
-            gi = idx[p1]
-            gs, ms = gsel[p1], msel[p1]
-            e = self.executed[gi, gs, ms] + c1[p1]
-            a = self.actual[gi, gs, ms]
-            clamped = e >= a - 1e-9
-            self.executed[gi, gs, ms] = np.where(clamped, a, e)
-            self.done[gi, gs, ms] |= clamped
-
-        # --- 5. completion bookkeeping --------------------------------
-        if finished.any():
-            fi = idx[finished]
-            self.completed_nodes[fi] += 1
-            ac = self.actual[idx, gsel, msel]
-            wc = self.wcet[idx, gsel, msel]
-            ccn = finished & (kind == _DVS_CCEDF_NODE)
-            if ccn.any():
-                gi = idx[ccn]
-                gs = gsel[ccn]
-                self.budget[gi, gs] = self.budget[gi, gs] + (
-                    ac[ccn] - wc[ccn]
-                )
-            # is the whole job complete now?
-            jc = finished & (
-                self.done[idx, gsel].sum(axis=1)
-                == self.n_nodes[idx, gsel]
+        lim = a_cur - 1e-9
+        e1 = e_cur + c0
+        cl0 = p0 & (e1 >= lim)
+        e_mid = np.where(cl0, a_cur, np.where(p0, e1, e_cur))
+        # A second chunk landing on a node the first chunk already
+        # clamped complete raises in the scalar engine.
+        bad = p1 & cl0
+        if bad.any():
+            self._demote(
+                np.flatnonzero(bad),
+                "mid-dispatch node completion (scalar raises)",
             )
-            ccg = finished & (kind == _DVS_CCEDF_GRAPH)
-            if ccg.any():
-                gi = idx[ccg]
-                gs = gsel[ccg]
-                self.acc[gi, gs] = self.acc[gi, gs] + ac[ccg]
-                both = ccg & jc
-                if both.any():
-                    gi = idx[both]
-                    gs = gsel[both]
-                    self.budget[gi, gs] = self.acc[gi, gs]
+            p1 &= ~bad
+            finished &= ~bad
+        e2 = e_mid + c1
+        cl1 = p1 & (e2 >= lim)
+        self._executed_f[f] = np.where(
+            cl1, a_cur, np.where(p1, e2, e_mid)
+        )
+        newly = cl0 | cl1
+        if newly.any():
+            self._done_f[f] |= newly
+            self._n_done_f[fg] += newly
+            # The completed node no longer blocks its successors.
+            self._n_wait2[fg] -= self._succ2[f] & newly[:, None]
+
+        # --- 8. completion bookkeeping --------------------------------
+        if finished.any():
+            self.completed_nodes += finished
+            if self._any_cc:
+                ccn = finished & self._ccn
+                if ccn.any():
+                    fb = fg[ccn]
+                    self._budget_f[fb] = self._budget_f[fb] + (
+                        a_cur[ccn] - self._wcet_f[f[ccn]]
+                    )
+            # is the whole job complete now?
+            jc = finished & (self._n_done_f[fg] == self._n_nodes_f[fg])
+            if self._any_cc:
+                ccg = finished & self._ccg
+                if ccg.any():
+                    fb = fg[ccg]
+                    self._acc_f[fb] = self._acc_f[fb] + a_cur[ccg]
+                    both = ccg & jc
+                    if both.any():
+                        fb = fg[both]
+                        self._budget_f[fb] = self._acc_f[fb]
             if jc.any():
-                gi = idx[jc]
-                self.completed_jobs[gi] += 1
-                self.in_jobs[gi, gsel[jc]] = False
+                self.completed_jobs += jc
+                self._in_jobs_f[fg[jc]] = False
             # policy.observe_completion -> HistoryEstimator.observe:
             # append the node's *full* actual to its per-node window.
             if self._any_hist:
-                hs = finished & self.hist_rows[idx]
+                hs = finished & self._hist_rows
                 if hs.any():
-                    gi = idx[hs]
+                    gi = np.flatnonzero(hs)
                     gs = gsel[hs]
                     ms = msel[hs]
-                    acv = ac[hs]
+                    acv = a_cur[hs]
                     wv = self.est_window[gi]
                     ln = self.hist_len[gi, gs, ms]
                     notfull = ln < wv
@@ -1107,259 +1296,219 @@ class _VectorRun:
                         sub[np.arange(a_.size), wv[fullw] - 1] = acv[fullw]
                         self.hist[a_, b_, c_] = sub
 
-        # --- 6. clock update ------------------------------------------
+        # --- 9. clock update ------------------------------------------
         # Finished rows advance chunk by chunk (t (+dur0) (+dur1), the
         # scalar per-chunk clock); everything else jumps to t_next.
         # dur0 is +0.0 on chunkless rows, so the trailing adds are
         # bitwise no-ops there; demoted rows get t_next but are dead.
-        t0c = t + dur0
-        self.t[idx] = np.where(
+        self.t = np.where(
             finished, np.where(p1, t0c + dur1, t0c), t_next
         )
 
     # -- wide candidate selection (ALL_RELEASED and/or pUBS) -----------
     def _select_wide(
         self,
-        idx: np.ndarray,
         t: np.ndarray,
         dispatch: np.ndarray,
-        wide: np.ndarray,
         gsel: np.ndarray,
         msel: np.ndarray,
         schedulable: np.ndarray,
+        cand: np.ndarray,
+        wrem: np.ndarray,
+        est: Optional[np.ndarray],
         s_raw: np.ndarray,
         s_eff: np.ndarray,
-        d_eff: np.ndarray,
         node_cl: np.ndarray,
-        cl: Optional[np.ndarray],
-        u_cc: np.ndarray,
-    ) -> np.ndarray:
-        """Replay ``SchedulingPolicy.select`` for the wide rows.
+        u_cc: Optional[np.ndarray],
+        hyp: np.ndarray,
+        s_hyp: Optional[np.ndarray],
+    ) -> None:
+        """Replay ``SchedulingPolicy.select`` for the wide prefix.
 
         Candidates are every ready node of every active job (EDF job
         order, topo node order), ordered by the scalar key tuple
         ``(primary, estimate, graph name, node name)`` and filtered by
         the feasibility walk — all with the scalar stack's exact float
-        expressions.  Updates ``gsel``/``msel`` in place and returns
-        the (possibly reduced) dispatch mask; rows whose scalar twin
-        would raise ``SchedulingError`` are demoted.
+        expressions.  Every wide row is evaluated; only dispatching
+        rows are read.  Updates ``gsel``/``msel``/``dispatch`` in place;
+        rows whose scalar twin would raise ``SchedulingError`` are
+        demoted.
         """
-        w = np.flatnonzero(wide)
-        gv = idx[w]
-        nw = w.size
+        nw, npb = self.n_wide, self.n_pubs
         G, M = self.G, self.M
-
-        sched = schedulable[w]
-        dl = np.where(sched, self.job_deadline[gv], np.inf)
-        # active_jobs(): sorted by (abs_deadline, name); lexsort's last
-        # key is primary, ties fall to the name rank.
-        edf_order = np.lexsort((self.name_rank[gv], dl), axis=-1)
-        # Flat index of each row's EDF position p into (row, graph)
-        # order, shared by every gather and scatter below.
-        edf_flat = edf_order + (np.arange(nw) * G)[:, None]
-        rank = np.empty(nw * G, dtype=np.int64)
-        rank[edf_flat.ravel()] = np.tile(np.arange(G, dtype=np.int64), nw)
-        rank = rank.reshape(nw, G)
-
-        dn3 = self.done[gv]
-        blocked = (self.pred[gv] & ~dn3[:, :, None, :]).any(axis=3)
-        cand = self.exists[gv] & ~dn3 & ~blocked & sched[:, :, None]
-        imm = ~self.rl_all[gv]
-        if imm.any():
-            # pUBS over MOST_IMMINENT: only the earliest-deadline
-            # job's candidates (gsel from the narrow path).
-            same_g = np.arange(G)[None, :] == gsel[w][:, None]
-            cand &= ~(imm[:, None, None] & ~same_g[:, :, None])
-
-        wrem = np.maximum(0.0, self.wcet[gv] - self.executed[gv])
+        dw = dispatch[:nw]
+        wrem = wrem[:nw]
 
         # Feasibility walk: candidate at EDF position r survives iff
         # for every position p < r, cum_wc(p) + wrem_cand stays within
         # s_eff * (d_p - t) + atol.  cumsum replays the sequential
         # prefix sum; MOST_IMMINENT rows skip the check like the
         # scalar ready list (needs_feasibility_check is False).
-        feas = np.ones((nw, G, M), dtype=bool)
-        fmask = self.feas_on[gv] & self.rl_all[gv]
-        if fmask.any():
-            rwc = np.where(sched, node_cl[w], 0.0)
-            cum = np.cumsum(rwc.ravel()[edf_flat], axis=1)
-            dl_s = dl.ravel()[edf_flat]
-            bud = s_eff[w][:, None] * (dl_s - t[w][:, None]) + _FEAS_ATOL
-            for p in range(G):
-                kill = (
-                    fmask[:, None, None]
-                    & (rank > p)[:, :, None]
-                    & (
-                        cum[:, p][:, None, None] + wrem
-                        > bud[:, p][:, None, None]
-                    )
+        ok = cand
+        fr = self._f_rows
+        if fr is not None:
+            sched = schedulable[fr]
+            dl = np.where(sched, self.job_deadline[fr], np.inf)
+            _, flat, rank = _edf(dl, self.name_rank[fr])
+            cum = np.cumsum(
+                np.where(sched, node_cl[fr], 0.0).ravel()[flat], axis=1
+            )
+            bud = (
+                s_eff[fr][:, None] * (dl.ravel()[flat] - t[fr][:, None])
+                + _FEAS_ATOL
+            )
+            # (rows, p, g, m): candidate (g, m) dies at EDF position p.
+            kill = (
+                (rank[:, None, :] > self._g_ar[None, :, None])[..., None]
+                & (
+                    cum[:, :, None, None] + wrem[fr][:, None]
+                    > bud[:, :, None, None]
                 )
-                feas &= ~kill
+            ).any(axis=1)
+            ok = cand.copy()
+            ok[fr] &= ~kill
 
         # First feasible candidate in key order == the feasible
         # candidate minimizing the full tuple; resolve level by level.
-        ok = cand & feas
-        prio = self.prio_kind[gv]
-        is_pubs = prio == _PRIO_PUBS
-        k1 = np.where((prio == _PRIO_LTF)[:, None, None], -wrem, wrem)
-        est = None
-        if is_pubs.any():
-            est = self._pubs_estimate(gv, wrem)
-            score = self._pubs_score(
-                w, gv, t, s_raw, est, wrem, d_eff, cl, u_cc, ok
-            )
-            k1 = np.where(is_pubs[:, None, None], score, k1)
-        ok = ok.reshape(nw, G * M)
-        ok_any = ok.any(axis=1)
-        k1f = np.where(ok, k1.reshape(nw, G * M), np.inf)
-        m1 = k1f.min(axis=1)
-        tie = ok & (k1f == m1[:, None])
-        if is_pubs.any():
-            k2m = np.where(
-                tie & is_pubs[:, None], est.reshape(nw, G * M), np.inf
-            )
-            m2 = k2m.min(axis=1)
-            tie = np.where(
-                is_pubs[:, None], tie & (k2m == m2[:, None]), tie
-            )
-        nrk = np.repeat(self.name_rank[gv], M, axis=1)
-        r3 = np.where(tie, nrk, _BIG_RANK)
-        tie &= r3 == r3.min(axis=1)[:, None]
-        r4 = np.where(tie, self.node_rank[gv].reshape(nw, G * M), _BIG_RANK)
-        tie &= r4 == r4.min(axis=1)[:, None]
-        sel = tie.argmax(axis=1)
+        if npb == nw:
+            k1 = self._pubs_score(s_raw, est, wrem, u_cc, hyp, s_hyp)
+        else:
+            k1 = self._sign[:nw, None, None] * wrem
+            if npb:
+                k1[:npb] = self._pubs_score(
+                    s_raw, est, wrem, u_cc, hyp, s_hyp
+                )
+        okf = ok.reshape(nw, G * M)
+        ok_any = okf.any(axis=1)
+        k1f = np.where(okf, k1.reshape(nw, G * M), np.inf)
+        tie = okf & (k1f == k1f.min(axis=1)[:, None])
+        if npb:
+            k2m = np.where(tie[:npb], est.reshape(npb, G * M), np.inf)
+            tie[:npb] &= k2m == k2m.min(axis=1)[:, None]
+        # (graph name, node name) is unique per candidate.
+        sel = np.where(tie, self.gm_rank[:nw], _BIG_RANK).argmin(axis=1)
         gsel_w = sel // M
-        msel_w = sel % M
+        msel_w = sel - gsel_w * M
 
-        bad = ~ok_any
-        rnd = prio == _PRIO_RANDOM
-        if rnd.any():
+        bad = dw & ~ok_any
+        if self._any_rnd_w:
             # RandomPriority over ALL_RELEASED: shuffle the EDF-then-
             # topo candidate list (draw depends only on its length),
             # then take the first feasible in shuffled order.
-            cand_s = cand.reshape(nw * G, M)[edf_flat]
-            feas_s = feas.reshape(nw * G, M)[edf_flat]
-            rngs = self._rngs
-            for i in np.flatnonzero(rnd & ok_any):
-                cols = np.flatnonzero(cand_s[i].reshape(-1))
-                perm = list(range(cols.size))
-                rngs[gv[i]].shuffle(perm)
-                ff = feas_s[i].reshape(-1)
-                chosen = -1
-                for p in perm:
-                    if ff[cols[p]]:
-                        chosen = cols[p]
-                        break
-                if chosen < 0:
-                    bad[i] = True
-                    continue
-                pos, mm = divmod(int(chosen), M)
-                gsel_w[i] = edf_order[i, pos]
-                msel_w[i] = mm
+            rows = np.flatnonzero(self._rnd_w & dw & ok_any)
+            if rows.size:
+                k = rows.size
+                sched = schedulable[rows]
+                order, flat, _ = _edf(
+                    np.where(sched, self.job_deadline[rows], np.inf),
+                    self.name_rank[rows],
+                )
+                cand_s = cand[rows].reshape(k * G, M)[flat]
+                ok_s = ok[rows].reshape(k * G, M)[flat]
+                rngs = self._rngs
+                for i, v in enumerate(self.lane_id[rows].tolist()):
+                    cols = np.flatnonzero(cand_s[i].reshape(-1))
+                    perm = list(range(cols.size))
+                    rngs[v].shuffle(perm)
+                    ff = ok_s[i].reshape(-1)
+                    chosen = -1
+                    for p in perm:
+                        if ff[cols[p]]:
+                            chosen = cols[p]
+                            break
+                    if chosen < 0:
+                        bad[rows[i]] = True
+                        continue
+                    pos, mm = divmod(int(chosen), M)
+                    gsel_w[rows[i]] = order[i, pos]
+                    msel_w[rows[i]] = mm
 
         if bad.any():
             self._demote(
-                idx[w[bad]], "no feasible candidate (scalar raises)"
+                np.flatnonzero(bad), "no feasible candidate (scalar raises)"
             )
-            dispatch[w[bad]] = False
-        good = ~bad
-        gsel[w[good]] = gsel_w[good]
-        msel[w[good]] = msel_w[good]
-        return dispatch
+            dw &= ~bad
+        gsel[:nw] = gsel_w
+        msel[:nw] = msel_w
 
-    def _pubs_estimate(
-        self, gv: np.ndarray, wrem: np.ndarray
-    ) -> np.ndarray:
-        """``estimator.estimate`` for every candidate lane.
+    def _pubs_estimate(self, wrem: np.ndarray) -> np.ndarray:
+        """``estimator.estimate`` for every lane of the pUBS rows.
 
         All four registry estimators are pure functions of simulation
         state, so estimating every lane (twice, in the scalar: score
-        and order key) costs nothing in draws.  Non-pUBS rows get
-        garbage lanes that are never read.
+        and order key) costs nothing in draws.  Only the estimator
+        kinds present are evaluated; each lane takes its own kind's
+        value, so the result per lane does not depend on its
+        neighbours.
         """
-        ek = self.est_kind[gv][:, None, None]
-        wcet = self.wcet[gv]
-        execd = self.executed[gv]
-        lo = np.maximum(wrem, _EST_EPS)  # WorstCase == the clamp cap
-        factor = self.est_factor[gv][:, None, None]
-        raw = factor * wcet - execd  # ScaledEstimator
-        if (self.est_kind[gv] == _EST_HISTORY).any():
-            hist = self.hist[gv]
-            ln = self.hist_len[gv]
-            acc = np.zeros(ln.shape)
-            for k in range(hist.shape[3]):
-                acc = acc + np.where(k < ln, hist[:, :, :, k], 0.0)
-            total = np.where(
-                ln > 0, acc / np.maximum(ln, 1), factor * wcet
-            )
-            raw = np.where(ek == _EST_HISTORY, total - execd, raw)
-        raw = np.where(
-            ek == _EST_ORACLE,
-            np.maximum(0.0, self.actual[gv] - execd),
-            raw,
-        )
+        npb = self.n_pubs
+        lo = np.maximum(wrem[:npb], _EST_EPS)  # WorstCase == the clamp cap
+        ek = self.est_kind[:npb, None, None]
+        execd = self.executed[:npb]
+        raw = None
+        for kind in self._est_kinds:
+            if kind == _EST_WORST:
+                continue
+            if kind == _EST_ORACLE:
+                val = np.maximum(0.0, self.actual[:npb] - execd)
+            else:
+                base = self.est_factor[:npb, None, None] * self.wcet[:npb]
+                if kind == _EST_HISTORY:
+                    ln = self.hist_len[:npb]
+                    # The deque's oldest-first sum, sequential.
+                    acc = np.cumsum(
+                        np.where(
+                            self._w_ar < ln[..., None], self.hist[:npb], 0.0
+                        ),
+                        axis=3,
+                    )[..., -1] + 0.0
+                    base = np.where(ln > 0, acc / np.maximum(ln, 1), base)
+                val = base - execd  # ScaledEstimator / history mean
+            raw = val if raw is None else np.where(ek == kind, val, raw)
+        if raw is None:
+            return lo
         clamped = np.minimum(np.maximum(raw, _EST_EPS), lo)
-        return np.where(ek == _EST_WORST, lo, clamped)
+        if _EST_WORST in self._est_kinds:
+            return np.where(ek == _EST_WORST, lo, clamped)
+        return clamped
 
     def _pubs_score(
         self,
-        w: np.ndarray,
-        gv: np.ndarray,
-        t: np.ndarray,
         s_raw: np.ndarray,
         est: np.ndarray,
         wrem: np.ndarray,
-        d_eff: np.ndarray,
-        cl: Optional[np.ndarray],
-        u_cc: np.ndarray,
-        ok: np.ndarray,
+        u_cc: Optional[np.ndarray],
+        hyp: np.ndarray,
+        s_hyp: Optional[np.ndarray],
     ) -> np.ndarray:
-        """``PUBS.score``: est / (s_now^2 - s_after^2), inf when the
-        denominator is (numerically) non-positive.
+        """``PUBS.score`` over the pUBS rows: est / (s_now^2 -
+        s_after^2), inf when the denominator is (numerically)
+        non-positive.
 
         ``s_after`` is the DVS algorithm's hypothetical speed were the
-        candidate to finish with ``est`` actual cycles.  Selection only
-        reads the lanes in ``ok`` (the feasible candidates), so laEDF's
-        hypothetical lookahead runs on those lanes alone, compacted to
-        one ``(pairs, G)`` row per candidate; every other lane holds a
-        value no caller reads.
+        candidate to finish with ``est`` actual cycles.  For laEDF rows
+        it comes from the round's lookahead pass (``s_hyp`` at the flat
+        candidate lanes ``hyp``); every other lane of those rows holds
+        a value no caller reads.
         """
-        nw = gv.size
-        kindw = self.dvs_kind[gv]
-        s_o = s_raw[w][:, None, None]
-        s_ok = np.ones((nw, self.G, self.M))
-        st = kindw == _DVS_STATIC
-        if st.any():
+        npb = self.n_pubs
+        s_o = s_raw[:npb, None, None]
+        s_ok = np.ones((npb, self.G, self.M))
+        if self._any_st_p:
             s_ok = np.where(
-                st[:, None, None],
-                self.static_u[gv][:, None, None],
+                self._st_p[:, None, None],
+                self.static_u[:npb, None, None],
                 s_ok,
             )
-        cc = self.is_cc[gv]
-        if cc.any():
-            delta = (est - wrem) / self.period[gv][:, :, None]
+        if self._any_cc_p:
+            delta = (est - wrem[:npb]) / self.period[:npb, :, None]
             s_ok = np.where(
-                cc[:, None, None], u_cc[w][:, None, None] + delta, s_ok
+                self._cc_p[:, None, None],
+                u_cc[:npb, None, None] + delta,
+                s_ok,
             )
-        la = self.is_la[gv] & (self.prio_kind[gv] == _PRIO_PUBS)
-        r, g, m = np.nonzero(ok & la[:, None, None])
-        if r.size:
-            # LaEDF.hypothetical_speed: lookahead at t + est/s_now with
-            # the candidate graph's c_left shed by its wrem.
-            wr = w[r]
-            s_p = s_raw[wr]
-            e_p = est[r, g, m]
-            dt = np.where(s_p > _LA_EPS, e_p / s_p, 0.0)
-            c2 = cl[wr]
-            lane = np.arange(r.size)
-            c2[lane, g] = np.maximum(0.0, c2[lane, g] - wrem[r, g, m])
-            s_ok[r, g, m] = _la_lookahead(
-                d_eff[wr],
-                c2,
-                self.util[gv[r]],
-                self.present[gv[r]],
-                t[wr] + dt,
-            )
+        if hyp.size:
+            s_ok.reshape(-1)[hyp] = s_hyp
         denom = s_o * s_o - s_ok * s_ok
         small = denom <= _LA_EPS
         return np.where(small, np.inf, est / np.where(small, 1.0, denom))
@@ -1367,10 +1516,9 @@ class _VectorRun:
     # -- materialization -----------------------------------------------
     def _materialize(self) -> Dict[int, SimulationResult]:
         cols = self.cols
-        order = np.argsort(cols.scen[: cols.n], kind="stable")
-        counts = np.bincount(
-            cols.scen[: cols.n], minlength=self.V
-        )
+        scen = cols.scen[: cols.n]
+        order = np.argsort(scen, kind="stable")
+        counts = np.bincount(scen, minlength=self.V)
         offsets = np.zeros(self.V + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
 
@@ -1382,25 +1530,17 @@ class _VectorRun:
             if not self.active[v]:
                 continue  # demoted: scalar re-run owns this item
             sel = order[offsets[v]:offsets[v + 1]]
-            starts = cols.start[sel]
-            durs = cols.dur[sel]
-            speeds = cols.speed[sel]
-            volts = cols.volt[sel]
-            curs = cols.cur[sel]
+            vals = cols.vals[:, sel]
             # Numeric guardrail: a NaN/inf anywhere in the trace means
             # some upstream arithmetic went off the rails for this
             # scenario (bad power-model inputs, degenerate frequency
             # tables, ...).  Demote it to the scalar engine, which
             # either produces finite values or raises a diagnosable
             # error — never silently return poisoned columns.
-            finite = True
-            for col in (starts, durs, speeds, volts, curs):
-                if not np.isfinite(col).all():
-                    finite = False
-                    break
-            if not finite:
+            if not np.isfinite(vals).all():
                 self.demoted[self.vec_ids[v]] = _NONFINITE_REASON
                 continue
+            starts, durs, speeds, volts, curs = vals
             trace = ExecutionTrace()
             trace.extend_columns(
                 starts, durs, speeds, volts, curs, cols.key[sel],
@@ -1413,9 +1553,9 @@ class _VectorRun:
                 trace=trace,
                 horizon=float(horizon),
                 misses=misses,
-                released_jobs=int(self.released[v]),
-                completed_jobs=int(self.completed_jobs[v]),
-                completed_nodes=int(self.completed_nodes[v]),
+                released_jobs=len(releases),
+                completed_jobs=int(self.out_jobs[v]),
+                completed_nodes=int(self.out_nodes[v]),
                 task_set=sim.task_set,
                 processor=sim.processor,
                 release_times=releases,

@@ -262,6 +262,62 @@ class TestVectorEquivalence:
             ).run()
         assert str(vector_err.value) == str(scalar_err.value)
 
+    def test_catch_up_releases_bitwise(self, proc):
+        """A graph whose period is below the time tolerance has several
+        releases due in one round (catch-ups, each missing the last).
+        The scalar loop logs all of one graph's catch-ups before the
+        next graph's release; the vector engine releases every graph
+        side by side and must log them in that same order."""
+        ts = TaskGraphSet([
+            PeriodicTaskGraph(TaskGraph("a", [TaskNode("x", 1e-9)]), 3e-9),
+            PeriodicTaskGraph(TaskGraph("b", [TaskNode("y", 2.0)]), 10.0),
+        ])
+
+        def sim():
+            return build(proc, ts, NoDVS(), LTF())
+
+        scalar = sim().run(5e-8)
+        # Four releases of "a" are due at t=0, ahead of "b"'s first.
+        assert scalar.release_times[:5] == (0.0, 3e-9, 6e-9, 9e-9, 0.0)
+        assert scalar.misses
+        vec = VectorEngine([(sim(), 5e-8)]).run()[0]
+        assert_bitwise(vec, scalar)
+
+    def test_compaction_bookkeeping(self, proc):
+        """Lanes retire before and long after a raising lane is demoted
+        (and compile time reorders lanes by kind): the demotion is
+        reported under the raising lane's item index, and every other
+        lane still equals its own scalar run bitwise."""
+        from repro.sim.vector import _VectorRun
+
+        def scens():
+            return [
+                (build(proc, harmonic_set(), NoDVS(), LTF()), 8.0),
+                (build(proc, overload_set(), NoDVS(), LTF(),
+                       on_miss="raise"), 40.0),
+                (build(proc, harmonic_set(), CcEDF(),
+                       RandomPriority(3)), 16.0),
+                (Simulator(
+                    harmonic_set(), proc, LaEDF(),
+                    SchedulingPolicy(PUBS(HistoryEstimator()),
+                                     ready_list=ALL_RELEASED),
+                    on_miss="record",
+                ), 120.0),
+                (build(proc, harmonic_set(), LaEDF(), LTF(),
+                       UniformActuals(low=0.2, high=1.0, seed=4)), 80.0),
+            ]
+
+        eng = VectorEngine(scens())
+        assert eng.n_fallback == 0
+        run = _VectorRun(eng.scenarios, list(range(5)), eng._actuals)
+        results, demoted = run.execute()
+        # The overload lane's first miss is its second release, t=10.
+        assert demoted == {1: "deadline miss with on_miss='raise'"}
+        assert sorted(results) == [0, 2, 3, 4]
+        for i, (sim, h) in enumerate(scens()):
+            if i != 1:
+                assert_bitwise(results[i], sim.run(h))
+
     def test_raise_propagates_through_mixed_batch(self, proc):
         """A raising scenario aborts the batch even when healthy
         scenarios surround it, exactly like a sequential loop would."""
@@ -339,6 +395,58 @@ class TestWideEquivalence:
                 on_miss="record",
             )
 
+        rejections = [0]
+        orig = methodology.feasibility_check
+
+        def spy(view, cand, s_ref):
+            ok = orig(view, cand, s_ref)
+            rejections[0] += not ok
+            return ok
+
+        methodology.feasibility_check = spy
+        try:
+            scalar = sim().run(80.0)
+        finally:
+            methodology.feasibility_check = orig
+        assert rejections[0] > 0  # the guard actually bites here
+        vec = VectorEngine([(sim(), 80.0)]).run()[0]
+        assert_bitwise(vec, scalar)
+
+    def test_pubs_feasibility_rejections_bitwise(self, proc):
+        """pUBS over laEDF, ALL_RELEASED, guard on, in a set where the
+        guard rejects candidates.  The round scores every candidate's
+        hypothetical speed before the feasibility walk runs; scoring
+        that superset must change no selection."""
+        import repro.core.methodology as methodology
+
+        ts = TaskGraphSet([
+            PeriodicTaskGraph(
+                TaskGraph(
+                    "tight", [TaskNode("a", 2.0), TaskNode("b", 1.0)]
+                ),
+                4.0,
+            ),
+            PeriodicTaskGraph(
+                TaskGraph(
+                    "lazy",
+                    [TaskNode("big", 8.0), TaskNode("end", 1.0)],
+                    [("big", "end")],
+                ),
+                40.0,
+            ),
+        ])
+
+        def sim():
+            return Simulator(
+                ts, proc, LaEDF(),
+                SchedulingPolicy(
+                    PUBS(HistoryEstimator()), ready_list=ALL_RELEASED
+                ),
+                actuals=UniformActuals(low=1.0, high=1.0, seed=0),
+                on_miss="record",
+            )
+
+        assert sim().policy.enforce_feasibility
         rejections = [0]
         orig = methodology.feasibility_check
 
