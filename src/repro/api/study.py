@@ -4,7 +4,7 @@ A :class:`StudyPlan` is the declarative description of a whole
 experiment: the :class:`~repro.api.sweep.Sweep` that expands to
 campaign specs, a pipeline of frame operations (``post``), and which
 group means to report (``group_by`` / ``metrics``).  :class:`Study`
-executes a plan on any :class:`~repro.campaign.growth.SpecRunner` —
+executes a plan on any :class:`~repro.campaign.runner.SpecRunner` —
 the local multiprocessing runner, a cached runner, or a distributed
 fleet — and returns a :class:`StudyResult` holding the typed
 :class:`~repro.api.frame.ResultFrame` plus campaign telemetry.
@@ -33,8 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..campaign.cache import ResultCache
-from ..campaign.growth import SpecRunner
-from ..campaign.runner import CampaignResult, CampaignRunner
+from ..campaign.runner import CampaignResult, CampaignRunner, SpecRunner
 from ..errors import SchedulingError
 from .frame import ResultFrame
 from .sweep import Sweep
@@ -212,7 +211,7 @@ class Study:
     plan:
         The declarative study description.
     runner:
-        Any :class:`~repro.campaign.growth.SpecRunner` (explicit
+        Any :class:`~repro.campaign.runner.SpecRunner` (explicit
         runner wins over ``workers``/``cache``) — results are
         bit-identical across runners and worker counts.
     workers:

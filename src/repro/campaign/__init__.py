@@ -33,7 +33,6 @@ from .failures import (
     QuarantinedSpec,
     backoff_delay,
 )
-from .growth import GrowableRunnerMixin, SpecRunner, SpecTemplate
 from .registry import (
     NEAR_OPTIMAL,
     build_scheme,
@@ -55,6 +54,7 @@ from .registry import (
 from .runner import (
     CampaignResult,
     CampaignRunner,
+    SpecRunner,
     run_scenario_batch,
     run_spec,
     sample_bounded_dag,
@@ -66,11 +66,10 @@ from .spec import (
     ScenarioSpec,
     SurvivalSpec,
     content_hash,
-    is_spec,
     spawn_seeds,
 )
 
-# Imported last: the distributed backend builds on runner/growth/spec.
+# Imported last: the distributed backend builds on runner/spec.
 from .distributed import DistributedRunner  # noqa: E402
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "DistributedRunner",
     "FailureInfo",
     "FailureReport",
-    "GrowableRunnerMixin",
     "NEAR_OPTIMAL",
     "OneShotSpec",
     "QuarantinedSpec",
@@ -88,7 +86,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "SpecRunner",
-    "SpecTemplate",
     "SurvivalSpec",
     "backoff_delay",
     "build_scheme",
@@ -96,7 +93,6 @@ __all__ = [
     "default_cache_dir",
     "install_env_plugins",
     "install_plugins",
-    "is_spec",
     "known_names",
     "known_schemes",
     "plugin_snapshot",

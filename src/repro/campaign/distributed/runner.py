@@ -4,9 +4,8 @@
 :class:`~repro.campaign.runner.CampaignRunner` front end —
 :func:`~repro.campaign.runner.cached_run` serves ``run`` (optional
 result cache, the streaming ``on_result`` callback, the one
-:class:`~repro.campaign.runner.CampaignResult` assembly) and
-``run_campaign``/``extend`` come from the same mixin — and differs
-only in its executor: specs run on a fleet of worker processes
+:class:`~repro.campaign.runner.CampaignResult` assembly) — and
+differs only in its executor: specs run on a fleet of worker processes
 attached over one of two transports:
 
 ``workdir=PATH``
@@ -28,7 +27,9 @@ chunks.  A crashed broker loses no finished
 work the ``cache`` holds: every accepted result is stored there as it
 arrives, so rerunning the same campaign on the same cache (on this
 host, or on another one when the cache sits on shared storage)
-submits only the scenarios it does not hold yet.
+submits only the scenarios it does not hold yet.  A larger campaign
+grows the same way: its cached prefix is served, only the new suffix
+runs.
 
 Determinism: specs carry their own ``SeedSequence``-derived seeds and
 results are streamed back index-tagged, so results and aggregates are
@@ -51,13 +52,19 @@ from ... import faults
 from ...errors import SchedulingError
 from ..cache import ResultCache
 from ..failures import FailureReport
-from ..growth import GrowableRunnerMixin
 from ..registry import PLUGINS_ENV, plugin_snapshot
 from ..runner import CampaignResult, Executed, OnResult, cached_run
 from ..spec import ScenarioResult, Spec
 from .broker import DirectoryBroker, TCPBroker
 
 __all__ = ["DistributedRunner"]
+
+#: Seconds between the autoscaler's backlog checks.
+AUTOSCALE_INTERVAL = 0.5
+
+#: ``--idle-timeout`` of autoscaled workers: how long a surplus worker
+#: waits on an empty queue before it retires.
+AUTOSCALE_IDLE = 5.0
 
 
 def _repro_src_dir() -> str:
@@ -67,7 +74,7 @@ def _repro_src_dir() -> str:
     return str(Path(repro.__file__).resolve().parents[1])
 
 
-class DistributedRunner(GrowableRunnerMixin):
+class DistributedRunner:
     """Execute spec lists on external workers; aggregate broker-side.
 
     Parameters
@@ -86,9 +93,11 @@ class DistributedRunner(GrowableRunnerMixin):
     autoscale:
         ``(lo, hi)`` bounds for an adaptive local fleet: while a
         campaign runs, a supervisor thread keeps
-        ``clamp(unresolved_units, lo, hi)`` workers alive — spawning
+        ``clamp(unresolved_units, lo, hi)`` workers alive, checked
+        every :data:`AUTOSCALE_INTERVAL` seconds — spawning
         replacements for crashed ones, and letting surplus workers
-        retire through their idle timeout as the queue drains.
+        retire after :data:`AUTOSCALE_IDLE` idle seconds as the queue
+        drains.
     lease_timeout:
         Seconds without lease renewal before an unfinished claim is
         assumed dead and requeued.  With heartbeats (below) this may
@@ -134,8 +143,6 @@ class DistributedRunner(GrowableRunnerMixin):
         heartbeat: Optional[float] = 15.0,
         chunk_size: int = 1,
         result_timeout: Optional[float] = None,
-        autoscale_interval: float = 0.5,
-        autoscale_idle: float = 5.0,
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
@@ -159,8 +166,6 @@ class DistributedRunner(GrowableRunnerMixin):
         self.cache = cache
         self.n_local_workers = int(n_local_workers)
         self.autoscale = autoscale
-        self.autoscale_interval = float(autoscale_interval)
-        self.autoscale_idle = float(autoscale_idle)
         self.heartbeat = heartbeat
         self.poll = float(poll)
         self._procs: List[subprocess.Popen] = []
@@ -250,7 +255,7 @@ class DistributedRunner(GrowableRunnerMixin):
         lo, hi = self.autoscale
         self._scale_to(
             max(lo, min(hi, self._broker.remaining)),
-            idle_timeout=self.autoscale_idle,
+            idle_timeout=AUTOSCALE_IDLE,
         )
         self._scaler_stop = threading.Event()
         self._scaler = threading.Thread(
@@ -265,13 +270,13 @@ class DistributedRunner(GrowableRunnerMixin):
         # repro: noqa[RACE001] -- read once at thread start; the
         # handle is rebound only after this thread is joined
         stop = self._scaler_stop
-        while not stop.wait(self.autoscale_interval):
+        while not stop.wait(AUTOSCALE_INTERVAL):
             remaining = self._broker.remaining
             if remaining == 0:
                 continue  # campaign finishing; let workers retire
             target = max(lo, min(hi, remaining))
             try:
-                self._scale_to(target, idle_timeout=self.autoscale_idle)
+                self._scale_to(target, idle_timeout=AUTOSCALE_IDLE)
             except OSError:
                 continue  # spawn hiccup; retry next tick
 

@@ -32,6 +32,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
@@ -62,7 +63,6 @@ from .failures import (
     RetryBudget,
     spec_deadline,
 )
-from .growth import GrowableRunnerMixin
 from .registry import (
     NEAR_OPTIMAL,
     build_scheme,
@@ -87,6 +87,7 @@ __all__ = [
     "run_scenario_batch",
     "CampaignRunner",
     "CampaignResult",
+    "SpecRunner",
     "sample_bounded_dag",
     "OracleEstimator",
 ]
@@ -449,10 +450,10 @@ class CampaignResult:
 
     ``cache_hits`` counts results served from the on-disk cache;
     ``executed`` counts specs actually run (by a pool worker, the
-    calling process, or a distributed fleet).  The two sum to
-    ``len(results)`` for a plain :meth:`CampaignRunner.run`, while an
-    :meth:`~repro.campaign.growth.GrowableRunnerMixin.extend` reports
-    the suffix run's counts next to the full merged result list.
+    calling process, or a distributed fleet).  The two sum to the
+    number of specs, so a larger rerun on the same cache (the way to
+    grow a campaign) reads its cached prefix as ``cache_hits`` and its
+    new suffix as ``executed``.
 
     ``requeued`` is distributed-backend fault telemetry: work units
     returned to the queue after a lease expired or a worker connection
@@ -507,6 +508,23 @@ OnResult = Callable[[int, ScenarioResult], None]
 #: What a runner's executor reports besides its results: the failure
 #: report and its own :class:`CampaignResult` counters.
 Executed = Tuple[FailureReport, Dict[str, int]]
+
+
+class SpecRunner(Protocol):
+    """Anything that can execute a spec list campaign-style.
+
+    Satisfied by :class:`CampaignRunner` and
+    :class:`~repro.campaign.distributed.DistributedRunner`;
+    :class:`~repro.api.study.Study` accepts any of these via its
+    ``runner`` parameter.
+    """
+
+    def run(
+        self,
+        specs: Sequence[Spec],
+        *,
+        on_result: Optional[OnResult] = None,
+    ) -> CampaignResult: ...  # pragma: no cover - protocol
 
 
 def cached_run(
@@ -565,7 +583,7 @@ def cached_run(
     )
 
 
-class CampaignRunner(GrowableRunnerMixin):
+class CampaignRunner:
     """Executes spec lists, optionally in parallel and cached.
 
     One execution pipeline: :meth:`run` cuts the pending (uncached)

@@ -51,7 +51,6 @@ __all__ = [
     "Spec",
     "ScenarioResult",
     "content_hash",
-    "is_spec",
     "spawn_seeds",
     "spec_to_json",
     "spec_from_json",
@@ -181,11 +180,6 @@ _SPEC_TYPES: Dict[str, type] = {
     "survival": SurvivalSpec,
     "constantload": ConstantLoadSpec,
 }
-
-
-def is_spec(obj) -> bool:
-    """Whether ``obj`` is one of the spec dataclasses."""
-    return type(obj) in _SPEC_TYPES.values()
 
 
 def _spec_kind(spec: Spec) -> str:

@@ -28,6 +28,7 @@ from repro.campaign.distributed import (
     run_directory_worker,
     run_tcp_worker,
 )
+from repro.campaign.distributed import runner as dist_runner
 from repro.campaign.distributed.protocol import lease_stamp
 from repro.campaign.spec import content_hash
 from repro.errors import SchedulingError
@@ -462,19 +463,19 @@ class TestCacheResume:
     def test_extend_after_rerun_runs_only_the_suffix(
         self, tmp_path, transport
     ):
-        template = lambda seed, i: ScenarioSpec(  # noqa: E731
-            scheme="EDF", n_graphs=2, seed=seed
-        )
+        """A campaign grows by a larger rerun on the same cache: the
+        prefix specs are cache hits, only the suffix reaches the
+        fleet."""
+        prefix, specs = small_specs(2), small_specs(3)
         with cached_fleet(transport, tmp_path) as runner:
-            runner.run_campaign(template, 2, root_seed=0)
+            runner.run(prefix)
         with cached_fleet(transport, tmp_path) as runner:
-            rerun = runner.run_campaign(template, 2, root_seed=0)
-            assert rerun.cache_hits == 2 and rerun.executed == 0
-            bigger = runner.extend(1)
-        assert bigger.executed == 1 and bigger.cache_hits == 0
-        assert len(bigger.results) == 3
-        local = CampaignRunner(1).run_campaign(template, 3, root_seed=0)
-        assert metrics_of(bigger) == metrics_of(local)
+            rerun = runner.run(prefix)
+            assert rerun.cache_hits == len(prefix) and rerun.executed == 0
+            bigger = runner.run(specs)
+        assert bigger.cache_hits == len(prefix)
+        assert bigger.executed == len(specs) - len(prefix)
+        assert bigger.results == CampaignRunner(1).run(specs).results
 
 
 def test_stale_shutdown_marker_does_not_stop_a_new_worker(
@@ -520,14 +521,16 @@ def test_stale_shutdown_marker_does_not_stop_a_new_worker(
 # Autoscaling
 # ----------------------------------------------------------------------
 class TestAutoscale:
-    def test_autoscale_fleet_completes_and_matches_local(self, tmp_path):
+    def test_autoscale_fleet_completes_and_matches_local(
+        self, tmp_path, monkeypatch
+    ):
         specs = small_specs(3)
         local = CampaignRunner(1).run(specs)
+        monkeypatch.setattr(dist_runner, "AUTOSCALE_INTERVAL", 0.2)
+        monkeypatch.setattr(dist_runner, "AUTOSCALE_IDLE", 2.0)
         with DistributedRunner(
             workdir=tmp_path,
             autoscale=(1, 2),
-            autoscale_interval=0.2,
-            autoscale_idle=2.0,
             poll=0.02,
             result_timeout=TIMEOUT,
         ) as runner:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.campaign.runner as runner_mod
 from repro.campaign import (
     NEAR_OPTIMAL,
     CampaignRunner,
@@ -12,11 +13,42 @@ from repro.campaign import (
     resolve_estimator,
     resolve_processor,
     run_spec,
+    spawn_seeds,
 )
 from repro.campaign.spec import OneShotSpec, SurvivalSpec
 from repro.errors import SchedulingError
 
 QUICK = ScenarioSpec(scheme="ccEDF", n_graphs=2, seed=3)
+
+
+def campaign_specs(root_seed, n_scenarios):
+    """Two schemes per scenario, seeded prefix-stably."""
+    return [
+        ScenarioSpec(scheme=scheme, n_graphs=2, seed=seed)
+        for seed in spawn_seeds(root_seed, n_scenarios)
+        for scheme in ("EDF", "ccEDF")
+    ]
+
+
+@pytest.fixture
+def executed_specs(monkeypatch):
+    """Every spec actually executed (not served from cache), counted
+    at both entry points: lone specs and vector batches."""
+    calls = []
+    real_spec = runner_mod.run_spec
+    real_batch = runner_mod.run_scenario_batch
+
+    def counting_spec(spec):
+        calls.append(spec)
+        return real_spec(spec)
+
+    def counting_batch(items, **kwargs):
+        calls.extend(spec for _, spec in items)
+        return real_batch(items, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_spec", counting_spec)
+    monkeypatch.setattr(runner_mod, "run_scenario_batch", counting_batch)
+    return calls
 
 
 class TestRunSpec:
@@ -190,6 +222,24 @@ class TestCache:
         assert second.cache_hits == len(specs)
         assert second.results == first.results
         assert all(r.cached for r in second.results)
+
+    def test_cached_prefix_survives_process_boundary(
+        self, tmp_path, executed_specs
+    ):
+        """Growing a campaign is a larger rerun on the same cache: a
+        fresh runner (think: tomorrow's session) asked for 5 scenarios
+        where 3 ran before executes only the 2 new ones."""
+        cache = ResultCache(tmp_path)
+        CampaignRunner(1, cache=cache).run(campaign_specs(0, 3))
+        assert len(executed_specs) == 6
+
+        executed_specs.clear()
+        specs = campaign_specs(0, 5)
+        campaign = CampaignRunner(1, cache=cache).run(specs)
+        assert executed_specs == specs[6:]  # suffix only, prefix cached
+        assert campaign.cache_hits == 6
+        assert campaign.executed == 4
+        assert campaign.results == CampaignRunner(1).run(specs).results
 
 
 class TestRunnerValidation:

@@ -245,10 +245,20 @@ def unit_indices(units):
 
 
 class TestUnits:
-    def test_shares_below_min_lanes_run_one_spec_per_unit(self):
-        units = CampaignRunner(2)._units(MIXED, list(range(len(MIXED))))
-        assert unit_indices(units) == [[i] for i in range(len(MIXED))]
-        assert not any(u.contain for u in units)
+    def test_shares_below_min_lanes_run_one_spec_per_unit(
+        self, monkeypatch
+    ):
+        """A share one lane short of :data:`runner.MIN_LANES` per
+        worker cuts one spec per unit, whatever the constant is."""
+        for min_lanes in (3, 4, 5):
+            monkeypatch.setattr(runner, "MIN_LANES", min_lanes)
+            specs = [
+                ScenarioSpec(scheme="EDF", n_graphs=2, seed=seed)
+                for seed in range(2 * (runner.MIN_LANES - 1))
+            ]
+            units = CampaignRunner(2)._units(specs, list(range(len(specs))))
+            assert unit_indices(units) == [[i] for i in range(len(specs))]
+            assert not any(u.contain for u in units)
 
     @pytest.mark.usefixtures("narrow_batches")
     def test_vector_batches_are_strided_and_first(self):
